@@ -151,7 +151,7 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, copy=True)
+        t.grad = np.array(g, dtype=t.data.dtype, order="C")
     else:
         t.grad += g
 

@@ -161,6 +161,24 @@ def test_op_sequence_is_bit_deterministic():
     assert run() == run()
 
 
+def test_conv_and_norm_grads_are_c_contiguous():
+    # reductions over a gradient add in an order set by its memory layout,
+    # so a stored gradient's layout must not depend on the op that made it
+    rng = np.random.default_rng(8)
+
+    def leaf(*shape):
+        return Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+
+    x, w, wt = leaf(2, 3, 6, 6), leaf(4, 3, 3, 3), leaf(4, 2, 2, 2)
+    gamma, beta = leaf(4), leaf(4)
+    y = T.conv2d(x, w, stride=2, padding=1)
+    y = T.group_norm(y, gamma, beta, groups=2)
+    y = T.conv2d_transpose(y, wt, stride=2)
+    backward(T.mean(T.mul(y, y)))
+    for t in (x, w, wt, gamma, beta):
+        assert t.grad.flags.c_contiguous
+
+
 # -- graph and backward contracts -------------------------------------------------
 
 
