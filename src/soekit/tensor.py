@@ -1,17 +1,20 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
-Data lives in C-contiguous (row-major) numpy buffers. Every operation that
-touches a tensor requiring gradients records itself on the output (parent
-references plus a backward closure); ``backward`` replays the chain rule over
-a topological ordering of that record. Tensors built with
+Data and gradients live in C-contiguous (row-major) numpy buffers, whatever
+layout an op uses inside, so reductions over them add in one order. Every
+operation that touches a tensor requiring gradients records itself on the
+output (parent references plus a backward closure); ``backward`` replays the
+chain rule over a topological ordering of that record. Tensors built with
 ``requires_grad=False`` never accumulate a gradient and record nothing.
 
 Storage is float32. Constructing tensors as float64 is supported so tests can
 run finite-difference oracles at higher precision; all ops preserve dtype.
 
-conv2d accumulates its contraction in float64 before rounding once to the
-storage dtype: float32 products are exact in float64, so the result is
-bit-equal to a direct-summation oracle regardless of BLAS blocking.
+conv2d and conv2d_transpose share one channel-major (C, B, H, W) im2col and
+col2im for their outputs and both gradients. Each contraction runs in float64
+and rounds once to the storage dtype: float32 products are exact in float64,
+so every result is bit-equal to a direct-summation oracle regardless of BLAS
+blocking.
 """
 
 from __future__ import annotations
@@ -476,23 +479,29 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 # -- convolutions ------------------------------------------------------------------
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Column matrix (B*ho*wo, C*kh*kw) with columns ordered (ci, ky, kx)."""
-    b, c = xp.shape[0], xp.shape[1]
-    sb, sc, sh, sw = xp.strides
-    view = as_strided(
-        xp,
-        shape=(b, c, kh, kw, ho, wo),
-        strides=(sb, sc, sh, sw, sh * stride, sw * stride),
-    )
-    return view.transpose(0, 4, 5, 1, 2, 3).reshape(b * ho * wo, c * kh * kw)
+def _im2col(xc: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Columns (C*kh*kw, B*ho*wo), rows ordered (c, ky, kx), of a (C, B, H, W) buffer."""
+    c, b = xc.shape[:2]
+    sc, sb, sh, sw = xc.strides
+    view = as_strided(xc, shape=(c, kh, kw, b, ho, wo), strides=(sc, sh, sw, sb, sh * stride, sw * stride))
+    return view.reshape(c * kh * kw, b * ho * wo)
+
+
+def _col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
+    """Scatter-add (C, kh, kw, B, ho, wo) columns into a zero (C, B, H, W) float64 buffer, tap by tap."""
+    _, kh, kw, _, ho, wo = cols.shape
+    out = np.zeros(shape, np.float64)
+    for ky in range(kh):
+        for kx in range(kw):
+            out[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += cols[:, ky, kx]
+    return out
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), NCHW input, (CO, CI, KH, KW) kernel.
 
-    Contraction runs in float64 and rounds once to the storage dtype, making
-    the result bit-equal to direct summation in (ci, ky, kx) order.
+    The output and both gradients contract in float64 and round once to the
+    storage dtype, making each bit-equal to direct summation.
     """
     if stride not in (1, 2):
         raise ShapeError("conv2d", f"stride must be 1 or 2, got {stride}")
@@ -507,31 +516,28 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
 
-    xp = np.pad(x.data.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    padded = (ci, b, h + 2 * padding, wd + 2 * padding)
+    xp = np.zeros(padded, np.float64)
+    xp[:, :, padding : padding + h, padding : padding + wd] = x.data.transpose(1, 0, 2, 3)
     cols = _im2col(xp, kh, kw, stride, ho, wo)
     wm = w.data.astype(np.float64).reshape(co, -1)
-    out64 = cols @ wm.T
-    out = out64.reshape(b, ho, wo, co).transpose(0, 3, 1, 2).astype(x.dtype)
+    out = (wm @ cols).reshape(co, b, ho, wo).transpose(1, 0, 2, 3).astype(x.dtype, order="C")
+    cols = cols if w.requires_grad else None  # only the weight gradient reads it
 
     def bw(g):
-        gm = g.transpose(0, 2, 3, 1).reshape(b * ho * wo, co).astype(np.float64)
+        gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3), np.float64).reshape(co, -1)
         if w.requires_grad:
-            gw = (cols.T @ gm).T.reshape(co, ci, kh, kw)
-            _accumulate(w, gw.astype(w.dtype))
+            _accumulate(w, (gm @ cols.T).reshape(w.shape).astype(w.dtype))
         if x.requires_grad:
-            gcols = (gm @ wm).reshape(b, ho, wo, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-            gxp = np.zeros_like(xp)
-            for ky in range(kh):
-                for kx in range(kw):
-                    gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += gcols[:, :, ky, kx]
-            gx = gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp
+            gxp = _col2im((wm.T @ gm).reshape(ci, kh, kw, b, ho, wo), padded, stride)
+            gx = gxp[:, :, padding : padding + h, padding : padding + wd].transpose(1, 0, 2, 3)
             _accumulate(x, gx.astype(x.dtype))
 
     return _make(out, (x, w), bw, "conv2d")
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 2) -> Tensor:
-    """Transposed convolution, NCHW input, (CI, CO, KH, KW) kernel, stride 2."""
+    """Transposed convolution, NCHW input, (CI, CO, KH, KW) kernel, stride 2, exact as conv2d."""
     if stride != 2:
         raise ShapeError("conv2d_transpose", f"stride must be 2, got {stride}")
     if x.ndim != 4 or w.ndim != 4:
@@ -542,30 +548,19 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 2) -> Tensor:
     _, co, kh, kw = w.shape
     ho, wo = (hi - 1) * stride + kh, (wi - 1) * stride + kw
 
-    xm = x.data.transpose(0, 2, 3, 1).reshape(b * hi * wi, ci).astype(np.float64)
-    wm = w.data.astype(np.float64).reshape(ci, co * kh * kw)
-    prod = (xm @ wm).reshape(b, hi, wi, co, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    out64 = np.zeros((b, co, ho, wo), np.float64)
-    for ky in range(kh):
-        for kx in range(kw):
-            out64[:, :, ky : ky + hi * stride : stride, kx : kx + wi * stride : stride] += prod[:, :, ky, kx]
-    out = out64.astype(x.dtype)
+    xm = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3), np.float64).reshape(ci, -1)
+    wm = w.data.astype(np.float64).reshape(ci, -1)
+    out64 = _col2im((wm.T @ xm).reshape(co, kh, kw, b, hi, wi), (co, b, ho, wo), stride)
+    out = out64.transpose(1, 0, 2, 3).astype(x.dtype, order="C")
+    xm = xm if w.requires_grad else None  # only the weight gradient reads it
 
     def bw(g):
-        g64 = g.astype(np.float64)
-        sb, sc, sh, sw = g64.strides
-        view = as_strided(
-            g64,
-            shape=(b, co, kh, kw, hi, wi),
-            strides=(sb, sc, sh, sw, sh * stride, sw * stride),
-        )
-        gcols = view.transpose(0, 4, 5, 1, 2, 3).reshape(b * hi * wi, co * kh * kw)
+        gcols = _im2col(np.ascontiguousarray(g.transpose(1, 0, 2, 3), np.float64), kh, kw, stride, hi, wi)
         if x.requires_grad:
-            gx = (gcols @ wm.T).reshape(b, hi, wi, ci).transpose(0, 3, 1, 2)
+            gx = (wm @ gcols).reshape(ci, b, hi, wi).transpose(1, 0, 2, 3)
             _accumulate(x, gx.astype(x.dtype))
         if w.requires_grad:
-            gw = (xm.T @ gcols).reshape(ci, co, kh, kw)
-            _accumulate(w, gw.astype(w.dtype))
+            _accumulate(w, (xm @ gcols.T).reshape(w.shape).astype(w.dtype))
 
     return _make(out, (x, w), bw, "conv2d_transpose")
 

@@ -89,3 +89,50 @@ def conv2d_direct(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np
                                 acc += float(xp[bi, cc, i * stride + ky, j * stride + kx]) * float(w[o, cc, ky, kx])
                     out[bi, o, i, j] = acc
     return out.astype(np.float32)
+
+
+def conv2d_grads_direct(x: np.ndarray, w: np.ndarray, g: np.ndarray, stride: int, padding: int):
+    """Direct-summation oracle for conv2d's input and weight gradients given
+    the output gradient g: float64 accumulation, rounded once to float32."""
+    b, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    xp = np.pad(x.astype(np.float64), ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape, np.float64)
+    for bi in range(b):
+        for o in range(co):
+            for i in range(g.shape[2]):
+                for j in range(g.shape[3]):
+                    gv = float(g[bi, o, i, j])
+                    for cc in range(ci):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                y, xx = i * stride + ky, j * stride + kx
+                                gxp[bi, cc, y, xx] += gv * float(w[o, cc, ky, kx])
+                                gw[o, cc, ky, kx] += gv * float(xp[bi, cc, y, xx])
+    gx = gxp[:, :, padding : padding + h, padding : padding + wd]
+    return gx.astype(np.float32), gw.astype(np.float32)
+
+
+def conv2d_transpose_direct(x: np.ndarray, w: np.ndarray, g: np.ndarray, stride: int):
+    """Direct-summation oracle for conv2d_transpose: the output, and the input
+    and weight gradients given the output gradient g. Float64 accumulation,
+    each rounded once to float32."""
+    b, ci, hi, wi = x.shape
+    _, co, kh, kw = w.shape
+    out = np.zeros(g.shape, np.float64)
+    gx = np.zeros(x.shape, np.float64)
+    gw = np.zeros(w.shape, np.float64)
+    for bi in range(b):
+        for cc in range(ci):
+            for i in range(hi):
+                for j in range(wi):
+                    xv = float(x[bi, cc, i, j])
+                    for o in range(co):
+                        for ky in range(kh):
+                            for kx in range(kw):
+                                y, xx = i * stride + ky, j * stride + kx
+                                out[bi, o, y, xx] += xv * float(w[cc, o, ky, kx])
+                                gx[bi, cc, i, j] += float(g[bi, o, y, xx]) * float(w[cc, o, ky, kx])
+                                gw[cc, o, ky, kx] += xv * float(g[bi, o, y, xx])
+    return out.astype(np.float32), gx.astype(np.float32), gw.astype(np.float32)

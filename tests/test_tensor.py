@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import conv2d_direct, gradcheck, scalarize
+from helpers import conv2d_direct, conv2d_grads_direct, conv2d_transpose_direct, gradcheck, scalarize
 from soekit import tensor as T
 from soekit.tensor import ShapeError, Tensor, backward, topo_order
 
@@ -59,6 +59,56 @@ def test_conv2d_exact_vs_direct_summation(stride, padding):
         got = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
         expect = conv2d_direct(x, w, stride, padding)
         assert got.tobytes() == expect.tobytes()
+
+
+def conv_sweep(padding):
+    """The shape sweep of test_conv2d_exact_vs_direct_summation: 40 draws of
+    batch 1-2, channels 1-4, spatial 1-8 and kernel 1-3, too-large kernels skipped."""
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        b = int(rng.integers(1, 3))
+        ci = int(rng.integers(1, 5))
+        co = int(rng.integers(1, 5))
+        h = int(rng.integers(1, 9))
+        wd = int(rng.integers(1, 9))
+        kh = int(rng.integers(1, 4))
+        kw = int(rng.integers(1, 4))
+        if h + 2 * padding < kh or wd + 2 * padding < kw:
+            continue
+        x = (rng.standard_normal((b, ci, h, wd)) * 3).astype(np.float32)
+        yield x, rng.standard_normal((co, ci, kh, kw)).astype(np.float32)
+
+
+def grads_for(op, x, w, g, **kwargs):
+    """Output, input gradient and weight gradient of op with the upstream gradient g."""
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    y = op(xt, wt, **kwargs)
+    backward(T.sum_(T.mul(y, Tensor(g))))
+    return y.data, xt.grad, wt.grad
+
+
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_conv2d_grads_exact_vs_direct_summation(stride, padding):
+    rng = np.random.default_rng(8)
+    for x, w in conv_sweep(padding):
+        ho = (x.shape[2] + 2 * padding - w.shape[2]) // stride + 1
+        wo = (x.shape[3] + 2 * padding - w.shape[3]) // stride + 1
+        g = rng.standard_normal((x.shape[0], w.shape[0], ho, wo)).astype(np.float32)
+        _, gx, gw = grads_for(T.conv2d, x, w, g, stride=stride, padding=padding)
+        expect_gx, expect_gw = conv2d_grads_direct(x, w, g, stride, padding)
+        assert gx.tobytes() == expect_gx.tobytes()
+        assert gw.tobytes() == expect_gw.tobytes()
+
+
+def test_conv2d_transpose_exact_vs_direct_summation():
+    rng = np.random.default_rng(8)
+    for x, w in conv_sweep(0):
+        w = w.transpose(1, 0, 2, 3).copy()  # (CI, CO, KH, KW)
+        b, _, hi, wi = x.shape
+        g = rng.standard_normal((b, w.shape[1], 2 * hi - 2 + w.shape[2], 2 * wi - 2 + w.shape[3])).astype(np.float32)
+        got = grads_for(T.conv2d_transpose, x, w, g, stride=2)
+        for a, e in zip(got, conv2d_transpose_direct(x, w, g, 2)):
+            assert a.tobytes() == e.tobytes()
 
 
 def test_bilinear_resize_of_constant_is_constant():
