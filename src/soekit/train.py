@@ -543,7 +543,8 @@ def edit(image: np.ndarray, bbox, label: str, color: str, style: str,
     The masked latent region starts from pure noise at t = T; every DDIM step
     re-composites the known region (original latent re-noised to the current
     level), and the decoded result is composited with the input in pixel
-    space so content outside the mask is restored exactly.
+    space so content outside the mask is restored exactly. A bbox between
+    latent samples is rejected: nothing inside it would be regenerated.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -560,11 +561,12 @@ def edit(image: np.ndarray, bbox, label: str, color: str, style: str,
     mask = np.zeros((h, w), np.float32)
     mask[y0 : y0 + bh, x0 : x0 + bw] = 1.0
     m = Tensor(mask[None, None])
+    ml_np = bundle.unet.latent_mask(m).data
+    if not ml_np.any():
+        raise ValueError(f"bbox {bbox} covers no latent sample; it would be left unedited")
     x = Tensor(image.transpose(2, 0, 1)[None])
 
     z0 = bundle.vae.encode(x).detach()
-    ml = bundle.unet.latent_mask(m)
-    ml_np = ml.data
     rng = stream_rng(seed, "eval")
     cond = bundle.cond.embed([LABELS.index(label)], [COLOR_NAMES.index(color)], style)
 

@@ -398,3 +398,39 @@ def test_edit_validations(teacher_bundle):
         edit(s.image, s.bbox, "circle", "red", "color_label", teacher_bundle, steps=0, seed=0)
     with pytest.raises(ValueError, match="label"):
         edit(s.image, s.bbox, "hexagon", "red", "color_label", teacher_bundle, steps=1, seed=0)
+
+
+@pytest.mark.parametrize("bbox", [(0, 0, 1, 1), (3, 3, 3, 3)])
+def test_edit_rejects_bbox_between_latent_samples(teacher_bundle, bbox):
+    s = build_split(6, "val-small", 1)[0]
+    with pytest.raises(ValueError, match=rf"bbox \({bbox[0]}, {bbox[1]}, .*no latent sample"):
+        edit(s.image, bbox, "circle", "red", "color_label", teacher_bundle, steps=1, seed=0)
+
+
+def test_edit_of_four_pixel_bbox_changes_the_box(teacher_bundle):
+    s = build_split(6, "val-small", 1)[0]
+    out = edit(s.image, (0, 0, 4, 4), "circle", "red", "color_label", teacher_bundle, steps=1, seed=0)
+    assert not np.array_equal(out[:4, :4], s.image[:4, :4])
+    assert np.array_equal(out[4:], s.image[4:]) and np.array_equal(out[:, 4:], s.image[:, 4:])
+
+
+# -- end-to-end determinism ------------------------------------------------------------
+
+
+def test_two_seeded_training_runs_give_identical_checkpoints(teacher_bundle, tmp_path):
+    cfg = tiny_cfg()
+    small = build_split(4, "train-small", 8)
+    paths = []
+    for name in ("a", "b"):
+        tr = Trainer(cfg, small, teacher_bundle)
+        tr.run(2)
+        paths.append(save_bundle(tmp_path / f"{name}.soek", tr.bundle(), tr.optimizer))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_two_seeded_pretraining_runs_give_identical_checkpoints(tmp_path):
+    cfg = tiny_cfg(pretrain_vae_steps=1, pretrain_steps=1)
+    gen = build_split(1, "train-generic", 4)
+    a = save_bundle(tmp_path / "a.soek", pretrain_teacher(gen, cfg))
+    b = save_bundle(tmp_path / "b.soek", pretrain_teacher(gen, cfg))
+    assert a.read_bytes() == b.read_bytes()
