@@ -13,11 +13,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from soekit.config import ConfigError, RunConfig
 from soekit.data import SPLITS, build_split, read_dataset, read_ppm, write_dataset, write_ppm
-from soekit.metrics import effective_area, evaluate, load_probe, save_probe, train_probe, write_details_csv
+from soekit.metrics import effective_area, evaluate, load_probe, save_probe, train_probe
 from soekit.train import Trainer, load_bundle, pretrain_teacher, save_bundle
 from soekit.train import edit as edit_op
 
@@ -75,8 +73,6 @@ def cmd_pretrain_teacher(args) -> int:
 def cmd_train(args) -> int:
     cfg = _load_config(args.config).validate()
     teacher = load_bundle(args.teacher)
-    if not teacher.frozen:
-        raise ValueError("teacher not frozen")
     dataset = read_dataset(args.data, split="train-small")
     out = Path(args.out)
     trainer = Trainer(cfg, dataset, teacher, loss_csv=out.with_suffix(".loss.csv"))
@@ -169,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which split to generate (default: all)")
     g.add_argument("--count", type=int, help="samples for the chosen split (default: from config)")
     g.add_argument("--seed", type=int, help="master data seed (default: SOEKIT_SEED or config)")
-    g.add_argument("--workers", type=int, default=1, help="worker cap for sample generation")
     g.set_defaults(fn=cmd_gen_data)
 
     t = sub.add_parser("pretrain-teacher", help="train VAE + denoiser on generic-sized objects")
@@ -204,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--style", default="color_label", choices=["label_only", "color_label"])
     ev.add_argument("--seed", type=int, help="eval noise seed (default: SOEKIT_SEED or config)")
     ev.add_argument("--out", required=True, help="output directory for metrics.csv")
-    ev.add_argument("--workers", type=int, default=1, help="worker cap for per-sample generation")
     ev.set_defaults(fn=cmd_eval)
 
     a = sub.add_parser("analyze-effective-area", help="mask footprint per feature-map depth")
@@ -221,9 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.fn(args)
     except (ConfigError, ValueError, FileNotFoundError, RuntimeError) as e:

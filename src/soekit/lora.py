@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from soekit import tensor as T
-from soekit.nets import Linear, MiniUnet
+from soekit.nets import MiniUnet
 from soekit.rng import stream_rng
 from soekit.tensor import Tensor
 
@@ -28,11 +28,6 @@ class LoraConfig:
     alpha: float = 1.0
     blocks: tuple = ("mid", "down1_up1", "down0_up3")
     init_std: float = 0.01
-
-    def replace(self, **kw):
-        d = {**self.__dict__, **kw}
-        d["blocks"] = tuple(d["blocks"])
-        return LoraConfig(**d)
 
 
 class LoraAdapter:
@@ -57,11 +52,6 @@ class LoraAdapter:
 
     def param_count(self) -> int:
         return self.a.size + self.b.size
-
-
-def adapted_matmul(x: Tensor, w0: Tensor, adapter: LoraAdapter) -> Tensor:
-    """x @ W0 plus the adapter's factorised low-rank update."""
-    return T.add(T.matmul(x, w0), adapter.delta(x))
 
 
 @dataclass
@@ -136,14 +126,6 @@ def merge(base: MiniUnet, adapter_set: LoraAdapterSet) -> MiniUnet:
             raise ValueError(f"adapter/base mismatch on {target!r}: {lin.w.shape}")
         lin.w.data = lin.w.data + ad.dense_update()
         lin.adapter = None
-    for lin in _linears_by_name(merged).values():
-        lin.adapter = None
     merged.merged = True
     return merged
 
-
-def strip_adapters(model: MiniUnet):
-    """Remove adapter slots (used when loading a plain base)."""
-    for lin in _linears_by_name(model).values():
-        lin.adapter = None
-    return model

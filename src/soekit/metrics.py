@@ -289,9 +289,3 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     row = metrics_from_crop_pairs(gen_crops, ref_crops, labels, colors, style, probe)
     return MetricsReport(rows=[row], seed=seed, config_echo=bundle.cfg.to_dict())
 
-
-def write_details_csv(path, sample_ids, scores):
-    lines = ["id,alignment"]
-    for sid, sc in zip(sample_ids, scores):
-        lines.append(f"{sid},{sc:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n")

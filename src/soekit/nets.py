@@ -87,10 +87,6 @@ class Linear(Module):
         self.b = Tensor(np.zeros(n_out, np.float32), requires_grad=True)
         self.adapter = None  # set by soekit.lora.attach
 
-    def params(self, prefix: str = "") -> dict:
-        base = f"{prefix}." if prefix else ""
-        return {f"{base}w": self.w, f"{base}b": self.b}
-
     def forward(self, x: Tensor) -> Tensor:
         y = T.matmul(x, self.w)
         if self.adapter is not None:
@@ -106,10 +102,6 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
 
-    def params(self, prefix: str = "") -> dict:
-        base = f"{prefix}." if prefix else ""
-        return {f"{base}w": self.w, f"{base}b": self.b}
-
     def forward(self, x: Tensor) -> Tensor:
         y = T.conv2d(x, self.w, stride=self.stride, padding=self.padding)
         return T.add(y, T.reshape(self.b, (1, -1, 1, 1)))
@@ -123,10 +115,6 @@ class ConvTranspose2d(Module):
         self.w = Tensor(_gauss(rng, (c_in, c_out, 2, 2), std), requires_grad=True)
         self.b = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
 
-    def params(self, prefix: str = "") -> dict:
-        base = f"{prefix}." if prefix else ""
-        return {f"{base}w": self.w, f"{base}b": self.b}
-
     def forward(self, x: Tensor) -> Tensor:
         y = T.conv2d_transpose(x, self.w, stride=2)
         return T.add(y, T.reshape(self.b, (1, -1, 1, 1)))
@@ -137,10 +125,6 @@ class GroupNorm(Module):
         self.gamma = Tensor(np.ones(channels, np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         self.groups = groups
-
-    def params(self, prefix: str = "") -> dict:
-        base = f"{prefix}." if prefix else ""
-        return {f"{base}gamma": self.gamma, f"{base}beta": self.beta}
 
     def forward(self, x: Tensor) -> Tensor:
         return T.group_norm(x, self.gamma, self.beta, self.groups)

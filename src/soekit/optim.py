@@ -7,8 +7,6 @@ any managed parameter is missing its gradient.
 
 import numpy as np
 
-from soekit.tensor import Tensor
-
 
 class MissingGradientError(RuntimeError):
     def __init__(self, name: str):

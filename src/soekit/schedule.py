@@ -29,17 +29,20 @@ class NoiseSchedule:
     alpha_t: np.ndarray    # (T,) sqrt(1 - beta_bar)
     sigma_t: np.ndarray    # (T,) sqrt(beta_bar)
 
-    def _check_t(self, t: int):
-        if not 1 <= t <= self.T:
-            raise ValueError(f"timestep {t} out of range [1, {self.T}]")
+    def _check_t(self, t, ndim: int = 1) -> np.ndarray:
+        """Range-checked 0-based index: a scalar for an int t; for a per-sample
+        vector, a (B, 1, ...) column that broadcasts against `ndim`-axis latents."""
+        t = np.asarray(t)
+        bad = (t < 1) | (t > self.T)
+        if bad.any():
+            raise ValueError(f"timestep {t[bad].flat[0]} out of range [1, {self.T}]")
+        return t - 1 if t.ndim == 0 else (t - 1).reshape((-1,) + (1,) * (ndim - 1))
 
     def alpha(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.alpha_t[t - 1])
+        return float(self.alpha_t[self._check_t(t)])
 
     def sigma(self, t: int) -> float:
-        self._check_t(t)
-        return float(self.sigma_t[t - 1])
+        return float(self.sigma_t[self._check_t(t)])
 
 
 def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
@@ -59,23 +62,28 @@ def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> N
     )
 
 
-def add_noise(z0: Tensor, eps: Tensor, t: int, s: NoiseSchedule) -> Tensor:
-    """Forward noising: alpha_t z0 + sigma_t eps."""
+def add_noise(z0: Tensor, eps: Tensor, t, s: NoiseSchedule) -> Tensor:
+    """Forward noising: alpha_t z0 + sigma_t eps, for an int t or one t per sample."""
     if z0.shape != eps.shape:
         raise ShapeError("add_noise", f"z0 {z0.shape} vs eps {eps.shape}")
-    s._check_t(t)
-    return z0 * s.alpha(t) + eps * s.sigma(t)
+    i = s._check_t(t, z0.ndim)
+    return z0 * Tensor(s.alpha_t[i], dtype=z0.dtype) + eps * Tensor(s.sigma_t[i], dtype=eps.dtype)
 
 
-def predict_z0(z_t: Tensor, eps_pred: Tensor, t: int, s: NoiseSchedule) -> Tensor:
-    """Revert a noise prediction to the clean latent: (z_t - sigma_t eps) / alpha_t."""
+def predict_z0(z_t: Tensor, eps_pred: Tensor, t, s: NoiseSchedule) -> Tensor:
+    """Revert a noise prediction to the clean latent: (z_t - sigma_t eps) / alpha_t.
+
+    Divides by multiplying with 1/alpha_t, taken in float64 and rounded to z_t's dtype.
+    """
     if z_t.shape != eps_pred.shape:
         raise ShapeError("predict_z0", f"z_t {z_t.shape} vs eps_pred {eps_pred.shape}")
-    s._check_t(t)
-    a = s.alpha(t)
-    if a < DEGENERATE_ALPHA:
-        raise ValueError(f"predict_z0: alpha_t={a:.3e} at t={t} is degenerate (< {DEGENERATE_ALPHA})")
-    return (z_t - eps_pred * s.sigma(t)) * (1.0 / a)
+    i = s._check_t(t, z_t.ndim)
+    a = np.asarray(s.alpha_t[i])
+    bad = a < DEGENERATE_ALPHA
+    if bad.any():
+        raise ValueError(f"predict_z0: alpha_t={a[bad].flat[0]:.3e} at t={i[bad].flat[0] + 1} "
+                         f"is degenerate (< {DEGENERATE_ALPHA})")
+    return (z_t - eps_pred * Tensor(s.sigma_t[i], dtype=z_t.dtype)) * Tensor(1.0 / a, dtype=z_t.dtype)
 
 
 def ddim_step(z_t: Tensor, eps_pred: Tensor, t: int, t_prev: int, s: NoiseSchedule) -> Tensor:
@@ -85,14 +93,14 @@ def ddim_step(z_t: Tensor, eps_pred: Tensor, t: int, t_prev: int, s: NoiseSchedu
     z0_hat = predict_z0(z_t, eps_pred, t, s)
     if t_prev == 0:
         return z0_hat
-    return z0_hat * s.alpha(t_prev) + eps_pred * s.sigma(t_prev)
+    return add_noise(z0_hat, eps_pred, t_prev, s)
 
 
 def ddim_timesteps(T: int, steps: int) -> list:
     """Descending timesteps for a `steps`-step DDIM chain, ending at 0.
 
-    Evenly spaced in t, always starting at T. Returns pairs are implied:
-    consecutive entries (t, t_prev) drive ddim_step.
+    Evenly spaced in t, always starting at T. Each consecutive pair
+    (t, t_prev) is one ddim_step.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

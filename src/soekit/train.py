@@ -26,12 +26,12 @@ import numpy as np
 from soekit import tensor as T
 from soekit.checkpoint import load_checkpoint, save_checkpoint
 from soekit.config import RunConfig
-from soekit.data import COLOR_NAMES, LABELS, SoeSample, curation_filter
+from soekit.data import COLOR_NAMES, LABELS, curation_filter
 from soekit.lora import LoraConfig, LoraAdapterSet, attach
 from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig, Vae
 from soekit.optim import make_optimizer
 from soekit.rng import stream_rng
-from soekit.schedule import NoiseSchedule, ddim_timesteps, make_schedule
+from soekit.schedule import NoiseSchedule, add_noise, ddim_step, ddim_timesteps, make_schedule, predict_z0
 from soekit.tensor import Tensor
 
 DISTILL_CROP_SIDE = 8  # latent-space side both mask crops are resized to
@@ -103,26 +103,6 @@ def crop_resize_pair(image: np.ndarray, mask: np.ndarray, s: int):
     msk_t = Tensor(msk_crop[None, None])
     up_m = T.resize_nearest(msk_t, h, w).data[0, 0]
     return np.ascontiguousarray(up), np.ascontiguousarray(up_m)
-
-
-# -- batched schedule helpers ------------------------------------------------------
-
-
-def _coef(vals, ts, dtype) -> Tensor:
-    return Tensor(np.asarray(vals[np.asarray(ts) - 1], dtype=dtype).reshape(-1, 1, 1, 1), dtype=dtype)
-
-
-def add_noise_batch(z0: Tensor, eps: Tensor, ts, sched: NoiseSchedule) -> Tensor:
-    """Per-sample forward noising with a timestep vector."""
-    return T.add(T.mul(z0, _coef(sched.alpha_t, ts, z0.dtype)), T.mul(eps, _coef(sched.sigma_t, ts, eps.dtype)))
-
-
-def predict_z0_batch(z_t: Tensor, eps_pred: Tensor, ts, sched: NoiseSchedule) -> Tensor:
-    alphas = sched.alpha_t[np.asarray(ts) - 1]
-    if alphas.min() < 1e-8:
-        raise ValueError("degenerate reversion: alpha_t below 1e-8 in batch")
-    inv = Tensor(np.asarray(1.0 / alphas, z_t.dtype).reshape(-1, 1, 1, 1), dtype=z_t.dtype)
-    return T.mul(T.sub(z_t, T.mul(eps_pred, _coef(sched.sigma_t, ts, z_t.dtype))), inv)
 
 
 # -- losses -----------------------------------------------------------------------
@@ -404,8 +384,8 @@ class Trainer:
         ts = rng.integers(1, self.sched.T + 1, size=b)
         eps_s = Tensor(rng.standard_normal(z.shape).astype(np.float32))
         eps_t = Tensor(rng.standard_normal(zp.shape).astype(np.float32))
-        z_t = add_noise_batch(z, eps_s, ts, self.sched)
-        zp_t = add_noise_batch(zp.detach(), eps_t, ts, self.sched)
+        z_t = add_noise(z, eps_s, ts, self.sched)
+        zp_t = add_noise(zp.detach(), eps_t, ts, self.sched)
 
         cond = self.cond.embed(label_ids, color_ids, tc.prompt_style)
         m_lat = self.student.latent_mask(m)
@@ -417,8 +397,8 @@ class Trainer:
         dist_part = None
         if tc.use_distill:
             epsp_pred = self.teacher_unet.forward(zp_t, ts, cond, mp)
-            z0_hat = predict_z0_batch(z_t, eps_pred, ts, self.sched)
-            z0p_hat = predict_z0_batch(zp_t, epsp_pred, ts, self.sched)
+            z0_hat = predict_z0(z_t, eps_pred, ts, self.sched)
+            z0p_hat = predict_z0(zp_t, epsp_pred, ts, self.sched)
             dist_part = distill_loss(z0_hat, m_lat, z0p_hat, mp_lat,
                                      loss_type=tc.distill_loss, delta=tc.huber_delta)
 
@@ -516,7 +496,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
         rng = stream_rng(tc.seed, "noise", step, 4)
         ts = rng.integers(1, sched.T + 1, size=len(samples))
         eps = Tensor(rng.standard_normal(z.shape).astype(np.float32))
-        z_t = add_noise_batch(z, eps, ts, sched)
+        z_t = add_noise(z, eps, ts, sched)
         cond_tokens = cond.embed(label_ids, color_ids, tc.prompt_style)
         eps_pred = unet.forward(z_t, ts, cond_tokens, m)
         loss = denoise_loss(eps, eps_pred, unet.latent_mask(m), delta=tc.huber_delta)
@@ -570,34 +550,20 @@ def edit(image: np.ndarray, bbox, label: str, color: str, style: str,
     rng = stream_rng(seed, "eval")
     cond = bundle.cond.embed([LABELS.index(label)], [COLOR_NAMES.index(color)], style)
 
-    noise = rng.standard_normal(z0.shape).astype(np.float32)
-    z = Tensor(ml_np * noise + (1.0 - ml_np) * add_noise_int(z0.data, noise, sched.T, sched))
-    for t, t_prev in zip(*_step_pairs(sched.T, steps)):
+    noise = Tensor(rng.standard_normal(z0.shape).astype(np.float32))
+    z = Tensor(ml_np * noise.data + (1.0 - ml_np) * add_noise(z0, noise, sched.T, sched).data)
+    ts = ddim_timesteps(sched.T, steps)
+    for t, t_prev in zip(ts[:-1], ts[1:]):
         eps_pred = bundle.unet.forward(z, t, cond, m).detach()
-        z_next = _ddim_np(z.data, eps_pred.data, t, t_prev, sched)
+        z_next = ddim_step(z, eps_pred, t, t_prev, sched)
         if t_prev > 0:
-            keep = add_noise_int(z0.data, rng.standard_normal(z0.shape).astype(np.float32), t_prev, sched)
+            keep = add_noise(z0, Tensor(rng.standard_normal(z0.shape).astype(np.float32)), t_prev, sched)
         else:
-            keep = z0.data
-        z = Tensor(ml_np * z_next + (1.0 - ml_np) * keep)
+            keep = z0
+        z = Tensor(ml_np * z_next.data + (1.0 - ml_np) * keep.data)
 
     decoded = bundle.vae.decode(z).data[0].transpose(1, 2, 0)
     mask3 = mask[:, :, None]
     out = mask3 * decoded + (1.0 - mask3) * image
     return np.ascontiguousarray(np.clip(out, 0.0, 1.0).astype(np.float32))
 
-
-def _step_pairs(T_total: int, steps: int):
-    ts = ddim_timesteps(T_total, steps)
-    return ts[:-1], ts[1:]
-
-
-def add_noise_int(z0: np.ndarray, eps: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    return (sched.alpha(t) * z0 + sched.sigma(t) * eps).astype(np.float32)
-
-
-def _ddim_np(z_t: np.ndarray, eps: np.ndarray, t: int, t_prev: int, sched: NoiseSchedule) -> np.ndarray:
-    z0_hat = (z_t - sched.sigma(t) * eps) / sched.alpha(t)
-    if t_prev == 0:
-        return z0_hat.astype(np.float32)
-    return (sched.alpha(t_prev) * z0_hat + sched.sigma(t_prev) * eps).astype(np.float32)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from soekit import tensor as T
-from soekit.lora import LoraAdapter, LoraConfig, adapted_matmul, attach, merge
-from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig
+from soekit.lora import LoraAdapter, LoraConfig, attach, merge
+from soekit.nets import ConditionEmbedder, Linear, MiniUnet, ModelConfig
 from soekit.optim import Adam
 from soekit.rng import stream_rng
 from soekit.tensor import Tensor, backward
@@ -79,6 +79,14 @@ def test_trainability_flags_after_attach():
     unet, _, adapters, _ = fresh_setup()
     assert all(not p.requires_grad for p in unet.params().values())
     assert all(p.requires_grad for p in adapters.params().values())
+
+
+def adapted_matmul(x, w0, adapter):
+    """x @ W0 plus the adapter's update, through Linear.forward (its bias is zero)."""
+    lin = Linear(np.random.default_rng(0), *w0.shape)
+    lin.w = w0
+    lin.adapter = adapter
+    return lin.forward(x)
 
 
 def test_adapted_matmul_zero_init_is_exact():

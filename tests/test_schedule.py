@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soekit.schedule import add_noise, ddim_step, ddim_timesteps, make_schedule, predict_z0
-from soekit.tensor import Tensor
+from soekit.tensor import ShapeError, Tensor
 
 S = make_schedule(1000, 1e-4, 0.02)
 
@@ -76,6 +76,27 @@ def test_add_noise_range_check():
         add_noise(z0, z0, 0, S)
     with pytest.raises(ValueError):
         add_noise(z0, z0, 1001, S)
+    zb = latent(0, (2, 4, 8, 8))
+    # per-sample vectors: 0 must not wrap to t = T, and T + 1 must not escape as IndexError
+    for ts in ([5, 0], [1001, 5]):
+        with pytest.raises(ValueError, match=r"out of range \[1, 1000\]"):
+            add_noise(zb, zb, np.array(ts), S)
+        with pytest.raises(ValueError, match=r"out of range \[1, 1000\]"):
+            predict_z0(zb, zb, np.array(ts), S)
+    with pytest.raises(ShapeError):
+        add_noise(zb, zb, np.array([1, 2, 3]), S)
+
+
+def test_vector_t_equals_per_row_int_calls():
+    z0 = latent(20, (3, 4, 8, 8))
+    eps = latent(21, (3, 4, 8, 8))
+    ts = np.array([1, 517, 1000])
+    noised = add_noise(z0, eps, ts, S)
+    back = predict_z0(noised, eps, ts, S)
+    for i, t in enumerate(ts.tolist()):
+        row = (slice(i, i + 1),)
+        assert np.array_equal(noised.data[row], add_noise(z0[row], eps[row], t, S).data)
+        assert np.array_equal(back.data[row], predict_z0(noised[row], eps[row], t, S).data)
 
 
 def test_predict_z0_inverts_add_noise():
@@ -112,6 +133,9 @@ def test_predict_z0_degenerate_alpha_rejected():
     z = latent(0)
     with pytest.raises(ValueError, match="degenerate"):
         predict_z0(z, z, 2, hi)
+    zb = latent(0, (2, 4, 8, 8))
+    with pytest.raises(ValueError, match="degenerate"):
+        predict_z0(zb, zb, np.array([1, 2]), hi)
 
 
 def test_ddim_final_step_equals_predict_z0():

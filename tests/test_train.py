@@ -8,20 +8,18 @@ from soekit.config import RunConfig
 from soekit.data import build_split
 from soekit.lora import LoraConfig, attach
 from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig
-from soekit.schedule import make_schedule
+from soekit.schedule import add_noise, make_schedule, predict_z0
 from soekit.tensor import Tensor, backward, topo_order
 from soekit.train import (
     ConfigurationError,
     Trainer,
     Bundle,
-    add_noise_batch,
     crop_resize_pair,
     denoise_loss,
     distill_loss,
     edit,
     load_bundle,
     mask_bbox,
-    predict_z0_batch,
     pretrain_teacher,
     save_bundle,
     total_loss,
@@ -201,9 +199,9 @@ def test_distill_gradient_reaches_student_only():
     m = Tensor(m)
     cond = emb.embed([0], [0], "color_label")
     ts = np.array([50])
-    z_t = add_noise_batch(z0, eps, ts, sched)
-    z0_hat = predict_z0_batch(z_t, student.forward(z_t, ts, cond, m), ts, sched)
-    z0p_hat = predict_z0_batch(z_t, teacher.forward(z_t, ts, cond, m), ts, sched)
+    z_t = add_noise(z0, eps, ts, sched)
+    z0_hat = predict_z0(z_t, student.forward(z_t, ts, cond, m), ts, sched)
+    z0p_hat = predict_z0(z_t, teacher.forward(z_t, ts, cond, m), ts, sched)
     ml = student.latent_mask(m)
     backward(distill_loss(z0_hat, ml, z0p_hat, ml))
     assert all(p.grad is None for p in t_adapt.params().values())
