@@ -8,9 +8,16 @@ Layout (all integers little-endian):
 
 Arrays are written in insertion order and the JSON blob canonically
 (sorted keys, compact separators), so save -> load -> save is byte-identical.
+
+Writes are atomic: the file is written to `<name>.tmp` and moved over the
+target with `os.replace`, so a failed save leaves any earlier file intact.
+Reads are strict: a truncated or corrupt file raises a `CheckpointError`
+naming it, and `restore` copies arrays into same-named Tensors only if the
+names match exactly and every shape agrees.
 """
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -46,7 +53,12 @@ def save_checkpoint(path, arrays: dict, config: dict) -> Path:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     chunks.append(struct.pack("<I", len(blob)))
     chunks.append(blob)
-    path.write_bytes(b"".join(chunks))
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(b"".join(chunks))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return path
 
 
@@ -56,29 +68,53 @@ def load_checkpoint(path):
     raw = path.read_bytes()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {raw[:4]!r} (expected {MAGIC!r})")
-    version, count = struct.unpack_from("<II", raw, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    off = 12
-    arrays = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off : off + name_len].decode("utf-8")
-        off += name_len
-        dtype_code, ndim = struct.unpack_from("<BB", raw, off)
-        off += 2
-        if dtype_code != DTYPE_F32:
-            raise CheckpointError(f"{path}: array {name!r} has unknown dtype code {dtype_code}")
-        dims = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        n = int(np.prod(dims)) if ndim else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
-        arrays[name] = arr.copy()  # writable, C-order, 0-d preserved
-    (blob_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    config = json.loads(raw[off : off + blob_len].decode("utf-8"))
+    try:
+        version, count = struct.unpack_from("<II", raw, 4)
+        if version != VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version}")
+        off = 12
+        arrays = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack_from("<H", raw, off)
+            off += 2
+            name = raw[off : off + name_len].decode("utf-8")
+            off += name_len
+            dtype_code, ndim = struct.unpack_from("<BB", raw, off)
+            off += 2
+            if dtype_code != DTYPE_F32:
+                raise CheckpointError(f"{path}: array {name!r} has unknown dtype code {dtype_code}")
+            dims = struct.unpack_from(f"<{ndim}I", raw, off)
+            off += 4 * ndim
+            n = int(np.prod(dims)) if ndim else 1
+            arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
+            off += 4 * n
+            arrays[name] = arr.copy()  # writable, C-order, 0-d preserved
+        (blob_len,) = struct.unpack_from("<I", raw, off)
+        off += 4
+        config = json.loads(raw[off : off + blob_len].decode("utf-8"))
+    except CheckpointError:
+        raise
+    except (struct.error, ValueError) as e:
+        raise CheckpointError(f"{path}: truncated or corrupt checkpoint ({e})") from None
     if off + blob_len != len(raw):
         raise CheckpointError(f"{path}: trailing garbage after config blob")
     return arrays, config
+
+
+def restore(path, params: dict, arrays: dict):
+    """Copy each loaded array into the same-named Tensor of `params`.
+
+    Every Tensor needs an array of its shape and every array a Tensor; the
+    first mismatch raises a CheckpointError naming `path` and the array, and
+    no Tensor is touched.
+    """
+    for name, p in params.items():
+        if name not in arrays:
+            raise CheckpointError(f"{path}: missing array {name!r}")
+        if arrays[name].shape != p.shape:
+            raise CheckpointError(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {p.shape}")
+    for name in arrays:
+        if name not in params:
+            raise CheckpointError(f"{path}: unexpected array {name!r}")
+    for name, p in params.items():
+        p.data = arrays[name]

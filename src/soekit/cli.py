@@ -9,6 +9,8 @@ validation/runtime failure (one-line machine-parsable message on stderr),
 """
 
 import argparse
+import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -100,16 +102,19 @@ def cmd_edit(args) -> int:
 
 
 def _probe_for(cfg: RunConfig, out_dir: Path):
-    cache = out_dir / "probe.soek"
+    """The probe for cfg, trained once and cached under a hash of its settings."""
+    settings = {
+        "seed": cfg.eval.probe_seed,
+        "count": cfg.eval.probe_train_count,
+        "steps": cfg.eval.probe_steps,
+        "lr": cfg.eval.probe_lr,
+        "image_side": cfg.data.image_side,
+    }
+    key = hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()[:12]
+    cache = out_dir / f"probe-{key}.soek"
     if cache.exists():
         return load_probe(cache)
-    probe = train_probe(
-        seed=cfg.eval.probe_seed,
-        count=cfg.eval.probe_train_count,
-        steps=cfg.eval.probe_steps,
-        lr=cfg.eval.probe_lr,
-        image_side=cfg.data.image_side,
-    )
+    probe = train_probe(**settings)
     save_probe(cache, probe, seed=cfg.eval.probe_seed)
     return probe
 

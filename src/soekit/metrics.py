@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from soekit import tensor as T
-from soekit.checkpoint import load_checkpoint, save_checkpoint
+from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
 from soekit.data import COLOR_NAMES, LABELS, generate_scene
 from soekit.nets import Conv2d, Linear, Module
 from soekit.optim import Adam
@@ -128,17 +128,16 @@ def train_probe(seed: int, count: int = 1500, steps: int = 700, lr: float = 2e-3
 
 
 def save_probe(path, probe: ProbeClassifier, seed: int) -> Path:
-    arrays = {f"probe.{k}": p.data for k, p in probe.params().items()}
+    arrays = {k: p.data for k, p in probe.params("probe").items()}
     return save_checkpoint(path, arrays, {"role": "probe", "probe_seed": seed})
 
 
 def load_probe(path) -> ProbeClassifier:
     arrays, blob = load_checkpoint(path)
     if blob.get("role") != "probe":
-        raise ValueError(f"{path} is not a probe checkpoint")
+        raise CheckpointError(f"{path} is not a probe checkpoint")
     probe = ProbeClassifier(seed=int(blob["probe_seed"]))
-    for name, p in probe.params().items():
-        p.data = arrays[f"probe.{name}"].copy()
+    restore(path, probe.params("probe"), arrays)
     probe.set_trainable(False)
     probe.trained = True
     return probe

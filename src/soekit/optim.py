@@ -48,20 +48,6 @@ class Adam:
             p.data -= (self.lr * update).astype(p.data.dtype)
             p.grad = None
 
-    def state_arrays(self) -> dict:
-        """Moment buffers as named arrays for checkpointing."""
-        out = {}
-        for name in self.params:
-            out[f"adam.{name}.m"] = self.m[name]
-            out[f"adam.{name}.v"] = self.v[name]
-        return out
-
-    def load_state_arrays(self, arrays: dict, step_count: int):
-        for name in self.params:
-            self.m[name] = arrays[f"adam.{name}.m"].copy()
-            self.v[name] = arrays[f"adam.{name}.v"].copy()
-        self.step_count = int(step_count)
-
 
 class Sgd:
     """Plain gradient descent, kept selectable next to Adam."""
@@ -79,12 +65,6 @@ class Sgd:
         for p in self.params.values():
             p.data -= (self.lr * p.grad).astype(p.data.dtype)
             p.grad = None
-
-    def state_arrays(self) -> dict:
-        return {}
-
-    def load_state_arrays(self, arrays: dict, step_count: int):
-        self.step_count = int(step_count)
 
 
 def make_optimizer(kind: str, params: dict, lr: float):

@@ -20,17 +20,17 @@ STREAMS = {
 }
 
 
-def stream_rng(seed: int, stream: str, *indices: int) -> np.random.Generator:
-    """Generator for `stream` derived from `seed`; extra indices split further."""
+def _seed_sequence(seed: int, stream: str, indices) -> np.random.SeedSequence:
     if stream not in STREAMS:
         raise ValueError(f"unknown rng stream {stream!r}; known: {sorted(STREAMS)}")
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(STREAMS[stream], *map(int, indices)))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=(STREAMS[stream], *map(int, indices)))
+
+
+def stream_rng(seed: int, stream: str, *indices: int) -> np.random.Generator:
+    """Generator for `stream` derived from `seed`; extra indices split further."""
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, stream, indices)))
 
 
 def child_seed(seed: int, stream: str, *indices: int) -> int:
     """Derived integer seed for APIs that take a plain seed."""
-    if stream not in STREAMS:
-        raise ValueError(f"unknown rng stream {stream!r}; known: {sorted(STREAMS)}")
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(STREAMS[stream], *map(int, indices)))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return int(_seed_sequence(seed, stream, indices).generate_state(1, dtype=np.uint64)[0])

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from soekit import tensor as T
-from soekit.checkpoint import load_checkpoint, save_checkpoint
+from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
 from soekit.config import RunConfig
 from soekit.data import COLOR_NAMES, LABELS, curation_filter
 from soekit.lora import LoraConfig, LoraAdapterSet, attach
@@ -194,27 +194,20 @@ class Bundle:
     sched: NoiseSchedule
     adapters: LoraAdapterSet = None
     frozen: bool = False
-    merged: bool = False
     role: str = "student"
     step_count: int = 0
 
-    def arrays(self, optimizer=None) -> dict:
-        out = {}
-        for prefix, module in (("vae", self.vae), ("unet", self.unet), ("cond", self.cond)):
-            for name, p in module.params().items():
-                out[f"{prefix}.{name}"] = p.data
+    def params(self) -> dict:
+        """Every saved Tensor by checkpoint name: vae.*, unet.*, cond.*, then lora.*."""
+        out = {**self.vae.params("vae"), **self.unet.params("unet"), **self.cond.params("cond")}
         if self.adapters is not None:
-            for name, p in self.adapters.params().items():
-                out[name] = p.data
-        if optimizer is not None:
-            out.update(optimizer.state_arrays())
+            out.update(self.adapters.params())
         return out
 
     def config_blob(self, optimizer=None) -> dict:
         return {
             "config": self.cfg.to_dict(),
             "frozen": self.frozen,
-            "merged": self.merged,
             "role": self.role,
             "has_adapters": self.adapters is not None,
             "optimizer_step_count": optimizer.step_count if optimizer else self.step_count,
@@ -222,49 +215,32 @@ class Bundle:
 
 
 def save_bundle(path, bundle: Bundle, optimizer=None) -> Path:
-    return save_checkpoint(path, bundle.arrays(optimizer), bundle.config_blob(optimizer))
+    arrays = {name: p.data for name, p in bundle.params().items()}
+    return save_checkpoint(path, arrays, bundle.config_blob(optimizer))
 
 
 def load_bundle(path) -> Bundle:
     arrays, blob = load_checkpoint(path)
+    role = blob.get("role")
+    if role not in ("teacher", "student"):
+        raise CheckpointError(f"{path} is not a teacher or student checkpoint (role {role!r})")
     cfg = RunConfig.from_dict(blob["config"])
     mc = model_config(cfg)
     seed = cfg.train.seed
-    vae = Vae(mc, seed=seed)
     unet = MiniUnet(mc, seed=seed)
-    cond = ConditionEmbedder(mc, seed=seed)
-    for prefix, module in (("vae", vae), ("unet", unet), ("cond", cond)):
-        for name, p in module.params().items():
-            key = f"{prefix}.{name}"
-            if key not in arrays:
-                raise ValueError(f"checkpoint missing array {key!r}")
-            if arrays[key].shape != p.shape:
-                raise ValueError(f"checkpoint array {key!r} has shape {arrays[key].shape}, expected {p.shape}")
-            p.data = arrays[key].copy()
-    adapters = None
-    if blob.get("has_adapters"):
-        adapters = attach(unet, lora_config(cfg), seed=seed)
-        for name, p in adapters.params().items():
-            if name not in arrays:
-                raise ValueError(f"checkpoint missing adapter array {name!r}")
-            p.data = arrays[name].copy()
     bundle = Bundle(
-        cfg=cfg, vae=vae, unet=unet, cond=cond,
+        cfg=cfg, vae=Vae(mc, seed=seed), unet=unet, cond=ConditionEmbedder(mc, seed=seed),
         sched=make_schedule(cfg.schedule.timesteps, cfg.schedule.beta_start, cfg.schedule.beta_end),
-        adapters=adapters,
+        adapters=attach(unet, lora_config(cfg), seed=seed) if blob.get("has_adapters") else None,
         frozen=bool(blob.get("frozen", False)),
-        merged=bool(blob.get("merged", False)),
-        role=blob.get("role", "student"),
+        role=role,
         step_count=int(blob.get("optimizer_step_count", 0)),
     )
-    if bundle.merged:
-        bundle.unet.merged = True
+    params = bundle.params()
+    restore(path, params, arrays)
     # loaded models are inert; the Trainer re-establishes trainability itself
-    for module in (bundle.vae, bundle.unet, bundle.cond):
-        module.set_trainable(False)
-    if adapters is not None:
-        for p in adapters.params().values():
-            p.requires_grad = False
+    for p in params.values():
+        p.requires_grad = False
     return bundle
 
 
@@ -294,6 +270,13 @@ def batch_tensors(samples, crop_size: int = None):
     )
 
 
+def _draw_batch(dataset, tc, step: int, tag: int) -> list:
+    """One step's samples, drawn with replacement from the ("noise", step, tag) stream."""
+    rng = stream_rng(tc.seed, "noise", step, tag)
+    idx = rng.integers(0, len(dataset), size=tc.batch_size)
+    return [dataset[int(i)] for i in idx]
+
+
 @dataclass
 class LossReport:
     step: int
@@ -308,6 +291,23 @@ class LossReport:
             f"{self.step},{self.denoise:.6f},{self.distill:.6f},"
             f"{self.vae:.6f},{self.total:.6f},{self.wall_ms:.3f}"
         )
+
+
+def _start_loss_csv(loss_csv):
+    """Write the loss CSV's header; returns its Path, or None when not logging."""
+    if not loss_csv:
+        return None
+    path = Path(loss_csv)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(LOSS_CSV_HEADER + "\n")
+    return path
+
+
+def _log_loss(path, report: LossReport):
+    """Append one row; the file is closed again after every step."""
+    if path:
+        with open(path, "a") as fh:
+            fh.write(report.csv_line() + "\n")
 
 
 # -- trainer --------------------------------------------------------------------------
@@ -352,15 +352,7 @@ class Trainer:
         else:
             self.vae.set_trainable(False)
         self.optimizer = make_optimizer(tc.optimizer, trainables, lr=tc.lr)
-        self.loss_csv = Path(loss_csv) if loss_csv else None
-        if self.loss_csv:
-            self.loss_csv.parent.mkdir(parents=True, exist_ok=True)
-            self.loss_csv.write_text(LOSS_CSV_HEADER + "\n")
-
-    def _draw_batch(self, step: int):
-        rng = stream_rng(self.cfg.train.seed, "noise", step, 0)
-        idx = rng.integers(0, len(self.dataset), size=self.cfg.train.batch_size)
-        return [self.dataset[int(i)] for i in idx]
+        self.loss_csv = _start_loss_csv(loss_csv)
 
     def train_step(self, step: int, samples=None) -> LossReport:
         t0 = time.perf_counter()
@@ -369,7 +361,7 @@ class Trainer:
             raise ConfigurationError("missing adapters on the student model")
         if any(p.requires_grad for p in self.teacher_unet.params().values()):
             raise ConfigurationError("teacher not frozen")
-        samples = samples if samples is not None else self._draw_batch(step)
+        samples = samples if samples is not None else _draw_batch(self.dataset, tc, step, 0)
         x, m, xp, mp, label_ids, color_ids = batch_tensors(samples, tc.crop_size)
         b = x.shape[0]
 
@@ -414,20 +406,17 @@ class Trainer:
             total=float(loss.item()),
             wall_ms=(time.perf_counter() - t0) * 1000.0,
         )
-        if self.loss_csv:
-            with open(self.loss_csv, "a") as fh:
-                fh.write(report.csv_line() + "\n")
+        _log_loss(self.loss_csv, report)
         return report
 
     def run(self, steps=None) -> list:
         steps = steps if steps is not None else self.cfg.train.steps
         return [self.train_step(i) for i in range(steps)]
 
-    def bundle(self, role="student") -> Bundle:
+    def bundle(self) -> Bundle:
         return Bundle(
             cfg=self.cfg, vae=self.vae, unet=self.student, cond=self.cond,
-            sched=self.sched, adapters=self.adapters, frozen=False, role=role,
-            step_count=self.optimizer.step_count,
+            sched=self.sched, adapters=self.adapters, step_count=self.optimizer.step_count,
         )
 
 
@@ -454,32 +443,18 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
     unet = MiniUnet(mc, seed=tc.seed)
     cond = ConditionEmbedder(mc, seed=tc.seed)
 
-    csv_fh = None
-    if loss_csv:
-        Path(loss_csv).parent.mkdir(parents=True, exist_ok=True)
-        csv_fh = open(loss_csv, "w")
-        csv_fh.write(LOSS_CSV_HEADER + "\n")
-
-    def log(report):
-        if csv_fh:
-            csv_fh.write(report.csv_line() + "\n")
-
-    def draw(step, tag):
-        rng = stream_rng(tc.seed, "noise", step, tag)
-        idx = rng.integers(0, len(dataset), size=tc.batch_size)
-        return [dataset[int(i)] for i in idx]
+    loss_csv = _start_loss_csv(loss_csv)
 
     # phase A: autoencoder
     opt_vae = make_optimizer(tc.optimizer, {f"vae.{k}": p for k, p in vae.params().items()}, lr=tc.pretrain_lr)
     for step in range(tc.pretrain_vae_steps):
         t0 = time.perf_counter()
-        samples = draw(step, 2)
-        x, m, *_ = batch_tensors(samples)
+        x, m, *_ = batch_tensors(_draw_batch(dataset, tc, step, 2))
         loss = vae_recon_loss(x, m, vae, delta=tc.huber_delta, unmasked=True)
         T.backward(loss)
         opt_vae.step()
-        log(LossReport(step, 0.0, 0.0, float(loss.item()), float(loss.item()),
-                       (time.perf_counter() - t0) * 1000.0))
+        _log_loss(loss_csv, LossReport(step, 0.0, 0.0, float(loss.item()), float(loss.item()),
+                                       (time.perf_counter() - t0) * 1000.0))
 
     # phase B: denoiser on the frozen autoencoder
     vae.set_trainable(False)
@@ -488,13 +463,10 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
     opt = make_optimizer(tc.optimizer, trainables, lr=tc.pretrain_lr)
     for step in range(tc.pretrain_steps):
         t0 = time.perf_counter()
-        samples = draw(step, 3)
-        x, m, *_ = batch_tensors(samples)
-        label_ids = np.asarray([s.label_id for s in samples])
-        color_ids = np.asarray([s.color_id for s in samples])
+        x, m, _, _, label_ids, color_ids = batch_tensors(_draw_batch(dataset, tc, step, 3))
         z = vae.encode(x).detach()
         rng = stream_rng(tc.seed, "noise", step, 4)
-        ts = rng.integers(1, sched.T + 1, size=len(samples))
+        ts = rng.integers(1, sched.T + 1, size=x.shape[0])
         eps = Tensor(rng.standard_normal(z.shape).astype(np.float32))
         z_t = add_noise(z, eps, ts, sched)
         cond_tokens = cond.embed(label_ids, color_ids, tc.prompt_style)
@@ -502,10 +474,8 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
         loss = denoise_loss(eps, eps_pred, unet.latent_mask(m), delta=tc.huber_delta)
         T.backward(loss)
         opt.step()
-        log(LossReport(tc.pretrain_vae_steps + step, float(loss.item()), 0.0, 0.0,
-                       float(loss.item()), (time.perf_counter() - t0) * 1000.0))
-    if csv_fh:
-        csv_fh.close()
+        _log_loss(loss_csv, LossReport(tc.pretrain_vae_steps + step, float(loss.item()), 0.0, 0.0,
+                                       float(loss.item()), (time.perf_counter() - t0) * 1000.0))
 
     for module in (vae, unet, cond):
         module.set_trainable(False)

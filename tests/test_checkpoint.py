@@ -1,11 +1,13 @@
 """Binary checkpoint format: layout, round trips, error handling."""
 
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
+from soekit.tensor import Tensor
 
 
 def sample_arrays():
@@ -68,3 +70,48 @@ def test_rejects_trailing_garbage(tmp_path):
     p.write_bytes(p.read_bytes() + b"junk")
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(p)
+
+
+@pytest.mark.parametrize("keep", [10, "half"])
+def test_truncated_file_is_named(tmp_path, keep):
+    p = save_checkpoint(tmp_path / "f.soek", sample_arrays(), {"a": 1})
+    raw = p.read_bytes()
+    p.write_bytes(raw[: len(raw) // 2 if keep == "half" else keep])
+    with pytest.raises(CheckpointError, match=f"{p}: truncated or corrupt"):
+        load_checkpoint(p)
+
+
+def _interrupted_write(self, data):
+    with open(self, "wb") as fh:
+        fh.write(data[: len(data) // 2])
+    raise OSError("no space left on device")
+
+
+@pytest.mark.parametrize("arrays, interrupt, error", [
+    ({"x": np.zeros(2, np.float64)}, False, "float32"),
+    (sample_arrays(), True, "no space"),
+], ids=["float64-array", "interrupted-write"])
+def test_failed_save_leaves_existing_file_and_no_tmp(tmp_path, monkeypatch, arrays, interrupt, error):
+    p = save_checkpoint(tmp_path / "g.soek", sample_arrays(), {"a": 1})
+    before = p.read_bytes()
+    if interrupt:
+        monkeypatch.setattr(Path, "write_bytes", _interrupted_write)
+    with pytest.raises((CheckpointError, OSError), match=error):
+        save_checkpoint(p, arrays, {"b": 2})
+    assert p.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["g.soek"]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda a: a.pop("lora.mid.attn.wq.A"), "missing array 'lora.mid.attn.wq.A'"),
+    (lambda a: a.update({"unet.bogus": np.zeros(1, np.float32)}), "unexpected array 'unet.bogus'"),
+    (lambda a: a.update({"lora.mid.attn.wq.B": np.zeros((8, 3), np.float32)}),
+     r"array 'lora.mid.attn.wq.B' has shape \(8, 3\), expected \(8, 2\)"),
+])
+def test_restore_rejects_mismatch_untouched(change, message):
+    arrays = {k: v for k, v in sample_arrays().items() if v.ndim}  # a Tensor is never 0-d
+    params = {k: Tensor(np.zeros_like(v)) for k, v in arrays.items()}
+    change(arrays)
+    with pytest.raises(CheckpointError, match=f"ckpt.soek: {message}"):
+        restore("ckpt.soek", params, arrays)
+    assert all(not p.data.any() for p in params.values())

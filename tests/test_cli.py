@@ -7,6 +7,7 @@ import pytest
 
 from soekit.cli import main
 from soekit.data import read_dataset, read_ppm
+from soekit.metrics import ProbeClassifier, save_probe
 from soekit.train import load_bundle
 
 TINY_CONFIG = {
@@ -105,6 +106,42 @@ def test_pipeline_pretrain_train_eval_edit(workdir, capsys):
                  "--seed", "5", "--out", str(root / "out.ppm")]) == 0
     out_img = read_ppm(root / "out.ppm")
     assert out_img.shape == sample.image.shape
+
+
+def test_eval_trains_a_new_probe_for_new_probe_settings(workdir, tmp_path):
+    root, cfg = workdir
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({**TINY_CONFIG, "eval": {**TINY_CONFIG["eval"], "probe_seed": 8}}))
+    out = tmp_path / "eval"
+    for config in (cfg, str(other), cfg):
+        assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", config,
+                     "--data", str(root / "ds"), "--out", str(out)]) == 0
+    assert len(list(out.glob("probe-*.soek"))) == 2
+
+
+def _probe_file(root):
+    return save_probe(root / "probe.soek", ProbeClassifier(0), seed=0)
+
+
+def _truncated_student(root):
+    raw = (root / "student.soek").read_bytes()
+    (root / "cut.soek").write_bytes(raw[: len(raw) // 2])
+    return root / "cut.soek"
+
+
+@pytest.mark.parametrize("make, message", [
+    (_probe_file, "is not a teacher or student checkpoint"),
+    (_truncated_student, "truncated or corrupt"),
+])
+def test_edit_rejects_unusable_checkpoint_in_one_line(workdir, capsys, make, message):
+    root, _ = workdir
+    path = make(root)
+    rc = main(["edit", "--checkpoint", str(path), "--image", str(root / "in.ppm"), "--bbox", "8,8,8,8",
+               "--label", "circle", "--color", "red", "--out", str(root / "x.ppm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and message in err
+    assert "\n" not in err.strip()
 
 
 def test_train_rejects_non_frozen_teacher(workdir, capsys):

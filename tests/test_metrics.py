@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import RunConfig
 from soekit.data import build_split, generate_scene
 from soekit.metrics import (
@@ -169,6 +170,19 @@ def test_probe_save_load_roundtrip(probe, tmp_path):
     a = probe.probabilities([crop])
     b = back.probabilities([crop])
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda a: a.pop("probe.conv1.b"), "missing array 'probe.conv1.b'"),
+    (lambda a: a.update({"probe.conv1.b": a["probe.conv1.b"][:-1]}), r"array 'probe.conv1.b' has shape \(15,\)"),
+])
+def test_load_probe_is_strict(tmp_path, change, message):
+    p = save_probe(tmp_path / "probe.soek", ProbeClassifier(0), seed=0)
+    arrays, blob = load_checkpoint(p)
+    change(arrays)
+    save_checkpoint(p, arrays, blob)
+    with pytest.raises(CheckpointError, match=f"{p}: {message}"):
+        load_probe(p)
 
 
 # -- effective area -------------------------------------------------------------------

@@ -79,15 +79,3 @@ def test_sgd_selectable_and_plain():
     with pytest.raises(ValueError):
         make_optimizer("rmsprop", {"p": p}, lr=0.1)
 
-
-def test_state_arrays_roundtrip():
-    p = Tensor(np.array([1.0, 2.0], np.float32), requires_grad=True)
-    opt = Adam({"p": p}, lr=0.05)
-    p.grad = np.array([0.1, -0.2], np.float32)
-    opt.step()
-    arrays = {k: v.copy() for k, v in opt.state_arrays().items()}
-    opt2 = Adam({"p": p}, lr=0.05)
-    opt2.load_state_arrays(arrays, step_count=opt.step_count)
-    assert np.array_equal(opt2.m["p"], opt.m["p"])
-    assert np.array_equal(opt2.v["p"], opt.v["p"])
-    assert opt2.step_count == 1

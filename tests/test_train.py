@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from soekit import tensor as T
+from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import RunConfig
 from soekit.data import build_split
 from soekit.lora import LoraConfig, attach
@@ -355,6 +356,34 @@ def test_bundle_checkpoint_roundtrip_byte_identical(teacher_bundle, tmp_path):
     p2 = save_bundle(tmp_path / "b.soek", loaded)
     assert p1.read_bytes() == p2.read_bytes()
     assert loaded.frozen and loaded.role == "teacher"
+
+
+@pytest.fixture
+def student_file(teacher_bundle, tmp_path):
+    tr = Trainer(tiny_cfg(), build_split(4, "train-small", 4), teacher_bundle)
+    return save_bundle(tmp_path / "student.soek", tr.bundle(), tr.optimizer)
+
+
+def test_student_checkpoint_roundtrip_byte_identical(student_file, tmp_path):
+    loaded = load_bundle(student_file)
+    assert loaded.adapters is not None and loaded.role == "student"
+    assert save_bundle(tmp_path / "again.soek", loaded).read_bytes() == student_file.read_bytes()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda a: a.update({"lora.mid.attn.wq.A": a["lora.mid.attn.wq.A"][:, :-1]}),
+     r"array 'lora.mid.attn.wq.A' has shape"),
+    (lambda a: a.update({"unet.bogus": np.zeros(3, np.float32)}), "unexpected array 'unet.bogus'"),
+    (lambda a: a.update({"adam.lora.mid.attn.wq.A.m": np.zeros((4, 32), np.float32)}),
+     "unexpected array 'adam.lora.mid.attn.wq.A.m'"),  # a student file that still holds Adam moments
+    (lambda a: a.pop("lora.mid.attn.wq.B"), "missing array 'lora.mid.attn.wq.B'"),
+])
+def test_load_bundle_is_strict(student_file, change, message):
+    arrays, blob = load_checkpoint(student_file)
+    change(arrays)
+    save_checkpoint(student_file, arrays, blob)
+    with pytest.raises(CheckpointError, match=f"{student_file}: {message}"):
+        load_bundle(student_file)
 
 
 # -- editing ---------------------------------------------------------------------------
