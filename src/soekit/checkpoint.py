@@ -11,9 +11,10 @@ Arrays are written in insertion order and the JSON blob canonically
 
 Writes are atomic: the file is written to `<name>.tmp` and moved over the
 target with `os.replace`, so a failed save leaves any earlier file intact.
-Reads are strict: a truncated or corrupt file raises a `CheckpointError`
-naming it, and `restore` copies arrays into same-named Tensors only if the
-names match exactly and every shape agrees.
+Reads are strict: a truncated or corrupt file, or a config blob that is not
+a JSON object, raises a `CheckpointError` naming it, and `restore` copies
+arrays into same-named Tensors only if the names match exactly and every
+shape agrees.
 """
 
 import json
@@ -98,6 +99,8 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: truncated or corrupt checkpoint ({e})") from None
     if off + blob_len != len(raw):
         raise CheckpointError(f"{path}: trailing garbage after config blob")
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: config blob must be a JSON object, got {type(config).__name__}")
     return arrays, config
 
 

@@ -17,17 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from soekit import tensor as T
+from soekit.config import LoraSection
 from soekit.nets import MiniUnet
 from soekit.rng import stream_rng
 from soekit.tensor import Tensor
-
-
-@dataclass
-class LoraConfig:
-    rank: int = 4
-    alpha: float = 1.0
-    blocks: tuple = ("mid", "down1_up1", "down0_up3")
-    init_std: float = 0.01
 
 
 class LoraAdapter:
@@ -36,8 +29,6 @@ class LoraAdapter:
     def __init__(self, target: str, j: int, k: int, rank: int, alpha: float, init_std: float, rng):
         if rank >= min(j, k):
             raise ValueError(f"lora rank {rank} must be < min(j, k) = {min(j, k)} for {target!r}")
-        self.target = target
-        self.rank = rank
         self.alpha = alpha
         self.a = Tensor((rng.standard_normal((rank, k)) * init_std).astype(np.float32), requires_grad=True)
         self.b = Tensor(np.zeros((j, rank), np.float32), requires_grad=True)
@@ -59,7 +50,6 @@ class LoraAdapterSet:
     """Adapters keyed by target weight name, bound to one base model."""
 
     base: MiniUnet
-    config: LoraConfig
     adapters: dict = field(default_factory=dict)
 
     def params(self) -> dict:
@@ -73,7 +63,7 @@ class LoraAdapterSet:
         return sum(ad.param_count() for ad in self.adapters.values())
 
 
-def attach(base: MiniUnet, cfg: LoraConfig, seed: int) -> LoraAdapterSet:
+def attach(base: MiniUnet, cfg: LoraSection, seed: int) -> LoraAdapterSet:
     """Create adapters on every dense/attention weight of the selected groups.
 
     Base weights are flagged non-trainable; adapter factors are trainable.
@@ -86,7 +76,7 @@ def attach(base: MiniUnet, cfg: LoraConfig, seed: int) -> LoraAdapterSet:
     if unknown:
         raise ValueError(f"unknown adapter block(s) {unknown}; this net has {sorted(groups)}")
     rng = stream_rng(seed, "lora")
-    adapter_set = LoraAdapterSet(base=base, config=cfg)
+    adapter_set = LoraAdapterSet(base=base)
     for group in cfg.blocks:
         for prefix, block in groups[group]:
             for name, linear in block.adaptable_linears(prefix).items():

@@ -11,7 +11,7 @@ metric values are stable across runs.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +136,8 @@ def load_probe(path) -> ProbeClassifier:
     arrays, blob = load_checkpoint(path)
     if blob.get("role") != "probe":
         raise CheckpointError(f"{path} is not a probe checkpoint")
+    if "probe_seed" not in blob:
+        raise CheckpointError(f"{path}: probe checkpoint has no 'probe_seed' key")
     probe = ProbeClassifier(seed=int(blob["probe_seed"]))
     restore(path, probe.params("probe"), arrays)
     probe.set_trainable(False)
@@ -236,7 +238,6 @@ class StyleRow:
 class MetricsReport:
     rows: list
     seed: int
-    config_echo: dict = field(default_factory=dict)
 
     def csv_text(self) -> str:
         lines = ["style,alignment_mean,frechet,n"]
@@ -286,5 +287,5 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
         labels.append(s.label)
         colors.append(s.color)
     row = metrics_from_crop_pairs(gen_crops, ref_crops, labels, colors, style, probe)
-    return MetricsReport(rows=[row], seed=seed, config_echo=bundle.cfg.to_dict())
+    return MetricsReport(rows=[row], seed=seed)
 

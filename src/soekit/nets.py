@@ -263,7 +263,6 @@ class MiniUnet(Module):
             ch = skip_w
         self.out_norm = GroupNorm(widths[0], cfg.groups)
         self.out_conv = Conv2d(rng, widths[0], cfg.latent_channels, 3, 1, 1)
-        self.widths = widths
 
     def latent_mask(self, m: Tensor) -> Tensor:
         """Nearest-downsampled binary mask at latent resolution, (B,1,h,w)."""

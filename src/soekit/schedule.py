@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from soekit import tensor as T
 from soekit.tensor import ShapeError, Tensor
 
 DEGENERATE_ALPHA = 1e-8
@@ -67,7 +68,7 @@ def add_noise(z0: Tensor, eps: Tensor, t, s: NoiseSchedule) -> Tensor:
     if z0.shape != eps.shape:
         raise ShapeError("add_noise", f"z0 {z0.shape} vs eps {eps.shape}")
     i = s._check_t(t, z0.ndim)
-    return z0 * Tensor(s.alpha_t[i], dtype=z0.dtype) + eps * Tensor(s.sigma_t[i], dtype=eps.dtype)
+    return T.add(T.mul(z0, Tensor(s.alpha_t[i], dtype=z0.dtype)), T.mul(eps, Tensor(s.sigma_t[i], dtype=eps.dtype)))
 
 
 def predict_z0(z_t: Tensor, eps_pred: Tensor, t, s: NoiseSchedule) -> Tensor:
@@ -83,7 +84,7 @@ def predict_z0(z_t: Tensor, eps_pred: Tensor, t, s: NoiseSchedule) -> Tensor:
     if bad.any():
         raise ValueError(f"predict_z0: alpha_t={a[bad].flat[0]:.3e} at t={i[bad].flat[0] + 1} "
                          f"is degenerate (< {DEGENERATE_ALPHA})")
-    return (z_t - eps_pred * Tensor(s.sigma_t[i], dtype=z_t.dtype)) * Tensor(1.0 / a, dtype=z_t.dtype)
+    return T.mul(T.sub(z_t, T.mul(eps_pred, Tensor(s.sigma_t[i], dtype=z_t.dtype))), Tensor(1.0 / a, dtype=z_t.dtype))
 
 
 def ddim_step(z_t: Tensor, eps_pred: Tensor, t: int, t_prev: int, s: NoiseSchedule) -> Tensor:

@@ -7,6 +7,10 @@ output (parent references plus a backward closure); ``backward`` replays the
 chain rule over a topological ordering of that record. Tensors built with
 ``requires_grad=False`` never accumulate a gradient and record nothing.
 
+Ops are module functions only (``mul(a, b)``, ``reshape(a, shape)``, ...);
+``Tensor`` carries data, gradient and graph links, with no operator or op
+method. The one Huber op, ``huber``, takes an optional mask.
+
 Storage is float32. Constructing tensors as float64 is supported so tests can
 run finite-difference oracles at higher precision; all ops preserve dtype.
 
@@ -77,63 +81,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """View of the same data with no graph linkage and no gradient."""
         return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def copy(self) -> "Tensor":
-        t = Tensor(self.data.copy(), requires_grad=self.requires_grad, dtype=self.data.dtype)
-        return t
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return slice_(self, idx)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes or None)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def backward(self):
-        backward(self)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype), requires_grad=False, dtype=dtype)
 
 
 # -- graph machinery ----------------------------------------------------------
@@ -249,42 +196,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(out, (a, b), bw, "mul")
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("div", a, b)
-    out = a.data / b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(out, (a, b), bw, "div")
-
-
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        _accumulate(a, -g)
-
-    return _make(-a.data, (a,), bw, "neg")
-
-
-def exp(a: Tensor) -> Tensor:
-    out = np.exp(a.data)
-
-    def bw(g):
-        _accumulate(a, g * out)
-
-    return _make(out, (a,), bw, "exp")
-
-
-def log(a: Tensor) -> Tensor:
-    out = np.log(a.data)
-
-    def bw(g):
-        _accumulate(a, g / a.data)
-
-    return _make(out, (a,), bw, "log")
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -472,7 +383,7 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("cross_attention", f"k/v sequence lengths differ: {k.shape} vs {v.shape}")
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = mul(matmul(q, transpose(k, (0, 2, 1))), _as_tensor(scale, q.dtype))
+    scores = mul(matmul(q, transpose(k, (0, 2, 1))), Tensor(scale, dtype=q.dtype))
     return matmul(softmax(scores), v)
 
 
@@ -669,42 +580,27 @@ def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
 # -- losses -------------------------------------------------------------------------
 
 
-def huber(pred: Tensor, target: Tensor, delta: float = 1.0) -> Tensor:
-    """Mean Huber loss: 0.5 r^2 below delta, delta(|r| - delta/2) beyond."""
+def huber(pred: Tensor, target: Tensor, mask: Tensor = None, delta: float = 1.0) -> Tensor:
+    """Mean Huber loss: 0.5 r^2 below delta, delta(|r| - delta/2) beyond.
+
+    With a mask, residuals are mask-gated and averaged over masked entries
+    only. The mask broadcasts against pred (e.g. one channel over many); the
+    normaliser counts masked entries after broadcast, so values outside the
+    mask can never move the loss. No mask means every entry counts.
+    """
     if pred.shape != target.shape:
         raise ShapeError("huber", f"pred {pred.shape} vs target {target.shape}")
     if delta <= 0:
         raise ValueError(f"huber: delta must be positive, got {delta}")
-    r = pred.data - target.data
-    quad = np.abs(r) <= delta
-    elems = np.where(quad, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
-    out = np.asarray(elems.mean(), dtype=pred.dtype)
-    n = pred.size
-
-    def bw(g):
-        d = np.where(quad, r, delta * np.sign(r)) * (g / n)
-        _accumulate(pred, d.astype(pred.dtype))
-        _accumulate(target, (-d).astype(target.dtype))
-
-    return _make(out, (pred, target), bw, "huber")
-
-
-def masked_huber(pred: Tensor, target: Tensor, mask: Tensor, delta: float = 1.0) -> Tensor:
-    """Huber over mask-gated residuals, averaged over masked entries only.
-
-    The mask broadcasts against pred (e.g. one channel over many); the
-    normaliser counts masked entries after broadcast, so values outside the
-    mask can never move the loss.
-    """
-    if pred.shape != target.shape:
-        raise ShapeError("masked_huber", f"pred {pred.shape} vs target {target.shape}")
+    if mask is None:
+        mask = Tensor(np.ones((1,) * pred.ndim), dtype=pred.dtype)
     if mask.requires_grad:
-        raise ValueError("masked_huber: mask must not require gradients")
-    _check_broadcast("masked_huber", pred, mask)
+        raise ValueError("huber: mask must not require gradients")
+    _check_broadcast("huber", pred, mask)
     m = np.broadcast_to(mask.data, pred.shape)
     count = float(m.sum())
     if count == 0:
-        raise ValueError("masked_huber: mask selects no elements (degenerate sample)")
+        raise ValueError("huber: mask selects no elements (degenerate sample)")
     r = (pred.data - target.data) * m
     quad = np.abs(r) <= delta
     elems = np.where(quad, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
@@ -715,7 +611,7 @@ def masked_huber(pred: Tensor, target: Tensor, mask: Tensor, delta: float = 1.0)
         _accumulate(pred, d.astype(pred.dtype))
         _accumulate(target, (-d).astype(target.dtype))
 
-    return _make(out, (pred, target), bw, "masked_huber")
+    return _make(out, (pred, target), bw, "huber")
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

@@ -27,7 +27,7 @@ from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
 from soekit.config import RunConfig
 from soekit.data import COLOR_NAMES, LABELS, curation_filter
-from soekit.lora import LoraConfig, LoraAdapterSet, attach
+from soekit.lora import LoraAdapterSet, attach
 from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig, Vae
 from soekit.optim import make_optimizer
 from soekit.rng import stream_rng
@@ -55,15 +55,6 @@ def model_config(cfg: RunConfig) -> ModelConfig:
         groups=cfg.model.groups,
         n_labels=len(LABELS),
         n_colors=len(COLOR_NAMES),
-    )
-
-
-def lora_config(cfg: RunConfig) -> LoraConfig:
-    return LoraConfig(
-        rank=cfg.lora.rank,
-        alpha=cfg.lora.alpha,
-        blocks=tuple(cfg.lora.blocks),
-        init_std=cfg.lora.init_std,
     )
 
 
@@ -111,7 +102,7 @@ def crop_resize_pair(image: np.ndarray, mask: np.ndarray, s: int):
 def denoise_loss(eps: Tensor, eps_pred: Tensor, m_latent: Tensor, delta: float = 1.0) -> Tensor:
     """Masked Huber between true and predicted noise, mean over masked entries."""
     try:
-        return T.masked_huber(eps_pred, eps, m_latent, delta=delta)
+        return T.huber(eps_pred, eps, m_latent, delta=delta)
     except ValueError as e:
         raise ValueError(f"denoise_loss: {e}") from None
 
@@ -153,12 +144,10 @@ def _latent_bbox(mask2d: np.ndarray, who: str) -> tuple:
 
 
 def vae_recon_loss(x: Tensor, m: Tensor, vae: Vae, delta: float = 1.0, unmasked: bool = False) -> Tensor:
-    """Huber between the image and its reconstruction, gated by the mask."""
+    """Huber between the image and its reconstruction, gated by the mask unless unmasked."""
     recon = vae.decode(vae.encode(x))
-    if unmasked:
-        return T.huber(recon, x, delta=delta)
     try:
-        return T.masked_huber(recon, x, m, delta=delta)
+        return T.huber(recon, x, None if unmasked else m, delta=delta)
     except ValueError as e:
         raise ValueError(f"vae_recon_loss: {e}") from None
 
@@ -224,6 +213,8 @@ def load_bundle(path) -> Bundle:
     role = blob.get("role")
     if role not in ("teacher", "student"):
         raise CheckpointError(f"{path} is not a teacher or student checkpoint (role {role!r})")
+    if "config" not in blob:
+        raise CheckpointError(f"{path}: {role} checkpoint has no 'config' key")
     cfg = RunConfig.from_dict(blob["config"])
     mc = model_config(cfg)
     seed = cfg.train.seed
@@ -231,7 +222,7 @@ def load_bundle(path) -> Bundle:
     bundle = Bundle(
         cfg=cfg, vae=Vae(mc, seed=seed), unet=unet, cond=ConditionEmbedder(mc, seed=seed),
         sched=make_schedule(cfg.schedule.timesteps, cfg.schedule.beta_start, cfg.schedule.beta_end),
-        adapters=attach(unet, lora_config(cfg), seed=seed) if blob.get("has_adapters") else None,
+        adapters=attach(unet, cfg.lora, seed=seed) if blob.get("has_adapters") else None,
         frozen=bool(blob.get("frozen", False)),
         role=role,
         step_count=int(blob.get("optimizer_step_count", 0)),
@@ -342,7 +333,7 @@ class Trainer:
         self.adapters = None
         trainables = {}
         if tc.use_adapters:
-            self.adapters = attach(self.student, lora_config(cfg), seed=tc.seed)
+            self.adapters = attach(self.student, cfg.lora, seed=tc.seed)
             trainables.update(self.adapters.params())
         else:
             self.student.set_trainable(False)

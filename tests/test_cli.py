@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from soekit.checkpoint import load_checkpoint, save_checkpoint
 from soekit.cli import main
 from soekit.data import read_dataset, read_ppm
 from soekit.metrics import ProbeClassifier, save_probe
@@ -129,9 +130,24 @@ def _truncated_student(root):
     return root / "cut.soek"
 
 
+def _student_blob(root, name, rewrite):
+    arrays, blob = load_checkpoint(root / "student.soek")
+    return save_checkpoint(root / name, arrays, rewrite(blob))
+
+
+def _student_without_config(root):
+    return _student_blob(root, "noconfig.soek", lambda b: {k: v for k, v in b.items() if k != "config"})
+
+
+def _student_with_list_blob(root):
+    return _student_blob(root, "listblob.soek", lambda b: [b])
+
+
 @pytest.mark.parametrize("make, message", [
     (_probe_file, "is not a teacher or student checkpoint"),
     (_truncated_student, "truncated or corrupt"),
+    (_student_without_config, "has no 'config' key"),
+    (_student_with_list_blob, "must be a JSON object"),
 ])
 def test_edit_rejects_unusable_checkpoint_in_one_line(workdir, capsys, make, message):
     root, _ = workdir
@@ -141,6 +157,20 @@ def test_edit_rejects_unusable_checkpoint_in_one_line(workdir, capsys, make, mes
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and message in err
+    assert "\n" not in err.strip()
+
+
+def test_eval_rejects_cached_probe_without_seed_in_one_line(workdir, capsys, tmp_path):
+    root, cfg = workdir
+    cached = next((root / "eval").glob("probe-*.soek"))
+    arrays, blob = load_checkpoint(cached)
+    del blob["probe_seed"]
+    path = save_checkpoint(tmp_path / cached.name, arrays, blob)
+    rc = main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg,
+               "--data", str(root / "ds"), "--out", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and "has no 'probe_seed' key" in err
     assert "\n" not in err.strip()
 
 

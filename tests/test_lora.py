@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from soekit import tensor as T
-from soekit.lora import LoraAdapter, LoraConfig, attach, merge
+from soekit.config import LoraSection
+from soekit.lora import LoraAdapter, attach, merge
 from soekit.nets import ConditionEmbedder, Linear, MiniUnet, ModelConfig
 from soekit.optim import Adam
 from soekit.rng import stream_rng
@@ -18,7 +19,7 @@ CFG = ModelConfig(image_side=32, base_width=16, cond_dim=16, time_dim=16, groups
 def fresh_setup(seed=0, blocks=("mid", "down1_up1", "down0_up3"), rank=4):
     unet = MiniUnet(CFG, seed=seed)
     base_copy = copy.deepcopy(unet)
-    adapters = attach(unet, LoraConfig(rank=rank, blocks=blocks), seed=seed)
+    adapters = attach(unet, LoraSection(rank=rank, blocks=blocks), seed=seed)
     emb = ConditionEmbedder(CFG, seed=seed)
     return unet, base_copy, adapters, emb
 
@@ -48,12 +49,12 @@ def test_same_seed_gives_bit_identical_a_matrices():
 def test_empty_or_unknown_block_selection_rejected():
     unet = MiniUnet(CFG, seed=0)
     with pytest.raises(ValueError, match="no blocks"):
-        attach(unet, LoraConfig(blocks=()), seed=0)
+        attach(unet, LoraSection(blocks=()), seed=0)
     with pytest.raises(ValueError, match="unknown"):
-        attach(unet, LoraConfig(blocks=("down7_up9",)), seed=0)
+        attach(unet, LoraSection(blocks=("down7_up9",)), seed=0)
     # down2_up2 needs a third level; the default depth-2 net lacks it
     with pytest.raises(ValueError, match="unknown"):
-        attach(unet, LoraConfig(blocks=("down2_up2",)), seed=0)
+        attach(unet, LoraSection(blocks=("down2_up2",)), seed=0)
 
 
 def test_rank_must_be_below_min_dim():
@@ -65,7 +66,7 @@ def test_rank_must_be_below_min_dim():
 def test_adapter_param_count_formula_and_budget():
     unet = MiniUnet(ModelConfig(), seed=1)
     base_params = sum(p.size for p in unet.params().values())
-    adapters = attach(unet, LoraConfig(rank=4), seed=1)
+    adapters = attach(unet, LoraSection(rank=4), seed=1)
     expected = 0
     for ad in adapters.adapters.values():
         j, r = ad.b.shape

@@ -5,7 +5,8 @@ import pytest
 
 from helpers import numeric_grad, rel_error
 from soekit import tensor as T
-from soekit.lora import LoraConfig, attach
+from soekit.config import LoraSection
+from soekit.lora import attach
 from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig, Vae, sinusoidal_time_embedding
 from soekit.optim import Adam
 from soekit.tensor import ShapeError, Tensor, backward
@@ -144,7 +145,7 @@ def test_attention_rows_sum_to_one_inside_net():
 def test_unet_gradient_through_lora_factor_matches_fd():
     unet = MiniUnet(TINY, seed=10)
     emb = ConditionEmbedder(TINY, seed=10)
-    adapters = attach(unet, LoraConfig(rank=2, blocks=("mid",)), seed=10)
+    adapters = attach(unet, LoraSection(rank=2, blocks=("mid",)), seed=10)
     # run the check in float64 so the FD oracle is 64-bit
     for p in list(unet.params().values()) + list(emb.params().values()) + list(adapters.params().values()):
         p.data = p.data.astype(np.float64)

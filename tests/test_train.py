@@ -5,9 +5,9 @@ import pytest
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from soekit.config import RunConfig
+from soekit.config import LoraSection, RunConfig
 from soekit.data import build_split
-from soekit.lora import LoraConfig, attach
+from soekit.lora import attach
 from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig
 from soekit.schedule import add_noise, make_schedule, predict_z0
 from soekit.tensor import Tensor, backward, topo_order
@@ -187,8 +187,8 @@ def test_distill_gradient_reaches_student_only():
     cfg = ModelConfig(image_side=16, base_width=8, depth=1, cond_dim=8, time_dim=8, groups=4)
     student = MiniUnet(cfg, seed=0)
     teacher = MiniUnet(cfg, seed=1)
-    s_adapt = attach(student, LoraConfig(rank=2, blocks=("mid",)), seed=0)
-    t_adapt = attach(teacher, LoraConfig(rank=2, blocks=("mid",)), seed=1)
+    s_adapt = attach(student, LoraSection(rank=2, blocks=("mid",)), seed=0)
+    t_adapt = attach(teacher, LoraSection(rank=2, blocks=("mid",)), seed=1)
     emb = ConditionEmbedder(cfg, seed=0)
     emb.set_trainable(False)
     sched = make_schedule(100)
@@ -223,11 +223,11 @@ def test_vae_recon_loss_contracts():
         vae_recon_loss(x, Tensor(np.zeros_like(m)), vae)
     # comparison gating: the masked Huber reads masked pixels only
     recon = vae.decode(vae.encode(x))
-    direct = T.masked_huber(recon, x, Tensor(m)).item()
+    direct = T.huber(recon, x, Tensor(m)).item()
     assert abs(loss.item() - direct) < 1e-7
     perturbed_recon = recon.data + rng.standard_normal(recon.shape).astype(np.float32) * (1 - m)
     perturbed_x = x.data + rng.standard_normal(x.shape).astype(np.float32) * (1 - m)
-    again = T.masked_huber(Tensor(perturbed_recon), Tensor(perturbed_x), Tensor(m)).item()
+    again = T.huber(Tensor(perturbed_recon), Tensor(perturbed_x), Tensor(m)).item()
     assert again == direct
 
 
@@ -309,6 +309,12 @@ def test_trainer_rejects_schedule_mismatch(teacher_bundle):
     cfg.schedule.timesteps = 500
     with pytest.raises(ConfigurationError, match="mismatch"):
         Trainer(cfg, build_split(2, "train-small", 4), teacher_bundle)
+
+
+def test_nonpositive_huber_delta_fails_on_first_step(teacher_bundle):
+    tr = Trainer(tiny_cfg(huber_delta=0, use_distill=False), build_split(2, "train-small", 4), teacher_bundle)
+    with pytest.raises(ValueError, match="delta"):
+        tr.train_step(0)
 
 
 def test_vae_tuning_flag_moves_vae(teacher_bundle):
