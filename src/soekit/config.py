@@ -158,6 +158,9 @@ class RunConfig:
             raise ConfigError(f"unknown prompt_style {self.train.prompt_style!r}")
         if self.train.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.train.optimizer!r}")
+        bs = self.eval.batch_size
+        if type(bs) is not int or bs < 1:
+            raise ConfigError(f"eval.batch_size must be an integer >= 1, got {bs!r}")
         if img % self.model.latent_factor:
             raise ConfigError(f"image side {img} not divisible by latent factor {self.model.latent_factor}")
         return self

@@ -3,8 +3,8 @@
 An adapter holds the factor pair (A, B) of a rank-r update dW = B A for a
 base weight W0 of shape (j, k) (row-vector convention, j in, k out): B is
 (j, r) and zero-initialised, A is (r, k) and Gaussian-initialised, so the
-update is exactly zero until training moves B. The update is always applied
-factorised -- x B A -- and only materialised when merging into W0.
+update is exactly zero until training moves B. Training applies the update
+factorised -- x B A --; inference materialises it once, merging it into W0.
 
 Selectable groups mirror a depth-4 reference net's ablation axes
 ("mid", "down2_up2", "down1_up1", "down0_up3") mapped onto the mini net's
@@ -97,16 +97,23 @@ def _linears_by_name(model: MiniUnet) -> dict:
 
 
 def merge(base: MiniUnet, adapter_set: LoraAdapterSet) -> MiniUnet:
-    """New model with W0 + alpha B A folded into each target; adapters dropped.
+    """Inference copy of base with W0 + alpha B A folded into each target; adapters dropped.
 
-    The merged copy is marked and cannot be merged again; merging adapters
-    into a model they were not attached to is rejected.
+    `train.edit_batch` runs inference on such a copy, made once per call, so
+    each adapted Linear does one matmul instead of three. Only the merged
+    weights are new Tensors; every other parameter Tensor is shared with
+    `base`, which is left unchanged, so the copy is for inference, not for
+    training. The copy is marked and cannot be merged again; merging
+    adapters into a model they were not attached to is rejected.
     """
     if adapter_set.base is not base:
         raise ValueError("adapter/base mismatch: adapters were attached to a different model")
     if getattr(base, "merged", False):
         raise ValueError("model already carries merged adapters; refusing a second merge")
-    merged = copy.deepcopy(base)
+    # copy the module tree only: parameter Tensors are shared and adapters become None
+    memo = {id(p): p for p in base.params().values()}
+    memo.update({id(ad): None for ad in adapter_set.adapters.values()})
+    merged = copy.deepcopy(base, memo)
     linears = _linears_by_name(merged)
     for target, ad in adapter_set.adapters.items():
         if target not in linears:
@@ -114,8 +121,6 @@ def merge(base: MiniUnet, adapter_set: LoraAdapterSet) -> MiniUnet:
         lin = linears[target]
         if lin.w.shape != (ad.b.shape[0], ad.a.shape[1]):
             raise ValueError(f"adapter/base mismatch on {target!r}: {lin.w.shape}")
-        lin.w.data = lin.w.data + ad.dense_update()
-        lin.adapter = None
+        lin.w = Tensor(lin.w.data + ad.dense_update())
     merged.merged = True
     return merged
-

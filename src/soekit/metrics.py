@@ -21,8 +21,9 @@ from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_ch
 from soekit.data import COLOR_NAMES, LABELS, generate_scene
 from soekit.nets import Conv2d, Linear, Module
 from soekit.optim import Adam
-from soekit.rng import stream_rng
+from soekit.rng import child_seed, stream_rng
 from soekit.tensor import Tensor
+from soekit.train import edit_batch
 
 PROBE_CROP_SIDE = 32
 PROBE_FEATURE_DIM = 32
@@ -257,15 +258,19 @@ def metrics_from_crop_pairs(gen_crops, ref_crops, labels, colors, style, probe) 
 
 
 def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
-             ddim_steps: int = 10, max_samples: int = None) -> MetricsReport:
+             ddim_steps: int = 10, max_samples: int = None, batch_size: int = None) -> MetricsReport:
     """Edit every validation sample at its own bbox/prompt and score the crops.
 
-    Per-sample noise comes from substreams of `seed`, so reports are
-    reproducible regardless of evaluation order or count.
+    Samples are edited in consecutive chunks of `batch_size` (default: the
+    bundle's eval.batch_size) through `edit_batch`. Sample i, in id order,
+    draws its noise from child_seed(seed, "eval", i), and `edit_batch` is
+    batch-invariant, so the report and the crops are the same at every batch
+    size and reproducible regardless of evaluation count. Probe scoring runs
+    per crop.
     """
-    from soekit.rng import child_seed
-    from soekit.train import edit
-
+    batch_size = bundle.cfg.eval.batch_size if batch_size is None else batch_size
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not val_samples:
         raise ValueError("validation split is empty")
     samples = sorted(val_samples, key=lambda s: s.id)
@@ -278,14 +283,14 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
                 f"checkpoint/config mismatch: sample {s.id} is {s.image.shape[1]}x{s.image.shape[0]}, "
                 f"checkpoint expects {side}x{side}"
             )
-    gen_crops, ref_crops, labels, colors = [], [], [], []
-    for i, s in enumerate(samples):
-        out = edit(s.image, s.bbox, s.label, s.color, style, bundle,
-                   steps=ddim_steps, seed=child_seed(seed, "eval", i))
-        gen_crops.append(masked_crop(out, s.bbox))
-        ref_crops.append(masked_crop(s.image, s.bbox))
-        labels.append(s.label)
-        colors.append(s.color)
-    row = metrics_from_crop_pairs(gen_crops, ref_crops, labels, colors, style, probe)
+    gen_crops = []
+    for start in range(0, len(samples), batch_size):
+        chunk = samples[start : start + batch_size]
+        outs = edit_batch([s.image for s in chunk], [s.bbox for s in chunk], [s.label for s in chunk],
+                          [s.color for s in chunk], style, bundle, steps=ddim_steps,
+                          seeds=[child_seed(seed, "eval", start + j) for j in range(len(chunk))])
+        gen_crops += [masked_crop(out, s.bbox) for out, s in zip(outs, chunk)]
+    ref_crops = [masked_crop(s.image, s.bbox) for s in samples]
+    row = metrics_from_crop_pairs(gen_crops, ref_crops, [s.label for s in samples], [s.color for s in samples],
+                                  style, probe)
     return MetricsReport(rows=[row], seed=seed)
-

@@ -13,7 +13,9 @@ enabled).
 
 Also hosts teacher pretraining (VAE phase, then denoiser phase, on
 generic-sized objects) and mask-conditioned DDIM editing with latent and
-pixel compositing.
+pixel compositing: `edit_batch` edits a batch of images, one sample per
+noise stream, on a merged copy of the adapted U-Net, and `edit` is its
+batch of one.
 """
 
 import copy
@@ -25,9 +27,9 @@ import numpy as np
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
-from soekit.config import RunConfig
+from soekit.config import ConfigError, RunConfig
 from soekit.data import COLOR_NAMES, LABELS, curation_filter
-from soekit.lora import LoraAdapterSet, attach
+from soekit.lora import LoraAdapterSet, attach, merge
 from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig, Vae
 from soekit.optim import make_optimizer
 from soekit.rng import stream_rng
@@ -215,7 +217,13 @@ def load_bundle(path) -> Bundle:
         raise CheckpointError(f"{path} is not a teacher or student checkpoint (role {role!r})")
     if "config" not in blob:
         raise CheckpointError(f"{path}: {role} checkpoint has no 'config' key")
-    cfg = RunConfig.from_dict(blob["config"])
+    try:
+        cfg = RunConfig.from_dict(blob["config"])
+    except ConfigError as e:
+        raise CheckpointError(f"{path}: bad config in {role} checkpoint ({e})") from None
+    step_count = blob.get("optimizer_step_count", 0)
+    if type(step_count) is not int:
+        raise CheckpointError(f"{path}: optimizer_step_count must be an integer, got {step_count!r}")
     mc = model_config(cfg)
     seed = cfg.train.seed
     unet = MiniUnet(mc, seed=seed)
@@ -225,7 +233,7 @@ def load_bundle(path) -> Bundle:
         adapters=attach(unet, cfg.lora, seed=seed) if blob.get("has_adapters") else None,
         frozen=bool(blob.get("frozen", False)),
         role=role,
-        step_count=int(blob.get("optimizer_step_count", 0)),
+        step_count=step_count,
     )
     params = bundle.params()
     restore(path, params, arrays)
@@ -479,52 +487,77 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
 
 def edit(image: np.ndarray, bbox, label: str, color: str, style: str,
          bundle: Bundle, steps: int, seed: int) -> np.ndarray:
-    """Inpaint the bbox with the prompted object; outside pixels are preserved.
+    """Inpaint the bbox with the prompted object; batch 1 of `edit_batch`."""
+    return edit_batch([image], [bbox], [label], [color], style, bundle, steps, [seed])[0]
+
+
+def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps: int, seeds) -> list:
+    """Inpaint each image's bbox with its prompted object; outside pixels are preserved.
 
     The masked latent region starts from pure noise at t = T; every DDIM step
     re-composites the known region (original latent re-noised to the current
-    level), and the decoded result is composited with the input in pixel
+    level), and each decoded result is composited with its input in pixel
     space so content outside the mask is restored exactly. A bbox between
     latent samples is rejected: nothing inside it would be regenerated.
+
+    Sample i draws its noise from stream_rng(seeds[i], "eval") in the same
+    order at any batch size, and every op is per sample, so each output is
+    bit-equal to `edit` on that sample alone. Encoding, conditioning and the
+    U-Net calls run once per batch, on a copy of bundle.unet with the
+    adapters merged in; decoding runs per sample, because the memory-bound
+    decoder is slower per sample, and far larger, at batch 8.
     """
+    n = len(images)
+    if not n or any(len(v) != n for v in (bboxes, labels, colors, seeds)):
+        raise ValueError(f"edit_batch: need equal nonempty lists, got {n} images, {len(bboxes)} bboxes, "
+                         f"{len(labels)} labels, {len(colors)} colors and {len(seeds)} seeds")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    h, w = image.shape[:2]
-    x0, y0, bw, bh = (int(v) for v in bbox)
-    if not (0 <= x0 and 0 <= y0 and bw > 0 and bh > 0 and x0 + bw <= w and y0 + bh <= h):
-        raise ValueError(f"bbox {bbox} outside image bounds {w}x{h}")
-    if label not in LABELS:
-        raise ValueError(f"unknown label {label!r}; expected one of {LABELS}")
-    if color not in COLOR_NAMES:
-        raise ValueError(f"unknown color {color!r}; expected one of {COLOR_NAMES}")
+    shape = images[0].shape
+    for image in images:
+        if image.shape != shape:
+            raise ValueError(f"edit_batch: images differ in shape, {image.shape} vs {shape}")
+    h, w = shape[:2]
+    masks = np.zeros((n, 1, h, w), np.float32)
+    for mask, bbox, label, color in zip(masks, bboxes, labels, colors):
+        x0, y0, bw, bh = (int(v) for v in bbox)
+        if not (0 <= x0 and 0 <= y0 and bw > 0 and bh > 0 and x0 + bw <= w and y0 + bh <= h):
+            raise ValueError(f"bbox {bbox} outside image bounds {w}x{h}")
+        if label not in LABELS:
+            raise ValueError(f"unknown label {label!r}; expected one of {LABELS}")
+        if color not in COLOR_NAMES:
+            raise ValueError(f"unknown color {color!r}; expected one of {COLOR_NAMES}")
+        mask[0, y0 : y0 + bh, x0 : x0 + bw] = 1.0
 
-    sched = bundle.sched
-    mask = np.zeros((h, w), np.float32)
-    mask[y0 : y0 + bh, x0 : x0 + bw] = 1.0
-    m = Tensor(mask[None, None])
+    m = Tensor(masks)
     ml_np = bundle.unet.latent_mask(m).data
-    if not ml_np.any():
-        raise ValueError(f"bbox {bbox} covers no latent sample; it would be left unedited")
-    x = Tensor(image.transpose(2, 0, 1)[None])
+    for bbox, ml in zip(bboxes, ml_np):
+        if not ml.any():
+            raise ValueError(f"bbox {bbox} covers no latent sample; it would be left unedited")
+    sched = bundle.sched
+    unet = merge(bundle.unet, bundle.adapters) if bundle.adapters is not None else bundle.unet
+    x = Tensor(np.stack([image.transpose(2, 0, 1) for image in images]))
 
     z0 = bundle.vae.encode(x).detach()
-    rng = stream_rng(seed, "eval")
-    cond = bundle.cond.embed([LABELS.index(label)], [COLOR_NAMES.index(color)], style)
+    rngs = [stream_rng(seed, "eval") for seed in seeds]
+    cond = bundle.cond.embed([LABELS.index(v) for v in labels], [COLOR_NAMES.index(v) for v in colors], style)
 
-    noise = Tensor(rng.standard_normal(z0.shape).astype(np.float32))
+    def draw():
+        return Tensor(np.concatenate([r.standard_normal((1, *z0.shape[1:])).astype(np.float32) for r in rngs]))
+
+    noise = draw()
     z = Tensor(ml_np * noise.data + (1.0 - ml_np) * add_noise(z0, noise, sched.T, sched).data)
     ts = ddim_timesteps(sched.T, steps)
     for t, t_prev in zip(ts[:-1], ts[1:]):
-        eps_pred = bundle.unet.forward(z, t, cond, m).detach()
+        eps_pred = unet.forward(z, t, cond, m).detach()
         z_next = ddim_step(z, eps_pred, t, t_prev, sched)
-        if t_prev > 0:
-            keep = add_noise(z0, Tensor(rng.standard_normal(z0.shape).astype(np.float32)), t_prev, sched)
-        else:
-            keep = z0
+        keep = add_noise(z0, draw(), t_prev, sched) if t_prev > 0 else z0
         z = Tensor(ml_np * z_next.data + (1.0 - ml_np) * keep.data)
 
-    decoded = bundle.vae.decode(z).data[0].transpose(1, 2, 0)
-    mask3 = mask[:, :, None]
-    out = mask3 * decoded + (1.0 - mask3) * image
-    return np.ascontiguousarray(np.clip(out, 0.0, 1.0).astype(np.float32))
-
+    outs = []
+    for image, mask, z_row in zip(images, masks, z.data):
+        decoded = bundle.vae.decode(Tensor(z_row[None])).data[0].transpose(1, 2, 0)
+        mask3 = mask[0, :, :, None]
+        out = mask3 * decoded + (1.0 - mask3) * image
+        outs.append(np.ascontiguousarray(np.clip(out, 0.0, 1.0).astype(np.float32)))
+    return outs

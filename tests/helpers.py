@@ -136,3 +136,10 @@ def conv2d_transpose_direct(x: np.ndarray, w: np.ndarray, g: np.ndarray, stride:
                                 gx[bi, cc, i, j] += float(g[bi, o, y, xx]) * float(w[cc, o, ky, kx])
                                 gw[cc, o, ky, kx] += xv * float(g[bi, o, y, xx])
     return out.astype(np.float32), gx.astype(np.float32), gw.astype(np.float32)
+
+
+def set_adapter_b(adapters, seed: int, std: float = 0.05):
+    """Fill every adapter's B factor with Gaussian values, so merging changes weights."""
+    gen = np.random.default_rng(seed)
+    for ad in adapters.adapters.values():
+        ad.b.data = (gen.standard_normal(ad.b.shape) * std).astype(np.float32)

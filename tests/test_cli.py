@@ -143,11 +143,21 @@ def _student_with_list_blob(root):
     return _student_blob(root, "listblob.soek", lambda b: [b])
 
 
+def _student_with_extra_config_section(root):
+    return _student_blob(root, "bogus.soek", lambda b: {**b, "config": {**b["config"], "bogus": {}}})
+
+
+def _student_with_text_step_count(root):
+    return _student_blob(root, "stepx.soek", lambda b: {**b, "optimizer_step_count": "x"})
+
+
 @pytest.mark.parametrize("make, message", [
     (_probe_file, "is not a teacher or student checkpoint"),
     (_truncated_student, "truncated or corrupt"),
     (_student_without_config, "has no 'config' key"),
     (_student_with_list_blob, "must be a JSON object"),
+    (_student_with_extra_config_section, "unknown config section(s): ['bogus']"),
+    (_student_with_text_step_count, "optimizer_step_count must be an integer, got 'x'"),
 ])
 def test_edit_rejects_unusable_checkpoint_in_one_line(workdir, capsys, make, message):
     root, _ = workdir
@@ -171,6 +181,18 @@ def test_eval_rejects_cached_probe_without_seed_in_one_line(workdir, capsys, tmp
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and "has no 'probe_seed' key" in err
+    assert "\n" not in err.strip()
+
+
+def test_eval_rejects_zero_batch_size_in_one_line(workdir, capsys, tmp_path):
+    root, _ = workdir
+    config = tmp_path / "bs0.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "eval": {**TINY_CONFIG["eval"], "batch_size": 0}}))
+    rc = main(["eval", "--checkpoint", str(root / "student.soek"), "--config", str(config),
+               "--data", str(root / "ds"), "--out", str(tmp_path / "eval")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eval.batch_size") and "got 0" in err
     assert "\n" not in err.strip()
 
 

@@ -76,3 +76,10 @@ def test_validate_enums():
 
 def test_validate_passes_defaults():
     RunConfig().validate()
+
+
+@pytest.mark.parametrize("value", [0, -2, 1.5, True, "8", None])
+def test_validate_eval_batch_size_by_name(value):
+    with pytest.raises(ConfigError, match=rf"eval\.batch_size must be an integer >= 1, got {value!r}"):
+        RunConfig.from_dict({"eval": {"batch_size": value}}).validate()
+    RunConfig.from_dict({"eval": {"batch_size": 1}}).validate()

@@ -7,7 +7,7 @@ import pytest
 
 from soekit import tensor as T
 from soekit.config import LoraSection
-from soekit.lora import LoraAdapter, attach, merge
+from soekit.lora import LoraAdapter, _linears_by_name, attach, merge
 from soekit.nets import ConditionEmbedder, Linear, MiniUnet, ModelConfig
 from soekit.optim import Adam
 from soekit.rng import stream_rng
@@ -155,6 +155,21 @@ def test_merged_and_factorized_forward_agree():
         b = merged.forward(z, t, cond, Tensor(m)).data
         assert np.abs(a - b).max() < 1e-5
         assert np.argmax(a) == np.argmax(b)
+
+
+def test_merge_leaves_base_and_adapters_untouched():
+    unet, _, adapters, _ = fresh_setup(seed=16)
+    gen = np.random.default_rng(8)
+    for ad in adapters.adapters.values():
+        ad.b.data = (gen.standard_normal(ad.b.shape) * 0.05).astype(np.float32)
+    before = {k: p.data.tobytes() for k, p in {**unet.params(), **adapters.params()}.items()}
+    merged = merge(unet, adapters)
+    assert {k: p.data.tobytes() for k, p in {**unet.params(), **adapters.params()}.items()} == before
+    base_linears, merged_linears = _linears_by_name(unet), _linears_by_name(merged)
+    for target, ad in adapters.adapters.items():
+        assert base_linears[target].adapter is ad and merged_linears[target].adapter is None
+        assert not np.array_equal(merged_linears[target].w.data, base_linears[target].w.data)
+    assert not hasattr(unet, "merged")
 
 
 def test_double_merge_rejected():

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import set_adapter_b
+from soekit import metrics
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import RunConfig
 from soekit.data import build_split, generate_scene
@@ -20,7 +22,7 @@ from soekit.metrics import (
     save_probe,
     train_probe,
 )
-from soekit.train import pretrain_teacher
+from soekit.train import Trainer, pretrain_teacher
 
 
 @pytest.fixture(scope="module")
@@ -269,6 +271,29 @@ def test_evaluate_deterministic_and_validated(probe, tiny_bundle):
     big = build_split(16, "val-small", 1, image_side=128)
     with pytest.raises(ValueError, match="mismatch"):
         evaluate(tiny_bundle, big, "color_label", seed=0, probe=probe)
+
+
+def test_evaluate_is_batch_invariant(probe, tiny_bundle, monkeypatch):
+    student = Trainer(tiny_bundle.cfg, build_split(4, "train-small", 4), tiny_bundle).bundle()
+    set_adapter_b(student.adapters, seed=5)
+    val = build_split(17, "val-small", 8)
+    crops = []
+
+    def spy(gen_crops, *args):
+        crops.append(gen_crops)
+        return metrics_from_crop_pairs(gen_crops, *args)
+
+    monkeypatch.setattr(metrics, "metrics_from_crop_pairs", spy)
+    reports = []
+    for batch_size in (1, 3, 8):  # 3 leaves a ragged last chunk
+        with pytest.warns(UserWarning):
+            reports.append(evaluate(student, val, "color_label", seed=9, probe=probe, ddim_steps=2,
+                                    batch_size=batch_size).csv_text())
+    assert reports[0] == reports[1] == reports[2]
+    for other in crops[1:]:
+        assert [c.tobytes() for c in other] == [c.tobytes() for c in crops[0]]
+    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
+        evaluate(student, val, "color_label", seed=9, probe=probe, batch_size=0)
 
 
 def test_metrics_csv_schema():

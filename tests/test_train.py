@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from helpers import set_adapter_b
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import LoraSection, RunConfig
 from soekit.data import build_split
-from soekit.lora import attach
+from soekit.lora import _linears_by_name, attach
 from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig
 from soekit.schedule import add_noise, make_schedule, predict_z0
 from soekit.tensor import Tensor, backward, topo_order
@@ -19,6 +20,7 @@ from soekit.train import (
     denoise_loss,
     distill_loss,
     edit,
+    edit_batch,
     load_bundle,
     mask_bbox,
     pretrain_teacher,
@@ -445,6 +447,64 @@ def test_edit_of_four_pixel_bbox_changes_the_box(teacher_bundle):
     out = edit(s.image, (0, 0, 4, 4), "circle", "red", "color_label", teacher_bundle, steps=1, seed=0)
     assert not np.array_equal(out[:4, :4], s.image[:4, :4])
     assert np.array_equal(out[4:], s.image[4:]) and np.array_equal(out[:, 4:], s.image[:, 4:])
+
+
+@pytest.fixture(scope="module")
+def student_bundle(teacher_bundle):
+    """An adapted student whose B factors are nonzero, so merging changes weights."""
+    bundle = Trainer(tiny_cfg(), build_split(4, "train-small", 4), teacher_bundle).bundle()
+    set_adapter_b(bundle.adapters, seed=3)
+    return bundle
+
+
+def _edit_args(samples):
+    return ([s.image for s in samples], [s.bbox for s in samples], [s.label for s in samples],
+            [s.color for s in samples])
+
+
+def test_edit_batch_rows_equal_single_edits(student_bundle):
+    val = build_split(6, "val-small", 5)
+    seeds = [20 + i for i in range(5)]
+    outs = edit_batch(*_edit_args(val), "color_label", student_bundle, steps=3, seeds=seeds)
+    assert len(outs) == 5
+    for s, seed, out in zip(val, seeds, outs):
+        alone = edit(s.image, s.bbox, s.label, s.color, "color_label", student_bundle, steps=3, seed=seed)
+        assert out.tobytes() == alone.tobytes()
+
+
+def test_edit_batch_input_checks(student_bundle):
+    val = build_split(6, "val-small", 2)
+    images, bboxes, labels, colors = _edit_args(val)
+    with pytest.raises(ValueError, match="2 images, 1 bboxes"):
+        edit_batch(images, bboxes[:1], labels, colors, "color_label", student_bundle, steps=1, seeds=[0, 1])
+    with pytest.raises(ValueError, match="3 seeds"):
+        edit_batch(images, bboxes, labels, colors, "color_label", student_bundle, steps=1, seeds=[0, 1, 2])
+    with pytest.raises(ValueError, match="images differ in shape"):
+        edit_batch([images[0], images[1][:32]], bboxes, labels, colors, "color_label", student_bundle,
+                   steps=1, seeds=[0, 1])
+    with pytest.raises(ValueError, match=r"bbox \(3, 3, 3, 3\) covers no latent sample"):
+        edit_batch(images, [bboxes[0], (3, 3, 3, 3)], labels, colors, "color_label", student_bundle,
+                   steps=1, seeds=[0, 1])
+
+
+def test_edit_leaves_bundle_untouched(student_bundle):
+    s = build_split(6, "val-small", 1)[0]
+    before = {k: p.data.tobytes() for k, p in student_bundle.params().items()}
+    edit(s.image, s.bbox, s.label, s.color, "color_label", student_bundle, steps=2, seed=0)
+    linears = _linears_by_name(student_bundle.unet)
+    assert all(linears[name].adapter is ad for name, ad in student_bundle.adapters.adapters.items())
+    assert not hasattr(student_bundle.unet, "merged")
+    assert {k: p.data.tobytes() for k, p in student_bundle.params().items()} == before
+
+
+def test_edit_output_depends_on_adapters(teacher_bundle):
+    s = build_split(6, "val-small", 1)[0]
+    bundle = Trainer(tiny_cfg(), build_split(4, "train-small", 4), teacher_bundle).bundle()
+    set_adapter_b(bundle.adapters, seed=3, std=0.5)
+    adapted = edit(s.image, s.bbox, s.label, s.color, "color_label", bundle, steps=2, seed=0)
+    set_adapter_b(bundle.adapters, seed=3, std=0.0)
+    plain = edit(s.image, s.bbox, s.label, s.color, "color_label", bundle, steps=2, seed=0)
+    assert not np.array_equal(adapted, plain)
 
 
 # -- end-to-end determinism ------------------------------------------------------------
