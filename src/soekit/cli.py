@@ -31,7 +31,10 @@ def _resolve_seed(flag_value, cfg_value) -> int:
         return int(flag_value)
     env = os.environ.get("SOEKIT_SEED")
     if env is not None:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"SOEKIT_SEED must be an integer, got {env!r}") from None
     return int(cfg_value)
 
 
@@ -43,6 +46,8 @@ def _echo_config(cfg: RunConfig, out_dir):
 
 
 def cmd_gen_data(args) -> int:
+    if args.count is not None and args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     cfg = _load_config(args.config).validate()
     seed = _resolve_seed(args.seed, cfg.data.seed)
     cfg.data.seed = seed

@@ -69,6 +69,16 @@ class SoeSample:
         return m
 
 
+def check_bbox(bbox, w: int, h: int) -> tuple:
+    """(x, y, bw, bh) as ints, for a bbox with positive sides lying inside a w x h image."""
+    x, y, bw, bh = (int(v) for v in bbox)
+    if bw <= 0 or bh <= 0:
+        raise ValueError(f"degenerate bbox {bbox}: width and height must be positive")
+    if not (0 <= x and 0 <= y and x + bw <= w and y + bh <= h):
+        raise ValueError(f"bbox {bbox} outside image bounds {w}x{h}")
+    return x, y, bw, bh
+
+
 def captions_for(label: str, color: str) -> dict:
     return {"label_only": f"a {label}", "color_label": f"a {color} {label}"}
 
@@ -247,9 +257,13 @@ def read_ppm(path) -> np.ndarray:
         magic = fh.readline().strip()
         if magic != b"P6":
             raise ValueError(f"{path}: not a binary P6 PPM (magic {magic!r})")
-        dims = fh.readline().split()
-        w, h = int(dims[0]), int(dims[1])
-        maxval = int(fh.readline())
+        try:
+            w, h = (int(v) for v in fh.readline().split())
+            maxval = int(fh.readline())
+        except ValueError:
+            raise ValueError(f"{path}: malformed PPM header (expected width, height and maxval)") from None
+        if w < 1 or h < 1:
+            raise ValueError(f"{path}: malformed PPM header (image size {w}x{h})")
         if maxval != 255:
             raise ValueError(f"{path}: unsupported maxval {maxval}")
         raw = fh.read(w * h * 3)
@@ -311,9 +325,10 @@ def read_dataset(dataset_dir, split: str = None) -> list:
                 raise FileNotFoundError(f"{index}:{lineno}: missing image file {image_path}")
             image = read_ppm(image_path)
             h, w = image.shape[:2]
-            x, y, bw, bh = bbox
-            if not (0 <= x and 0 <= y and bw > 0 and bh > 0 and x + bw <= w and y + bh <= h):
-                raise ValueError(f"{index}:{lineno}: bbox {bbox} outside image bounds {w}x{h}")
+            try:
+                check_bbox(bbox, w, h)
+            except ValueError as e:
+                raise ValueError(f"{index}:{lineno}: {e}") from None
             samples.append(
                 SoeSample(id=sid, image=image, bbox=bbox, label=label, color=color,
                           split=rsplit, captions=captions)

@@ -18,7 +18,7 @@ import numpy as np
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
-from soekit.data import COLOR_NAMES, LABELS, generate_scene
+from soekit.data import COLOR_NAMES, LABELS, check_bbox, generate_scene
 from soekit.nets import Conv2d, Linear, Module
 from soekit.optim import Adam
 from soekit.rng import child_seed, stream_rng
@@ -35,14 +35,9 @@ PROBE_DATA_SUBSTREAM = 9  # distinct from the dataset splits' substreams
 
 def masked_crop(image: np.ndarray, bbox, out_side: int = PROBE_CROP_SIDE) -> np.ndarray:
     """Bbox region of an (H, W, 3) image bilinearly resized to out_side^2."""
-    h, w = image.shape[:2]
-    x, y, bw, bh = (int(v) for v in bbox)
-    if bw <= 0 or bh <= 0:
-        raise ValueError(f"degenerate bbox {bbox}: width and height must be positive")
-    if not (0 <= x and 0 <= y and x + bw <= w and y + bh <= h):
-        raise ValueError(f"bbox {bbox} outside image bounds {w}x{h}")
-    region = np.ascontiguousarray(image[y : y + bh, x : x + bw].transpose(2, 0, 1))[None]
-    out = T.resize_bilinear(Tensor(region), out_side, out_side).data[0]
+    x, y, bw, bh = check_bbox(bbox, image.shape[1], image.shape[0])
+    chw = Tensor(image.transpose(2, 0, 1)[None])
+    out = T.resize_bilinear(chw, out_side, out_side, [(x, y, x + bw, y + bh)]).data[0]
     return np.ascontiguousarray(out.transpose(1, 2, 0))
 
 

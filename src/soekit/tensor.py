@@ -19,9 +19,15 @@ col2im for their outputs and both gradients. Each contraction runs in float64
 and rounds once to the storage dtype: float32 products are exact in float64,
 so every result is bit-equal to a direct-summation oracle regardless of BLAS
 blocking.
+
+resize_nearest and resize_bilinear resample a (B, C, H, W) map at half-pixel
+centres, either whole or from one (x0, y0, x1, y1) box per sample, so a batch
+of crop-and-resizes is one gather per tap.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -270,18 +276,6 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     return _make(np.ascontiguousarray(a.data.transpose(axes_)), (a,), bw, "transpose")
 
 
-def slice_(a: Tensor, idx) -> Tensor:
-    """Basic slicing (slices/ints only); crop is the spatial special case."""
-    out = a.data[idx]
-
-    def bw(g):
-        ga = np.zeros_like(a.data)
-        ga[idx] += g
-        _accumulate(a, ga)
-
-    return _make(np.ascontiguousarray(out), (a,), bw, "slice")
-
-
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Select rows of a 2-D table by integer ids; duplicates allowed.
 
@@ -300,14 +294,6 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         _accumulate(table, gt)
 
     return _make(np.ascontiguousarray(out), (table,), bw, "gather_rows")
-
-
-def crop(a: Tensor, y0: int, y1: int, x0: int, x1: int) -> Tensor:
-    """Crop the last two axes to rows [y0, y1) and cols [x0, x1)."""
-    h, w = a.shape[-2], a.shape[-1]
-    if not (0 <= y0 < y1 <= h and 0 <= x0 < x1 <= w):
-        raise ShapeError("crop", f"window [{y0}:{y1},{x0}:{x1}] outside map {h}x{w}")
-    return slice_(a, (..., slice(y0, y1), slice(x0, x1)))
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -515,66 +501,69 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
 # -- resampling ---------------------------------------------------------------------
 
 
-def _nearest_indices(n_in: int, n_out: int) -> np.ndarray:
-    src = (np.arange(n_out) + 0.5) * (n_in / n_out)
-    return np.clip(np.floor(src).astype(np.int64), 0, n_in - 1)
+def _axis_taps(lo, hi, n_out: int, bilinear: bool, dtype) -> list:
+    """(source index, weight) taps along one axis, each (B, n_out), for per-sample spans [lo, hi).
+
+    Half-pixel centres within each span, clamped to its edges. Nearest has one
+    tap of weight 1 (exact in any float); bilinear has a floor and a ceiling tap.
+    """
+    lo, top = lo[:, None], (hi - lo - 1)[:, None]
+    src = (np.arange(n_out) + 0.5) * ((top + 1) / n_out)
+    if not bilinear:
+        return [(lo + np.minimum(np.floor(src).astype(np.int64), top), np.ones(src.shape, dtype))]
+    src = src - 0.5
+    i0 = np.floor(src).astype(np.int64)
+    frac = (src - i0).astype(dtype)
+    return [(lo + np.minimum(np.maximum(i0, 0), top), 1 - frac), (lo + np.minimum(i0 + 1, top), frac)]
 
 
-def resize_nearest(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Nearest-neighbour resize of the last two axes (half-pixel centres)."""
-    if x.ndim < 2:
-        raise ShapeError("resize_nearest", f"need >= 2-D input, got {x.shape}")
-    h, w = x.shape[-2], x.shape[-1]
-    ii = _nearest_indices(h, out_h)
-    jj = _nearest_indices(w, out_w)
-    out = x.data[..., ii[:, None], jj[None, :]]
+def _resample(x: Tensor, out_h: int, out_w: int, boxes, bilinear: bool, op: str) -> Tensor:
+    """Resize each sample's box of a (B, C, H, W) map to out_h x out_w.
 
-    def bw(g):
-        ga = np.zeros_like(x.data)
-        np.add.at(ga, (..., ii[:, None], jj[None, :]), g)
-        _accumulate(x, ga)
-
-    return _make(np.ascontiguousarray(out), (x,), bw, "resize_nearest")
-
-
-def resize_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resize of the last two axes (half-pixel centres, edge clamp)."""
-    if x.ndim < 2:
-        raise ShapeError("resize_bilinear", f"need >= 2-D input, got {x.shape}")
-    h, w = x.shape[-2], x.shape[-1]
-
-    def axis_coords(n_in, n_out):
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        i0 = np.floor(src).astype(np.int64)
-        frac = src - i0
-        i0c = np.clip(i0, 0, n_in - 1)
-        i1c = np.clip(i0 + 1, 0, n_in - 1)
-        return i0c, i1c, frac.astype(x.dtype)
-
-    i0, i1, fy = axis_coords(h, out_h)
-    j0, j1, fx = axis_coords(w, out_w)
-    fy = fy[:, None]
-    fx = fx[None, :]
-    w00 = (1 - fy) * (1 - fx)
-    w01 = (1 - fy) * fx
-    w10 = fy * (1 - fx)
-    w11 = fy * fx
-    out = (
-        x.data[..., i0[:, None], j0[None, :]] * w00
-        + x.data[..., i0[:, None], j1[None, :]] * w01
-        + x.data[..., i1[:, None], j0[None, :]] * w10
-        + x.data[..., i1[:, None], j1[None, :]] * w11
-    )
+    One gather per tap serves the whole batch in forward, and one scatter-add
+    per tap in backward, so repeated source pixels accumulate their gradients.
+    """
+    if x.ndim != 4:
+        raise ShapeError(op, f"need 4-D input, got {x.shape}")
+    b, c, h, w = x.shape
+    box = np.array([(0, 0, w, h)] * b if boxes is None else boxes, np.int64)
+    if box.shape != (b, 4):
+        raise ShapeError(op, f"need {b} boxes (x0, y0, x1, y1), got shape {box.shape}")
+    bad = ((box[:, :2] < 0) | (box[:, 2:] > (w, h)) | (box[:, 2:] <= box[:, :2])).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ShapeError(op, f"box {tuple(box[i].tolist())} of sample {i} is empty or outside map {h}x{w}")
+    x0, y0, x1, y1 = box.T
+    rows = _axis_taps(y0, y1, out_h, bilinear, x.dtype)
+    cols = _axis_taps(x0, x1, out_w, bilinear, x.dtype)
+    base = (np.arange(b)[:, None, None, None] * c + np.arange(c)[None, :, None, None]) * h
+    taps = [((base + ii[:, None, :, None]) * w + jj[:, None, None, :], (wy[:, :, None] * wx[:, None, :])[:, None])
+            for ii, wy in rows for jj, wx in cols]
+    out = reduce(np.add, [x.data.reshape(-1)[flat] * wt for flat, wt in taps])
 
     def bw(g):
-        ga = np.zeros_like(x.data)
-        np.add.at(ga, (..., i0[:, None], j0[None, :]), g * w00)
-        np.add.at(ga, (..., i0[:, None], j1[None, :]), g * w01)
-        np.add.at(ga, (..., i1[:, None], j0[None, :]), g * w10)
-        np.add.at(ga, (..., i1[:, None], j1[None, :]), g * w11)
-        _accumulate(x, ga)
+        ga = np.zeros(x.size, x.dtype)
+        for flat, wt in taps:
+            np.add.at(ga, flat.reshape(-1), (g * wt).reshape(-1))
+        _accumulate(x, ga.reshape(x.shape))
 
-    return _make(np.ascontiguousarray(out), (x,), bw, "resize_bilinear")
+    return _make(np.ascontiguousarray(out), (x,), bw, op)
+
+
+def resize_nearest(x: Tensor, out_h: int, out_w: int, boxes=None) -> Tensor:
+    """Nearest-neighbour resize of (B, C, H, W) to (B, C, out_h, out_w), half-pixel centres.
+
+    Samples each (x0, y0, x1, y1) box of `boxes`, one per sample, or the whole map when None.
+    """
+    return _resample(x, out_h, out_w, boxes, False, "resize_nearest")
+
+
+def resize_bilinear(x: Tensor, out_h: int, out_w: int, boxes=None) -> Tensor:
+    """Bilinear resize of (B, C, H, W) to (B, C, out_h, out_w), half-pixel centres, edge clamp.
+
+    Samples each (x0, y0, x1, y1) box of `boxes`, one per sample, or the whole map when None.
+    """
+    return _resample(x, out_h, out_w, boxes, True, "resize_bilinear")
 
 
 # -- losses -------------------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Cross-scale distillation trainer.
 
 One training step follows the published recipe end to end: sample scenes,
-build the teacher's crop-and-resized view (which at least doubles the mask's
-relative size), encode both views with the shared VAE, compute the masked
-reconstruction loss, noise both latents at a shared per-sample timestep with
-independent noise draws, run the adapter-augmented student on the original
-view and the frozen teacher on the zoomed view, revert both predictions to
-clean-latent estimates, and combine the masked denoising loss, the
-cross-scale distillation loss (teacher side detached), and the VAE loss into
-one weighted objective. Only adapters train (plus the VAE when tuning is
+build the teacher's crop-and-resized views (which at least double the mask's
+relative size) for the whole batch, one boxed resample per image and mask,
+encode both views with the shared VAE, compute the masked reconstruction
+loss, noise both latents at a shared per-sample timestep with independent
+noise draws, run the adapter-augmented student on the original view and the
+frozen teacher on the zoomed view, revert both predictions to clean-latent
+estimates, and combine the masked denoising loss, the cross-scale
+distillation loss (teacher side detached), and the VAE loss into one
+weighted objective. Only adapters train (plus the VAE when tuning is
 enabled).
 
 Also hosts teacher pretraining (VAE phase, then denoiser phase, on
@@ -28,7 +29,7 @@ import numpy as np
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
 from soekit.config import ConfigError, RunConfig
-from soekit.data import COLOR_NAMES, LABELS, curation_filter
+from soekit.data import COLOR_NAMES, LABELS, check_bbox, curation_filter
 from soekit.lora import LoraAdapterSet, attach, merge
 from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig, Vae
 from soekit.optim import make_optimizer
@@ -71,31 +72,28 @@ def mask_bbox(mask: np.ndarray) -> tuple:
     return int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1
 
 
-def crop_resize_pair(image: np.ndarray, mask: np.ndarray, s: int):
-    """Teacher view: an s x s window centred on the mask, blown up to full size.
+def crop_resize_pair(x: Tensor, m: Tensor, s: int):
+    """Teacher views: per sample, an s x s window centred on the mask, blown up to full size.
 
-    The window is translated (never shrunk) to stay inside the image; the
-    crop upsamples bilinearly, the mask with nearest so it stays binary.
-    Returns (image', mask') at the original resolution.
+    x holds (B, 3, H, W) images and m their (B, 1, H, W) masks. Each window is
+    translated (never shrunk) to stay inside the image; the images upsample
+    bilinearly, the masks with nearest so they stay binary. Returns
+    (x', m') at the original resolution, one resample call each.
     """
-    h, w = mask.shape
-    x0, y0, x1, y1 = mask_bbox(mask)
-    if (x1 - x0) > s or (y1 - y0) > s:
-        raise ValueError(f"mask bbox {(x1 - x0)}x{(y1 - y0)} larger than crop size {s}")
+    h, w = m.shape[2:]
     if s > min(h, w):
         raise ValueError(f"crop size {s} exceeds image side {min(h, w)}")
-    cx = (x0 + x1) / 2.0
-    cy = (y0 + y1) / 2.0
-    wx = int(np.clip(round(cx - s / 2.0), 0, w - s))
-    wy = int(np.clip(round(cy - s / 2.0), 0, h - s))
-
-    img_crop = image[wy : wy + s, wx : wx + s]
-    msk_crop = mask[wy : wy + s, wx : wx + s]
-    img_t = Tensor(np.ascontiguousarray(img_crop.transpose(2, 0, 1))[None])
-    up = T.resize_bilinear(img_t, h, w).data[0].transpose(1, 2, 0)
-    msk_t = Tensor(msk_crop[None, None])
-    up_m = T.resize_nearest(msk_t, h, w).data[0, 0]
-    return np.ascontiguousarray(up), np.ascontiguousarray(up_m)
+    boxes = []
+    for mask in m.data[:, 0]:
+        x0, y0, x1, y1 = mask_bbox(mask)
+        if (x1 - x0) > s or (y1 - y0) > s:
+            raise ValueError(f"mask bbox {(x1 - x0)}x{(y1 - y0)} larger than crop size {s}")
+        cx = (x0 + x1) / 2.0
+        cy = (y0 + y1) / 2.0
+        wx = int(np.clip(round(cx - s / 2.0), 0, w - s))
+        wy = int(np.clip(round(cy - s / 2.0), 0, h - s))
+        boxes.append((wx, wy, wx + s, wy + s))
+    return T.resize_bilinear(x, h, w, boxes), T.resize_nearest(m, h, w, boxes)
 
 
 # -- losses -----------------------------------------------------------------------
@@ -113,26 +111,20 @@ def distill_loss(z0_hat: Tensor, m_latent: Tensor, z0p_hat: Tensor, mp_latent: T
                  loss_type: str = "huber", delta: float = 1.0) -> Tensor:
     """Align mask-gated clean-latent crops of student and teacher.
 
-    Each latent is gated by its own mask, cropped to the mask's latent bbox,
-    and bilinearly resized to a common 8x8 before the distance. The teacher
-    side is detached: gradient flows into the student path only.
+    Each latent is gated by its own mask, and the mask's latent bbox is
+    bilinearly resized to a common 8x8 before the distance, in one boxed
+    resample per side. The teacher side is detached: gradient flows into the
+    student path only.
     """
     if loss_type not in ("huber", "mse"):
         raise ValueError(f"distill_loss: unknown loss type {loss_type!r}")
     z0p_hat = z0p_hat.detach()
     student_gated = T.mul(z0_hat, m_latent)
     teacher_gated = T.mul(z0p_hat, mp_latent.detach() if mp_latent.requires_grad else mp_latent)
-    s_crops, t_crops = [], []
-    b = z0_hat.shape[0]
-    for i in range(b):
-        sx0, sy0, sx1, sy1 = _latent_bbox(m_latent.data[i, 0], "student")
-        tx0, ty0, tx1, ty1 = _latent_bbox(mp_latent.data[i, 0], "teacher")
-        s_row = T.crop(T.slice_(student_gated, (slice(i, i + 1),)), sy0, sy1, sx0, sx1)
-        t_row = T.crop(T.slice_(teacher_gated, (slice(i, i + 1),)), ty0, ty1, tx0, tx1)
-        s_crops.append(T.resize_bilinear(s_row, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE))
-        t_crops.append(T.resize_bilinear(t_row, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE))
-    s_all = T.concat(s_crops, axis=0) if b > 1 else s_crops[0]
-    t_all = T.concat(t_crops, axis=0) if b > 1 else t_crops[0]
+    s_boxes = [_latent_bbox(mask, "student") for mask in m_latent.data[:, 0]]
+    t_boxes = [_latent_bbox(mask, "teacher") for mask in mp_latent.data[:, 0]]
+    s_all = T.resize_bilinear(student_gated, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, s_boxes)
+    t_all = T.resize_bilinear(teacher_gated, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, t_boxes)
     if loss_type == "huber":
         return T.huber(s_all, t_all, delta=delta)
     return T.mse(s_all, t_all)
@@ -248,25 +240,10 @@ def load_bundle(path) -> Bundle:
 
 def batch_tensors(samples, crop_size: int = None):
     """Stacked views for one batch; teacher views only when crop_size is given."""
-    xs, ms, xps, mps, label_ids, color_ids = [], [], [], [], [], []
-    for s in samples:
-        m = s.mask()
-        xs.append(s.image.transpose(2, 0, 1))
-        ms.append(m[None])
-        if crop_size is not None:
-            xp, mp = crop_resize_pair(s.image, m, crop_size)
-            xps.append(xp.transpose(2, 0, 1))
-            mps.append(mp[None])
-        label_ids.append(s.label_id)
-        color_ids.append(s.color_id)
-    return (
-        Tensor(np.stack(xs)),
-        Tensor(np.stack(ms)),
-        Tensor(np.stack(xps)) if xps else None,
-        Tensor(np.stack(mps)) if mps else None,
-        np.asarray(label_ids),
-        np.asarray(color_ids),
-    )
+    x = Tensor(np.stack([s.image.transpose(2, 0, 1) for s in samples]))
+    m = Tensor(np.stack([s.mask()[None] for s in samples]))
+    xp, mp = crop_resize_pair(x, m, crop_size) if crop_size is not None else (None, None)
+    return x, m, xp, mp, np.asarray([s.label_id for s in samples]), np.asarray([s.color_id for s in samples])
 
 
 def _draw_batch(dataset, tc, step: int, tag: int) -> list:
@@ -520,9 +497,7 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
     h, w = shape[:2]
     masks = np.zeros((n, 1, h, w), np.float32)
     for mask, bbox, label, color in zip(masks, bboxes, labels, colors):
-        x0, y0, bw, bh = (int(v) for v in bbox)
-        if not (0 <= x0 and 0 <= y0 and bw > 0 and bh > 0 and x0 + bw <= w and y0 + bh <= h):
-            raise ValueError(f"bbox {bbox} outside image bounds {w}x{h}")
+        x0, y0, bw, bh = check_bbox(bbox, w, h)
         if label not in LABELS:
             raise ValueError(f"unknown label {label!r}; expected one of {LABELS}")
         if color not in COLOR_NAMES:

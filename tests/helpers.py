@@ -143,3 +143,44 @@ def set_adapter_b(adapters, seed: int, std: float = 0.05):
     gen = np.random.default_rng(seed)
     for ad in adapters.adapters.values():
         ad.b.data = (gen.standard_normal(ad.b.shape) * std).astype(np.float32)
+
+
+def _resize_axis(n_in: int, n_out: int, bilinear: bool, dtype):
+    """Per-axis source indices (and fractions) of a whole-map resize, half-pixel centres."""
+    src = (np.arange(n_out) + 0.5) * (n_in / n_out)
+    if not bilinear:
+        return np.clip(np.floor(src).astype(np.int64), 0, n_in - 1), None, None
+    src = src - 0.5
+    i0 = np.floor(src).astype(np.int64)
+    frac = src - i0
+    return np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1), frac.astype(dtype)
+
+
+def resize_per_sample(x: np.ndarray, out_h: int, out_w: int, boxes, bilinear: bool, g: np.ndarray):
+    """Reference boxed resize, one sample at a time: numpy-slice each (x0, y0, x1, y1)
+    box, resize it whole, and scatter the crop's gradient back into the map.
+
+    Returns the (B, C, out_h, out_w) output and the input gradient for the
+    output gradient g.
+    """
+    outs, gx = [], np.zeros_like(x)
+    for i, (x0, y0, x1, y1) in enumerate(boxes):
+        crop, gi = x[i : i + 1, :, y0:y1, x0:x1], g[i : i + 1]
+        gc = np.zeros_like(crop)
+        i0, i1, fy = _resize_axis(y1 - y0, out_h, bilinear, x.dtype)
+        j0, j1, fx = _resize_axis(x1 - x0, out_w, bilinear, x.dtype)
+        if not bilinear:
+            outs.append(crop[..., i0[:, None], j0[None, :]])
+            np.add.at(gc, (..., i0[:, None], j0[None, :]), gi)
+        else:
+            fy, fx = fy[:, None], fx[None, :]
+            taps = [(i0, j0, (1 - fy) * (1 - fx)), (i0, j1, (1 - fy) * fx),
+                    (i1, j0, fy * (1 - fx)), (i1, j1, fy * fx)]
+            out = None
+            for ii, jj, wt in taps:
+                v = crop[..., ii[:, None], jj[None, :]] * wt
+                out = v if out is None else out + v
+                np.add.at(gc, (..., ii[:, None], jj[None, :]), gi * wt)
+            outs.append(out)
+        gx[i : i + 1, :, y0:y1, x0:x1] += gc
+    return np.concatenate(outs), gx

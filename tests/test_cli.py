@@ -231,3 +231,34 @@ def test_bad_bbox_flag(workdir, capsys):
                "--out", str(root / "x.ppm")])
     assert rc == 1
     assert "bbox" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", [b"P6\n64\n255\n", b"P6\n64 x\n255\n"], ids=["one-token", "not-an-int"])
+def test_edit_rejects_malformed_ppm_header_in_one_line(workdir, capsys, tmp_path, header):
+    root, cfg = workdir
+    bad = tmp_path / "bad.ppm"
+    bad.write_bytes(header + bytes(64 * 64 * 3))
+    rc = main(["edit", "--checkpoint", str(root / "teacher.soek"), "--image", str(bad), "--bbox", "8,8,8,8",
+               "--label", "circle", "--color", "red", "--out", str(tmp_path / "x.ppm")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed PPM header")
+    assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize(
+    "flags,seed_env,named",
+    [(["--count", "0"], None, "--count"), (["--count", "-3"], None, "--count"), ([], "abc", "SOEKIT_SEED")],
+    ids=["count-0", "count-negative", "seed-env-not-int"],
+)
+def test_gen_data_rejects_bad_input_in_one_line(workdir, capsys, monkeypatch, tmp_path, flags, seed_env, named):
+    root, cfg = workdir
+    if seed_env is not None:
+        monkeypatch.setenv("SOEKIT_SEED", seed_env)
+    out = tmp_path / "ds"
+    rc = main(["gen-data", "--config", cfg, "--out", str(out), *flags])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "\n" not in err.strip()
+    assert not out.exists()

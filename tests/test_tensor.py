@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import conv2d_direct, conv2d_grads_direct, conv2d_transpose_direct, gradcheck, scalarize
+from helpers import (
+    conv2d_direct, conv2d_grads_direct, conv2d_transpose_direct, gradcheck, resize_per_sample, scalarize,
+)
 from soekit import tensor as T
 from soekit.tensor import ShapeError, Tensor, backward, topo_order
 
@@ -138,17 +140,62 @@ def test_concat_and_slice_roundtrip():
     assert cat.shape == (2, 5, 4, 4)
     assert np.array_equal(cat.data[:, :3], a.data)
     assert np.array_equal(cat.data[:, 3:], b.data)
-    back = T.slice_(cat, (slice(None), slice(3, 5)))
-    assert np.array_equal(back.data, b.data)
 
 
-def test_crop_window_and_bounds():
+def test_boxed_resize_to_box_size_is_the_crop():
     x = Tensor(r(1, 2, 8, 8).astype(np.float32))
-    c = T.crop(x, 2, 5, 1, 4)
-    assert c.shape == (1, 2, 3, 3)
-    assert np.array_equal(c.data, x.data[:, :, 2:5, 1:4])
-    with pytest.raises(ShapeError):
-        T.crop(x, 2, 9, 0, 4)
+    for op in (T.resize_nearest, T.resize_bilinear):
+        assert np.array_equal(op(x, 3, 3, [(1, 2, 4, 5)]).data, x.data[:, :, 2:5, 1:4])
+
+
+@pytest.mark.parametrize("op", [T.resize_nearest, T.resize_bilinear])
+@pytest.mark.parametrize(
+    "shape,boxes,message",
+    [
+        ((2, 1, 8, 8), [(0, 0, 8, 8), (0, 4, 9, 8)], r"box \(0, 4, 9, 8\) of sample 1 is empty or outside map 8x8"),
+        ((2, 1, 8, 8), [(-1, 0, 4, 4), (0, 0, 8, 8)], r"box \(-1, 0, 4, 4\) of sample 0 is empty or outside"),
+        ((2, 1, 8, 8), [(0, 0, 8, 8), (3, 2, 3, 6)], r"box \(3, 2, 3, 6\) of sample 1 is empty"),
+        ((2, 1, 8, 8), [(0, 0, 4, 4)], r"need 2 boxes"),
+        ((1, 8, 8), None, r"need 4-D input"),
+    ],
+)
+def test_boxed_resize_rejects_bad_boxes(op, shape, boxes, message):
+    with pytest.raises(ShapeError, match=rf"{op.__name__}: {message}"):
+        op(Tensor(np.zeros(shape, np.float32)), 4, 4, boxes)
+
+
+def _resize_and_grad(x, g, out_h, out_w, boxes, bilinear):
+    xt = Tensor(x, requires_grad=True, dtype=x.dtype)
+    out = (T.resize_bilinear if bilinear else T.resize_nearest)(xt, out_h, out_w, boxes)
+    backward(T.sum_(T.mul(out, Tensor(g, dtype=g.dtype))))
+    return out.data, xt.grad
+
+
+def test_boxed_resize_matches_per_sample_oracle():
+    # both modes and dtypes, boxes of mixed sizes (a repeated one when B > 1),
+    # up- and downsampling, and the whole map (boxes=None) every eighth case
+    rng = np.random.default_rng(31)
+    for case in range(400):
+        dtype = (np.float32, np.float64)[case % 2]
+        bilinear = case % 4 < 2
+        b, c = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        h, w = (int(v) for v in rng.integers(1, 13, size=2))
+        boxes = []
+        for _ in range(b):
+            x0, x1 = sorted(int(v) for v in rng.choice(w + 1, 2, replace=False))
+            y0, y1 = sorted(int(v) for v in rng.choice(h + 1, 2, replace=False))
+            boxes.append((x0, y0, x1, y1))
+        boxes[-1] = boxes[0]
+        whole = case % 8 == 7
+        if whole:
+            boxes = [(0, 0, w, h)] * b
+        out_h, out_w = (int(v) for v in rng.integers(1, 17, size=2))
+        x = rng.standard_normal((b, c, h, w)).astype(dtype)
+        g = rng.standard_normal((b, c, out_h, out_w)).astype(dtype)
+        out, gx = _resize_and_grad(x, g, out_h, out_w, None if whole else boxes, bilinear)
+        want, want_gx = resize_per_sample(x, out_h, out_w, boxes, bilinear, g)
+        assert out.dtype == dtype and out.tobytes() == want.tobytes(), case
+        assert gx.dtype == dtype and gx.tobytes() == want_gx.tobytes(), case
 
 
 def test_huber_trivial_values():
@@ -313,10 +360,11 @@ def test_grad_double_use_matches_fd():
 @pytest.mark.parametrize(
     "name",
     ["add", "sub", "mul", "sigmoid", "silu",
-     "sum", "mean", "reshape", "transpose", "slice", "concat", "matmul",
+     "sum", "mean", "reshape", "transpose", "concat", "matmul",
      "matmul_batched", "softmax", "log_softmax", "cross_attention", "conv2d_s1",
      "conv2d_s2", "conv2d_transpose", "group_norm", "resize_nearest",
-     "resize_bilinear_up", "resize_bilinear_down", "huber", "masked_huber", "mse"],
+     "resize_bilinear_up", "resize_bilinear_down", "huber", "masked_huber", "mse",
+     "resize_nearest_boxed", "resize_bilinear_boxed"],
 )
 def test_gradcheck_catalog(name):
     checks = catalog_gradchecks()
@@ -349,7 +397,6 @@ def catalog_gradchecks():
         "mean": case(lambda ts: T.mean(ts[0], axis=(2, 3), keepdims=True), (2, 3, 1, 1), [rr(2, 3, 4, 4)], [0]),
         "reshape": case(lambda ts: T.reshape(ts[0], (4, 6)), (4, 6), [rr(2, 3, 4)], [0]),
         "transpose": case(lambda ts: T.transpose(ts[0], (1, 0, 2)), (3, 2, 4), [rr(2, 3, 4)], [0]),
-        "slice": case(lambda ts: T.slice_(ts[0], (slice(None), slice(1, 3))), (3, 2, 4), [rr(3, 4, 4)], [0]),
         "concat": case(lambda ts: T.concat([ts[0], ts[1]], axis=1), (2, 5, 3, 3), [rr(2, 3, 3, 3), rr(2, 2, 3, 3)], [0, 1]),
         "matmul": case(lambda ts: T.matmul(ts[0], ts[1]), (3, 5), [rr(3, 4), rr(4, 5)], [0, 1]),
         "matmul_batched": case(lambda ts: T.matmul(ts[0], ts[1]), (2, 3, 5), [rr(2, 3, 4), rr(4, 5)], [0, 1]),
@@ -385,6 +432,14 @@ def catalog_gradchecks():
             [0, 1],
         ),
         "mse": (lambda ts: T.mse(ts[0], ts[1]), [rr(4, 4), rr(4, 4)], [0, 1]),
+        "resize_nearest_boxed": case(
+            lambda ts: T.resize_nearest(ts[0], 4, 4, [(0, 0, 2, 3), (1, 1, 5, 5)]), (2, 2, 4, 4),
+            [rr(2, 2, 5, 5)], [0],
+        ),
+        "resize_bilinear_boxed": case(
+            lambda ts: T.resize_bilinear(ts[0], 4, 3, [(1, 0, 4, 5), (0, 2, 6, 6)]), (2, 2, 4, 3),
+            [rr(2, 2, 6, 6)], [0],
+        ),
     }
     return cases
 

@@ -16,6 +16,7 @@ from soekit.train import (
     ConfigurationError,
     Trainer,
     Bundle,
+    batch_tensors,
     crop_resize_pair,
     denoise_loss,
     distill_loss,
@@ -53,12 +54,18 @@ def teacher_bundle():
 # -- crop/resize geometry -----------------------------------------------------------
 
 
+def teacher_view(image, mask, s):
+    """crop_resize_pair on a batch of one (H, W, 3) image and (H, W) mask, unstacked."""
+    xp, mp = crop_resize_pair(Tensor(image.transpose(2, 0, 1)[None]), Tensor(mask[None, None]), s)
+    return xp.data[0].transpose(1, 2, 0), mp.data[0, 0]
+
+
 def test_crop_window_centred_and_mask_doubled_at_512():
     image = np.zeros((512, 512, 3), np.float32)
     mask = np.zeros((512, 512), np.float32)
     mask[236:276, 236:276] = 1.0  # 40-px mask centred at (256, 256)
     image[236:276, 236:276] = 1.0
-    xp, mp = crop_resize_pair(image, mask, 256)
+    xp, mp = teacher_view(image, mask, 256)
     # window [128, 384): the mask lands centred in the crop and doubles to 80 px
     x0, y0, x1, y1 = mask_bbox(mp)
     assert (x1 - x0) == 80 and (y1 - y0) == 80
@@ -69,7 +76,7 @@ def test_crop_window_clamped_at_border():
     image = np.zeros((512, 512, 3), np.float32)
     mask = np.zeros((512, 512), np.float32)
     mask[4:16, 4:16] = 1.0  # bbox centre (10, 10)
-    xp, mp = crop_resize_pair(image, mask, 256)
+    xp, mp = teacher_view(image, mask, 256)
     # window translated to [0, 256): the 12-px mask maps to rows [8, 32)
     x0, y0, x1, y1 = mask_bbox(mp)
     assert (x0, y0) == (8, 8) and (x1 - x0) == 24
@@ -86,7 +93,7 @@ def test_mask_fraction_at_least_doubles_when_crop_small_enough():
         mask = np.zeros((side, side), np.float32)
         mask[y0 : y0 + msize, x0 : x0 + msize] = 1.0
         image = rng.random((side, side, 3)).astype(np.float32)
-        _, mp = crop_resize_pair(image, mask, s)
+        _, mp = teacher_view(image, mask, s)
         bx0, by0, bx1, by1 = mask_bbox(mp)
         assert (bx1 - bx0) / side >= 2 * msize / side
         assert (by1 - by0) / side >= 2 * msize / side
@@ -97,7 +104,16 @@ def test_crop_rejects_oversized_mask():
     mask = np.zeros((64, 64), np.float32)
     mask[0:40, 0:40] = 1.0
     with pytest.raises(ValueError, match="larger than crop"):
-        crop_resize_pair(np.zeros((64, 64, 3), np.float32), mask, 32)
+        teacher_view(np.zeros((64, 64, 3), np.float32), mask, 32)
+
+
+def test_batched_teacher_views_equal_per_sample_rows():
+    samples = build_split(4, "train-small", 5)
+    _, _, xp, mp, _, _ = batch_tensors(samples, 32)
+    for i, s in enumerate(samples):
+        xi, mi = teacher_view(s.image, s.mask(), 32)
+        assert xp.data[i].tobytes() == np.ascontiguousarray(xi.transpose(2, 0, 1)).tobytes()
+        assert mp.data[i, 0].tobytes() == mi.tobytes()
 
 
 # -- losses -------------------------------------------------------------------------
