@@ -16,6 +16,7 @@ nearest-downsampled mask can never vanish at latent resolution.
 """
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -252,24 +253,31 @@ def write_ppm(path, image: np.ndarray):
         fh.write(data.tobytes())
 
 
+# one P6 header token: whitespace and "#" comment lines before it, one whitespace byte after it
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]+)\s")
+
+
 def read_ppm(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = fh.readline().strip()
-        if magic != b"P6":
-            raise ValueError(f"{path}: not a binary P6 PPM (magic {magic!r})")
-        try:
-            w, h = (int(v) for v in fh.readline().split())
-            maxval = int(fh.readline())
-        except ValueError:
-            raise ValueError(f"{path}: malformed PPM header (expected width, height and maxval)") from None
-        if w < 1 or h < 1:
-            raise ValueError(f"{path}: malformed PPM header (image size {w}x{h})")
-        if maxval != 255:
-            raise ValueError(f"{path}: unsupported maxval {maxval}")
-        raw = fh.read(w * h * 3)
-        if len(raw) != w * h * 3:
-            raise ValueError(f"{path}: truncated pixel payload")
-    return np.frombuffer(raw, np.uint8).reshape(h, w, 3).astype(np.float32) / 255.0
+    """Binary P6, maxval 255; header tokens may share a line or sit between comment lines."""
+    raw, pos, tokens = Path(path).read_bytes(), 0, []
+    while len(tokens) < 4 and (token := _PPM_TOKEN.match(raw, pos)):
+        tokens.append(token[1])
+        pos = token.end()
+    magic = tokens[0] if tokens else b""
+    if magic != b"P6":
+        raise ValueError(f"{path}: not a binary P6 PPM (magic {magic!r})")
+    try:
+        w, h, maxval = (int(v) for v in tokens[1:])
+    except ValueError:
+        raise ValueError(f"{path}: malformed PPM header (expected width, height and maxval)") from None
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: malformed PPM header (image size {w}x{h})")
+    if maxval != 255:
+        raise ValueError(f"{path}: unsupported maxval {maxval}")
+    payload = raw[pos : pos + w * h * 3]
+    if len(payload) != w * h * 3:
+        raise ValueError(f"{path}: truncated pixel payload")
+    return np.frombuffer(payload, np.uint8).reshape(h, w, 3).astype(np.float32) / 255.0
 
 
 def write_dataset(samples, out_dir) -> Path:

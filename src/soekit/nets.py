@@ -235,10 +235,11 @@ class UnetBlock(Module):
 
 
 class MiniUnet(Module):
-    """Noise predictor eps(z_t, t, cond, mask) on latents with mask conditioning.
+    """Noise predictor eps(z_t, t, cond, ml) on latents with mask conditioning.
 
-    The pixel mask is nearest-downsampled by the latent factor and joined to
-    z_t as an extra channel. Skip connections pair down level i with up level
+    The caller nearest-downsamples the pixel mask by the latent factor once
+    per batch (`latent_mask`); forward joins that latent mask ml to z_t as an
+    extra channel. Skip connections pair down level i with up level
     depth-1-i; shapes match exactly by construction.
     """
 
@@ -274,13 +275,13 @@ class MiniUnet(Module):
         f = self.cfg.latent_factor
         return T.resize_nearest(m.detach(), m.shape[2] // f, m.shape[3] // f)
 
-    def forward(self, z_t: Tensor, t, cond: Tensor, m: Tensor) -> Tensor:
+    def forward(self, z_t: Tensor, t, cond: Tensor, ml: Tensor) -> Tensor:
+        """eps prediction; ml is the (B,1,h,w) latent mask, from `latent_mask`."""
         b = z_t.shape[0]
         if z_t.shape[1] != self.cfg.latent_channels:
             raise ShapeError("unet", f"latent channels {z_t.shape} != {self.cfg.latent_channels}")
-        ml = self.latent_mask(m)
         if ml.shape[2:] != z_t.shape[2:]:
-            raise ShapeError("unet", f"mask {m.shape} does not downsample to latent {z_t.shape}")
+            raise ShapeError("unet", f"latent mask {ml.shape} does not match latent {z_t.shape}")
         ts = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.int64)), (b,))
         t_emb = Tensor(sinusoidal_time_embedding(ts, self.cfg.time_dim))
 

@@ -15,10 +15,14 @@ Storage is float32. Constructing tensors as float64 is supported so tests can
 run finite-difference oracles at higher precision; all ops preserve dtype.
 
 conv2d and conv2d_transpose share one channel-major (C, B, H, W) im2col and
-col2im for their outputs and both gradients. Each contraction runs in float64
-and rounds once to the storage dtype: float32 products are exact in float64,
-so every result is bit-equal to a direct-summation oracle regardless of BLAS
-blocking.
+col2im. A GEMM over im2col columns gives conv2d's output, its weight gradient
+and its stride-1 input gradient (a correlation with the flipped kernel), and
+both of conv2d_transpose's gradients; col2im scatters a column product tap by
+tap for conv2d's stride-2 input gradient and conv2d_transpose's output. Each
+contraction runs in float64 and rounds once to the storage dtype: float32
+products are exact in float64, so every result is bit-equal to a
+direct-summation oracle whichever path, summation order or BLAS blocking
+produced it.
 
 resize_nearest and resize_bilinear resample a (B, C, H, W) map at half-pixel
 centres, either whole or from one (x0, y0, x1, y1) box per sample, so a batch
@@ -160,9 +164,10 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def _check_broadcast(op, a, b):
+def _broadcast(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
+    """ufunc(a.data, b.data), with numpy's broadcast error re-raised as a ShapeError naming op."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(op, f"shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -171,8 +176,7 @@ def _check_broadcast(op, a, b):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("add", a, b)
-    out = a.data + b.data
+    out = _broadcast("add", np.add, a, b)
 
     def bw(g):
         _accumulate(a, _unbroadcast(g, a.shape))
@@ -182,8 +186,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast("sub", a, b)
-    out = a.data - b.data
+    out = _broadcast("sub", np.subtract, a, b)
 
     def bw(g):
         _accumulate(a, _unbroadcast(g, a.shape))
@@ -194,8 +197,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; also the mask-gating op (mask as non-grad tensor)."""
-    _check_broadcast("mul", a, b)
-    out = a.data * b.data
+    out = _broadcast("mul", np.multiply, a, b)
 
     def bw(g):
         _accumulate(a, _unbroadcast(g * b.data, a.shape))
@@ -205,9 +207,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp only ever sees non-positive arguments
+    # exp only ever sees non-positive arguments; the numerator is 1 where
+    # x >= 0 (t + 1 clamped to 1) and t elsewhere, chosen without a branch
     t = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    return np.minimum(t + (x >= 0), 1.0) / (1.0 + t)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -397,8 +400,13 @@ def _col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution (cross-correlation), NCHW input, (CO, CI, KH, KW) kernel.
 
-    The output and both gradients contract in float64 and round once to the
-    storage dtype, making each bit-equal to direct summation.
+    The output and the weight gradient are GEMMs over im2col columns. At
+    stride 1 so is the input gradient: the output gradient, zero-padded by the
+    kernel size less one, correlated with the flipped, channel-transposed
+    kernel. At stride 2 the output gradient would first need zeros between its
+    samples, so col2im scatters the column product w^T g tap by tap instead.
+    Each contracts in float64 and rounds once to the storage dtype, making it
+    bit-equal to direct summation.
     """
     if stride not in (1, 2):
         raise ShapeError("conv2d", f"stride must be 1 or 2, got {stride}")
@@ -425,7 +433,14 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
         gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3), np.float64).reshape(co, -1)
         if w.requires_grad:
             _accumulate(w, (gm @ cols.T).reshape(w.shape).astype(w.dtype))
-        if x.requires_grad:
+        if x.requires_grad and stride == 1:
+            # correlate g, zero-padded by the kernel size less one, with the flipped kernel
+            gp = np.zeros((co, b, ho + 2 * kh - 2, wo + 2 * kw - 2), np.float64)
+            gp[:, :, kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = gm.reshape(co, b, ho, wo)
+            wf = np.ascontiguousarray(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), np.float64)
+            gx = wf.reshape(ci, -1) @ _im2col(gp[:, :, padding:, padding:], kh, kw, 1, h, wd)
+            _accumulate(x, gx.reshape(ci, b, h, wd).transpose(1, 0, 2, 3).astype(x.dtype))
+        elif x.requires_grad:
             gxp = _col2im((wm.T @ gm).reshape(ci, kh, kw, b, ho, wo), padded, stride)
             gx = gxp[:, :, padding : padding + h, padding : padding + wd].transpose(1, 0, 2, 3)
             _accumulate(x, gx.astype(x.dtype))
@@ -476,11 +491,12 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
         raise ShapeError("group_norm", f"gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
 
     xg = x.data.reshape(b, groups, -1)
-    mu = xg.mean(axis=2, keepdims=True)
-    var = xg.var(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = ((xg - mu) * inv).reshape(b, c, h, w)
-    out = xhat * gamma.data.reshape(1, c, 1, 1) + beta.data.reshape(1, c, 1, 1)
+    d = xg - xg.mean(axis=2, keepdims=True)
+    inv = 1.0 / np.sqrt((d * d).sum(axis=2, keepdims=True) / xg.shape[2] + eps)
+    d *= inv
+    xhat = d.reshape(b, c, h, w)
+    out = xhat * gamma.data.reshape(1, c, 1, 1)
+    out += beta.data.reshape(1, c, 1, 1)
 
     def bw(g):
         if beta.requires_grad:
@@ -495,7 +511,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
             gx = inv * (u - mu_u - xh * mu_ux)
             _accumulate(x, gx.reshape(b, c, h, w).astype(x.dtype))
 
-    return _make(out.astype(x.dtype), (x, gamma, beta), bw, "group_norm")
+    return _make(out.astype(x.dtype, copy=False), (x, gamma, beta), bw, "group_norm")
 
 
 # -- resampling ---------------------------------------------------------------------
@@ -585,8 +601,10 @@ def huber(pred: Tensor, target: Tensor, mask: Tensor = None, delta: float = 1.0)
         mask = Tensor(np.ones((1,) * pred.ndim), dtype=pred.dtype)
     if mask.requires_grad:
         raise ValueError("huber: mask must not require gradients")
-    _check_broadcast("huber", pred, mask)
-    m = np.broadcast_to(mask.data, pred.shape)
+    try:
+        m = np.broadcast_to(mask.data, pred.shape)
+    except ValueError:
+        raise ShapeError("huber", f"mask {mask.shape} does not broadcast to pred {pred.shape}") from None
     count = float(m.sum())
     if count == 0:
         raise ValueError("huber: mask selects no elements (degenerate sample)")

@@ -359,12 +359,12 @@ class Trainer:
         m_lat = self.student.latent_mask(m)
         mp_lat = self.teacher_unet.latent_mask(mp)
 
-        eps_pred = self.student.forward(z_t, ts, cond, m)
+        eps_pred = self.student.forward(z_t, ts, cond, m_lat)
         den_part = denoise_loss(eps_s, eps_pred, m_lat, delta=tc.huber_delta)
 
         dist_part = None
         if tc.use_distill:
-            epsp_pred = self.teacher_unet.forward(zp_t, ts, cond, mp)
+            epsp_pred = self.teacher_unet.forward(zp_t, ts, cond, mp_lat)
             z0_hat = predict_z0(z_t, eps_pred, ts, self.sched)
             z0p_hat = predict_z0(zp_t, epsp_pred, ts, self.sched)
             dist_part = distill_loss(z0_hat, m_lat, z0p_hat, mp_lat,
@@ -446,8 +446,9 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
         eps = Tensor(rng.standard_normal(z.shape).astype(np.float32))
         z_t = add_noise(z, eps, ts, sched)
         cond_tokens = cond.embed(label_ids, color_ids, tc.prompt_style)
-        eps_pred = unet.forward(z_t, ts, cond_tokens, m)
-        loss = denoise_loss(eps, eps_pred, unet.latent_mask(m), delta=tc.huber_delta)
+        ml = unet.latent_mask(m)
+        eps_pred = unet.forward(z_t, ts, cond_tokens, ml)
+        loss = denoise_loss(eps, eps_pred, ml, delta=tc.huber_delta)
         T.backward(loss)
         opt.step()
         _log_loss(loss_csv, LossReport(tc.pretrain_vae_steps + step, float(loss.item()), 0.0, 0.0,
@@ -504,10 +505,10 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
             raise ValueError(f"unknown color {color!r}; expected one of {COLOR_NAMES}")
         mask[0, y0 : y0 + bh, x0 : x0 + bw] = 1.0
 
-    m = Tensor(masks)
-    ml_np = bundle.unet.latent_mask(m).data
-    for bbox, ml in zip(bboxes, ml_np):
-        if not ml.any():
+    ml = bundle.unet.latent_mask(Tensor(masks))
+    ml_np = ml.data
+    for bbox, row in zip(bboxes, ml_np):
+        if not row.any():
             raise ValueError(f"bbox {bbox} covers no latent sample; it would be left unedited")
     sched = bundle.sched
     unet = merge(bundle.unet, bundle.adapters) if bundle.adapters is not None else bundle.unet
@@ -524,7 +525,7 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
     z = Tensor(ml_np * noise.data + (1.0 - ml_np) * add_noise(z0, noise, sched.T, sched).data)
     ts = ddim_timesteps(sched.T, steps)
     for t, t_prev in zip(ts[:-1], ts[1:]):
-        eps_pred = unet.forward(z, t, cond, m).detach()
+        eps_pred = unet.forward(z, t, cond, ml).detach()
         z_next = ddim_step(z, eps_pred, t, t_prev, sched)
         keep = add_noise(z0, draw(), t_prev, sched) if t_prev > 0 else z0
         z = Tensor(ml_np * z_next.data + (1.0 - ml_np) * keep.data)

@@ -138,6 +138,41 @@ def conv2d_transpose_direct(x: np.ndarray, w: np.ndarray, g: np.ndarray, stride:
     return out.astype(np.float32), gx.astype(np.float32), gw.astype(np.float32)
 
 
+def conv2d_input_grad_col2im(w: np.ndarray, g: np.ndarray, x_shape, stride: int, padding: int) -> np.ndarray:
+    """conv2d's input gradient as the column product w^T g scattered back tap by
+    tap (col2im) into the padded input, float64 accumulation rounded once to w's dtype."""
+    b, ci, h, wd = x_shape
+    co, _, kh, kw = w.shape
+    ho, wo = g.shape[2:]
+    gm = g.transpose(1, 0, 2, 3).astype(np.float64).reshape(co, -1)
+    cols = (w.astype(np.float64).reshape(co, -1).T @ gm).reshape(ci, kh, kw, b, ho, wo)
+    gxp = np.zeros((ci, b, h + 2 * padding, wd + 2 * padding))
+    for ky in range(kh):
+        for kx in range(kw):
+            gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += cols[:, ky, kx]
+    return gxp[:, :, padding : padding + h, padding : padding + wd].transpose(1, 0, 2, 3).astype(w.dtype)
+
+
+def sigmoid_select(x: np.ndarray) -> np.ndarray:
+    """Stable sigmoid as a select: 1/(1+t) where x >= 0, t/(1+t) elsewhere, t = exp(-|x|)."""
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+
+
+def group_norm_var(x, gamma, beta, groups: int, g, eps: float = 1e-5):
+    """group_norm with the variance from np.var: the output, and the x, gamma
+    and beta gradients for the upstream gradient g."""
+    b, c, h, w = x.shape
+    xg = x.reshape(b, groups, -1)
+    inv = 1.0 / np.sqrt(xg.var(axis=2, keepdims=True) + eps)
+    xhat = ((xg - xg.mean(axis=2, keepdims=True)) * inv).reshape(x.shape)
+    out = xhat * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
+    u = (g * gamma.reshape(1, c, 1, 1)).reshape(b, groups, -1)
+    xh = xhat.reshape(b, groups, -1)
+    gx = inv * (u - u.mean(axis=2, keepdims=True) - xh * (u * xh).mean(axis=2, keepdims=True))
+    return out, gx.reshape(x.shape), (g * xhat).sum(axis=(0, 2, 3)), g.sum(axis=(0, 2, 3))
+
+
 def set_adapter_b(adapters, seed: int, std: float = 0.05):
     """Fill every adapter's B factor with Gaussian values, so merging changes weights."""
     gen = np.random.default_rng(seed)

@@ -132,6 +132,18 @@ def test_ppm_roundtrip_bit_identical(tmp_path):
     assert back.tobytes() == s.image.tobytes()
 
 
+@pytest.mark.parametrize("header", [b"P6\n# a comment\n2 2\n255\n", b"P6 2 2 255\n"],
+                         ids=["comment-line", "one-line"])
+def test_read_ppm_accepts_valid_headers(tmp_path, header):
+    # the payload opens with whitespace bytes: exactly one byte after maxval belongs to the header
+    payload = bytes(range(10, 22))
+    p = tmp_path / "img.ppm"
+    p.write_bytes(header + payload)
+    img = read_ppm(p)
+    assert img.shape == (2, 2, 3)
+    assert np.array_equal(np.round(img * 255).astype(np.uint8).tobytes(), payload)
+
+
 def test_dataset_roundtrip(tmp_path):
     samples = build_split(9, "train-small", 6)
     write_dataset(samples, tmp_path / "ds")

@@ -125,8 +125,8 @@ def test_zero_init_student_output_bit_identical_to_base():
     unet, base_copy, _, emb = fresh_setup(seed=9)
     z, m = unet_inputs()
     cond = emb.embed([0, 1], [2, 3], "color_label")
-    student = unet.forward(z, [7, 300], cond, m)
-    base = base_copy.forward(z, [7, 300], cond, m)
+    student = unet.forward(z, [7, 300], cond, unet.latent_mask(m))
+    base = base_copy.forward(z, [7, 300], cond, base_copy.latent_mask(m))
     assert student.data.tobytes() == base.data.tobytes()
 
 
@@ -151,8 +151,8 @@ def test_merged_and_factorized_forward_agree():
         m[:, :, 6:14, 6:14] = 1.0
         cond = emb.embed([trial % 5], [trial % 8], "color_label")
         t = 1 + (trial * 97) % 999
-        a = unet.forward(z, t, cond, Tensor(m)).data
-        b = merged.forward(z, t, cond, Tensor(m)).data
+        a = unet.forward(z, t, cond, unet.latent_mask(Tensor(m))).data
+        b = merged.forward(z, t, cond, merged.latent_mask(Tensor(m))).data
         assert np.abs(a - b).max() < 1e-5
         assert np.argmax(a) == np.argmax(b)
 
@@ -198,7 +198,7 @@ def test_training_step_moves_adapters_but_not_base():
     before = {k: p.data.copy() for k, p in adapters.params().items()}
     cond = emb.embed([0, 1], [2, 3], "color_label")
     target = Tensor(np.random.default_rng(1).standard_normal(z.shape).astype(np.float32))
-    loss = T.huber(unet.forward(z, [50, 200], cond, m), target)
+    loss = T.huber(unet.forward(z, [50, 200], cond, unet.latent_mask(m)), target)
     backward(loss)
     opt.step()
     assert all(unet.params()[k].data.tobytes() == v for k, v in base_bytes.items())

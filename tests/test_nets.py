@@ -79,7 +79,7 @@ def test_unet_output_shape_matches_latent():
     emb = ConditionEmbedder(CFG, seed=2)
     z, m = make_inputs(CFG)
     cond = emb.embed([0, 1], [2, 3], "color_label")
-    out = unet.forward(z, [10, 500], cond, m)
+    out = unet.forward(z, [10, 500], cond, unet.latent_mask(m))
     assert out.shape == z.shape
 
 
@@ -90,7 +90,7 @@ def test_unet_rejects_non_binary_mask():
     bad = Tensor(m.data * 0.5)
     cond = emb.embed([0, 1], [0, 0], "label_only")
     with pytest.raises(ValueError, match="binary"):
-        unet.forward(z, 5, cond, bad)
+        unet.forward(z, 5, cond, unet.latent_mask(bad))
 
 
 def test_unet_mid_block_is_4x4_at_default_scale():
@@ -117,11 +117,11 @@ def test_condition_change_moves_output_after_one_step():
     params = {**unet.params(), **{f"emb.{k}": v for k, v in emb.params().items()}}
     opt = Adam(params, lr=1e-3)
     cond = emb.embed([0], [0], "color_label")
-    loss = T.mean(T.mul(unet.forward(z, 100, cond, m), Tensor(np.ones(z.shape, np.float32))))
+    loss = T.mean(T.mul(unet.forward(z, 100, cond, unet.latent_mask(m)), Tensor(np.ones(z.shape, np.float32))))
     backward(loss)
     opt.step()
-    out_a = unet.forward(z, 100, emb.embed([0], [0], "color_label"), m).data
-    out_b = unet.forward(z, 100, emb.embed([3], [5], "color_label"), m).data
+    out_a = unet.forward(z, 100, emb.embed([0], [0], "color_label"), unet.latent_mask(m)).data
+    out_b = unet.forward(z, 100, emb.embed([3], [5], "color_label"), unet.latent_mask(m)).data
     assert float(np.square(out_a - out_b).sum()) > 0.0
 
 
@@ -158,7 +158,7 @@ def test_unet_gradient_through_lora_factor_matches_fd():
 
     target = adapters.adapters["mid.attn.wv"]
     for factor in (target.b, target.a):
-        loss = T.mean(unet.forward(z, 40, cond, m))
+        loss = T.mean(unet.forward(z, 40, cond, unet.latent_mask(m)))
         backward(loss)
         analytic = factor.grad.copy()
         for p in adapters.params().values():
@@ -167,7 +167,7 @@ def test_unet_gradient_through_lora_factor_matches_fd():
         def f(arrs):
             saved = factor.data
             factor.data = arrs[0]
-            out = T.mean(unet.forward(z, 40, emb.embed([1], [2], "color_label"), m)).item()
+            out = T.mean(unet.forward(z, 40, emb.embed([1], [2], "color_label"), unet.latent_mask(m))).item()
             factor.data = saved
             return out
 

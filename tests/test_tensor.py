@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    conv2d_direct, conv2d_grads_direct, conv2d_transpose_direct, gradcheck, resize_per_sample, scalarize,
+    conv2d_direct, conv2d_grads_direct, conv2d_input_grad_col2im, conv2d_transpose_direct, gradcheck,
+    group_norm_var, resize_per_sample, scalarize, sigmoid_select,
 )
 from soekit import tensor as T
+from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig, Vae
 from soekit.tensor import ShapeError, Tensor, backward, topo_order
 
 RNG = np.random.default_rng(20240501)
@@ -113,6 +115,54 @@ def test_conv2d_transpose_exact_vs_direct_summation():
             assert a.tobytes() == e.tobytes()
 
 
+def stride1_convs_of_default_nets(batch: int) -> set:
+    """(input shape, kernel shape, padding) of every stride-1 conv2d that the
+    default U-Net and VAE run at this batch size, recorded by a spy."""
+    cfg, seen, conv2d = ModelConfig(), set(), T.conv2d
+
+    def spy(x, w, stride=1, padding=0):
+        if stride == 1:
+            seen.add((x.shape, w.shape, padding))
+        return conv2d(x, w, stride=stride, padding=padding)
+
+    side = cfg.latent_side
+    z = Tensor(np.zeros((batch, cfg.latent_channels, side, side), np.float32))
+    ml = Tensor(np.ones((batch, 1, side, side), np.float32))
+    cond = ConditionEmbedder(cfg, seed=0).embed([0] * batch, [0] * batch, "color_label")
+    T.conv2d = spy
+    try:
+        MiniUnet(cfg, seed=0).forward(z, 10, cond, ml)
+        vae = Vae(cfg, seed=0)
+        vae.decode(vae.encode(Tensor(np.zeros((batch, 3, cfg.image_side, cfg.image_side), np.float32))))
+    finally:
+        T.conv2d = conv2d
+    return seen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_stride1_conv_input_grad_matches_col2im_at_net_shapes(dtype):
+    # float32 products are exact in float64, so the two summation orders differ
+    # far below float32 resolution and round to the same float32; float64
+    # products are rounded, so in float64 the orders may differ by the summation
+    # error bound, K ulps of the sum of |terms|
+    convs = stride1_convs_of_default_nets(batch=4)
+    assert {w_shape[2] for _, w_shape, _ in convs} == {1, 3}
+    rng = np.random.default_rng(12)
+    for x_shape, w_shape, padding in sorted(convs):
+        x = Tensor(np.zeros(x_shape), requires_grad=True, dtype=dtype)
+        w = Tensor(rng.standard_normal(w_shape) / np.sqrt(np.prod(w_shape[1:])), dtype=dtype)
+        y = T.conv2d(x, w, stride=1, padding=padding)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        backward(T.sum_(T.mul(y, Tensor(g, dtype=dtype))))
+        expect = conv2d_input_grad_col2im(w.data, g, x_shape, 1, padding)
+        if dtype == np.float32:
+            assert x.grad.tobytes() == expect.tobytes(), (x_shape, w_shape)
+        else:
+            terms = conv2d_input_grad_col2im(np.abs(w.data), np.abs(g), x_shape, 1, padding)
+            k = w_shape[0] * w_shape[2] * w_shape[3]
+            assert np.all(np.abs(x.grad - expect) <= k * np.finfo(dtype).eps * terms), (x_shape, w_shape)
+
+
 def test_bilinear_resize_of_constant_is_constant():
     x = Tensor(np.full((1, 1, 8, 8), 0.37, np.float32))
     out = T.resize_bilinear(x, 16, 16).data
@@ -198,6 +248,42 @@ def test_boxed_resize_matches_per_sample_oracle():
         assert gx.dtype == dtype and gx.tobytes() == want_gx.tobytes(), case
 
 
+SIGMOID_EDGES = [0.0, -0.0, 1e-45, -1e-45, 88.7, -88.7, 104.0, -104.0, 1e30, -1e30, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_and_silu_match_select_form(dtype):
+    rng = np.random.default_rng(13)
+    draws = rng.standard_normal(10 ** 5) * rng.choice([1.0, 10.0, 100.0], 10 ** 5)
+    x = np.concatenate([SIGMOID_EDGES, draws]).astype(dtype)
+    g = rng.standard_normal(x.shape).astype(dtype)
+    with np.errstate(invalid="ignore"):  # silu at -inf and its gradient at +-inf are nan
+        s = sigmoid_select(x)
+        expect = {T.sigmoid: (s, g * s * (1.0 - s)), T.silu: (x * s, g * (s * (1.0 + x * (1.0 - s))))}
+        for op, (value, grad) in expect.items():
+            xt = Tensor(x, requires_grad=True, dtype=dtype)
+            y = op(xt)
+            backward(T.sum_(T.mul(y, Tensor(g, dtype=dtype))))
+            assert y.data.tobytes() == value.tobytes()
+            assert xt.grad.tobytes() == grad.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 32, 16, 16), (4, 96, 16, 16), (4, 64, 8, 8), (1, 64, 4, 4)])
+def test_group_norm_matches_var_form(shape, dtype):
+    rng = np.random.default_rng(14)
+    c = shape[1]
+    x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+    gamma, beta = (rng.standard_normal(c) + 1).astype(dtype), rng.standard_normal(c).astype(dtype)
+    g = rng.standard_normal(shape).astype(dtype)
+    ts = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gamma, beta)]
+    y = T.group_norm(*ts, groups=8)
+    backward(T.sum_(T.mul(y, Tensor(g, dtype=dtype))))
+    got = [y.data] + [t.grad for t in ts]
+    for a, e in zip(got, group_norm_var(x, gamma, beta, 8, g)):
+        assert a.tobytes() == e.tobytes()
+
+
 def test_huber_trivial_values():
     z = Tensor(np.zeros(4, np.float32))
     assert T.huber(z, z, delta=1.0).item() == 0.0
@@ -213,6 +299,10 @@ def test_huber_rejects_mismatched_shapes_and_bad_delta():
         T.huber(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(ValueError):
         T.huber(Tensor(np.zeros(3)), Tensor(np.zeros(3)), delta=0.0)
+    # (2,1,4,4) and (1,1,4,4) broadcast together, but the mask does not broadcast to pred's shape
+    z = Tensor(np.zeros((1, 1, 4, 4), np.float32))
+    with pytest.raises(ShapeError, match=r"^huber: mask \(2, 1, 4, 4\) does not broadcast to pred \(1, 1, 4, 4\)$"):
+        T.huber(z, z, Tensor(np.ones((2, 1, 4, 4), np.float32)))
 
 
 def test_shape_errors_name_op_and_shapes():
@@ -220,8 +310,9 @@ def test_shape_errors_name_op_and_shapes():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError, match="conv2d"):
         T.conv2d(Tensor(np.zeros((1, 3, 4, 4), np.float32)), Tensor(np.zeros((2, 4, 3, 3), np.float32)))
-    with pytest.raises(ShapeError, match="add"):
-        T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
+    for op in (T.add, T.sub, T.mul):
+        with pytest.raises(ShapeError, match=rf"^{op.__name__}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
+            op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
 
 
 def test_group_norm_normalises_groups():

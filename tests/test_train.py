@@ -219,8 +219,8 @@ def test_distill_gradient_reaches_student_only():
     cond = emb.embed([0], [0], "color_label")
     ts = np.array([50])
     z_t = add_noise(z0, eps, ts, sched)
-    z0_hat = predict_z0(z_t, student.forward(z_t, ts, cond, m), ts, sched)
-    z0p_hat = predict_z0(z_t, teacher.forward(z_t, ts, cond, m), ts, sched)
+    z0_hat = predict_z0(z_t, student.forward(z_t, ts, cond, student.latent_mask(m)), ts, sched)
+    z0p_hat = predict_z0(z_t, teacher.forward(z_t, ts, cond, teacher.latent_mask(m)), ts, sched)
     ml = student.latent_mask(m)
     backward(distill_loss(z0_hat, ml, z0p_hat, ml))
     assert all(p.grad is None for p in t_adapt.params().values())
