@@ -161,6 +161,9 @@ class RunConfig:
         bs = self.eval.batch_size
         if type(bs) is not int or bs < 1:
             raise ConfigError(f"eval.batch_size must be an integer >= 1, got {bs!r}")
-        if img % self.model.latent_factor:
-            raise ConfigError(f"image side {img} not divisible by latent factor {self.model.latent_factor}")
+        lf = self.model.latent_factor
+        if lf < 1:
+            raise ConfigError(f"model.latent_factor must be >= 1, got {lf!r}")
+        if img % lf:
+            raise ConfigError(f"image side {img} not divisible by latent factor {lf}")
         return self

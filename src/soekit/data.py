@@ -306,7 +306,7 @@ def write_dataset(samples, out_dir) -> Path:
 
 
 def read_dataset(dataset_dir, split: str = None) -> list:
-    """Load samples (optionally one split), enforcing the bbox invariant."""
+    """Load samples (optionally one split), enforcing the bbox invariant and known labels and colors."""
     root = Path(dataset_dir)
     index = root / "index.jsonl"
     if not index.exists():
@@ -326,6 +326,9 @@ def read_dataset(dataset_dir, split: str = None) -> list:
                 image_rel = rec["image"]
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{index}:{lineno}: malformed index line ({e})") from None
+            for field, value, known in (("label", label, LABELS), ("color", color, COLOR_NAMES)):
+                if value not in known:
+                    raise ValueError(f"{index}:{lineno}: unknown {field} {value!r}")
             if split is not None and rsplit != split:
                 continue
             image_path = root / image_rel

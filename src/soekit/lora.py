@@ -41,9 +41,6 @@ class LoraAdapter:
         """alpha * B A, materialised only for merging."""
         return (self.alpha * (self.b.data @ self.a.data)).astype(np.float32)
 
-    def param_count(self) -> int:
-        return self.a.size + self.b.size
-
 
 @dataclass
 class LoraAdapterSet:
@@ -58,9 +55,6 @@ class LoraAdapterSet:
             out[f"lora.{target}.A"] = ad.a
             out[f"lora.{target}.B"] = ad.b
         return out
-
-    def param_count(self) -> int:
-        return sum(ad.param_count() for ad in self.adapters.values())
 
 
 def attach(base: MiniUnet, cfg: LoraSection, seed: int) -> LoraAdapterSet:

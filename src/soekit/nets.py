@@ -5,40 +5,19 @@ Defaults target 64x64 images with a x4 latent downscale: latents are
 16x16x4, the U-Net runs two down/up levels (mid block at 4x4), and every
 level cross-attends from spatial positions to a 2-token condition sequence
 (one color token, one label token).
-"""
 
-from dataclasses import dataclass
+Each net takes the run config's `ModelSection` and a seed; the condition
+tables are sized by `data.LABELS` and `data.COLOR_NAMES`. `train.Bundle.build`
+is the one place that builds all three for a run.
+"""
 
 import numpy as np
 
 from soekit import tensor as T
+from soekit.config import ModelSection
+from soekit.data import COLOR_NAMES, LABELS
 from soekit.rng import stream_rng
 from soekit.tensor import ShapeError, Tensor
-
-
-@dataclass
-class ModelConfig:
-    image_side: int = 64
-    latent_factor: int = 4        # VAE downscale, power of two
-    latent_channels: int = 4
-    base_width: int = 32
-    depth: int = 2                # down/up levels; mid sits below the last
-    cond_dim: int = 32
-    time_dim: int = 32
-    groups: int = 8
-    n_labels: int = 5
-    n_colors: int = 8
-
-    def __post_init__(self):
-        f = self.latent_factor
-        if f < 1 or (f & (f - 1)):
-            raise ValueError(f"latent_factor must be a power of two, got {f}")
-        if self.image_side % f:
-            raise ValueError(f"image_side {self.image_side} not divisible by latent_factor {f}")
-
-    @property
-    def latent_side(self):
-        return self.image_side // self.latent_factor
 
 
 # -- module plumbing -----------------------------------------------------------
@@ -142,10 +121,10 @@ class ConditionEmbedder(Module):
 
     STYLES = ("label_only", "color_label")
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    def __init__(self, cfg: ModelSection, seed: int):
         rng = stream_rng(seed, "init", 0)
-        self.label_table = Tensor(_gauss(rng, (cfg.n_labels, cfg.cond_dim), 0.1), requires_grad=True)
-        self.color_table = Tensor(_gauss(rng, (cfg.n_colors, cfg.cond_dim), 0.1), requires_grad=True)
+        self.label_table = Tensor(_gauss(rng, (len(LABELS), cfg.cond_dim), 0.1), requires_grad=True)
+        self.color_table = Tensor(_gauss(rng, (len(COLOR_NAMES), cfg.cond_dim), 0.1), requires_grad=True)
         self.cond_dim = cfg.cond_dim
 
     def embed(self, label_ids, color_ids, style: str) -> Tensor:
@@ -217,7 +196,7 @@ class AttnBlock(Module):
 class UnetBlock(Module):
     """One resolution level: residual conv + condition attention."""
 
-    def __init__(self, rng, c_in: int, c_out: int, cfg: ModelConfig):
+    def __init__(self, rng, c_in: int, c_out: int, cfg: ModelSection):
         self.res = ResBlock(rng, c_in, c_out, cfg.time_dim, cfg.groups)
         self.attn = AttnBlock(rng, c_out, cfg.cond_dim, cfg.groups)
 
@@ -243,7 +222,7 @@ class MiniUnet(Module):
     depth-1-i; shapes match exactly by construction.
     """
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    def __init__(self, cfg: ModelSection, seed: int):
         rng = stream_rng(seed, "init", 1)
         self.cfg = cfg
         widths = [cfg.base_width * (2 ** i) for i in range(cfg.depth)]
@@ -327,13 +306,12 @@ class Vae(Module):
     squashes output through a sigmoid so pixels stay in [0,1].
     """
 
-    def __init__(self, cfg: ModelConfig, seed: int):
+    def __init__(self, cfg: ModelSection, seed: int):
         rng = stream_rng(seed, "init", 2)
         self.cfg = cfg
         w = cfg.base_width
         half = max(w // 2, 4)
-        n_down = int(np.log2(cfg.latent_factor))
-        if n_down != 2:
+        if cfg.latent_factor != 4:
             raise ValueError(f"vae supports latent_factor 4 (two downsamples), got {cfg.latent_factor}")
         self.enc1 = Conv2d(rng, 3, half, 3, 2, 1)
         self.enc2 = Conv2d(rng, half, w, 3, 2, 1)

@@ -39,12 +39,6 @@ class NoiseSchedule:
             raise ValueError(f"timestep {t[bad].flat[0]} out of range [1, {self.T}]")
         return t - 1 if t.ndim == 0 else (t - 1).reshape((-1,) + (1,) * (ndim - 1))
 
-    def alpha(self, t: int) -> float:
-        return float(self.alpha_t[self._check_t(t)])
-
-    def sigma(self, t: int) -> float:
-        return float(self.sigma_t[self._check_t(t)])
-
 
 def make_schedule(T: int, beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
     """Linear schedule over T steps; derived arrays computed in float64."""

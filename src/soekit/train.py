@@ -12,6 +12,9 @@ distillation loss (teacher side detached), and the VAE loss into one
 weighted objective. Only adapters train (plus the VAE when tuning is
 enabled).
 
+Teacher, student and every loaded checkpoint share one architecture, so
+`Bundle.build` makes all of their nets, from the run config's `ModelSection`.
+
 Also hosts teacher pretraining (VAE phase, then denoiser phase, on
 generic-sized objects) and mask-conditioned DDIM editing with latent and
 pixel compositing: `edit_batch` edits a batch of images, one sample per
@@ -28,10 +31,10 @@ import numpy as np
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
-from soekit.config import ConfigError, RunConfig
+from soekit.config import ConfigError, ModelSection, RunConfig
 from soekit.data import COLOR_NAMES, LABELS, check_bbox, curation_filter
 from soekit.lora import LoraAdapterSet, attach, merge
-from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig, Vae
+from soekit.nets import ConditionEmbedder, MiniUnet, Vae
 from soekit.optim import make_optimizer
 from soekit.rng import stream_rng
 from soekit.schedule import NoiseSchedule, add_noise, ddim_step, ddim_timesteps, make_schedule, predict_z0
@@ -46,19 +49,9 @@ class ConfigurationError(RuntimeError):
     pass
 
 
-def model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        image_side=cfg.data.image_side,
-        latent_factor=cfg.model.latent_factor,
-        latent_channels=cfg.model.latent_channels,
-        base_width=cfg.model.base_width,
-        depth=cfg.model.depth,
-        cond_dim=cfg.model.cond_dim,
-        time_dim=cfg.model.time_dim,
-        groups=cfg.model.groups,
-        n_labels=len(LABELS),
-        n_colors=len(COLOR_NAMES),
-    )
+def model_config(cfg: RunConfig) -> ModelSection:
+    # kept only for perfbench's fresh_teacher, which builds its nets from this
+    return cfg.model
 
 
 # -- geometry -------------------------------------------------------------------
@@ -180,6 +173,20 @@ class Bundle:
     role: str = "student"
     step_count: int = 0
 
+    @classmethod
+    def build(cls, cfg: RunConfig, seed: int, adapters: bool = False, frozen: bool = False,
+              role: str = "student", step_count: int = 0) -> "Bundle":
+        """Fresh trainable nets at `seed` from cfg.model and the schedule from
+        cfg.schedule; with `adapters`, low-rank adapters from cfg.lora on the U-Net."""
+        unet = MiniUnet(cfg.model, seed=seed)
+        sc = cfg.schedule
+        return cls(
+            cfg=cfg, vae=Vae(cfg.model, seed=seed), unet=unet, cond=ConditionEmbedder(cfg.model, seed=seed),
+            sched=make_schedule(sc.timesteps, sc.beta_start, sc.beta_end),
+            adapters=attach(unet, cfg.lora, seed=seed) if adapters else None,
+            frozen=frozen, role=role, step_count=step_count,
+        )
+
     def params(self) -> dict:
         """Every saved Tensor by checkpoint name: vae.*, unet.*, cond.*, then lora.*."""
         out = {**self.vae.params("vae"), **self.unet.params("unet"), **self.cond.params("cond")}
@@ -210,23 +217,14 @@ def load_bundle(path) -> Bundle:
     if "config" not in blob:
         raise CheckpointError(f"{path}: {role} checkpoint has no 'config' key")
     try:
-        cfg = RunConfig.from_dict(blob["config"])
+        cfg = RunConfig.from_dict(blob["config"]).validate()
     except ConfigError as e:
         raise CheckpointError(f"{path}: bad config in {role} checkpoint ({e})") from None
     step_count = blob.get("optimizer_step_count", 0)
     if type(step_count) is not int:
         raise CheckpointError(f"{path}: optimizer_step_count must be an integer, got {step_count!r}")
-    mc = model_config(cfg)
-    seed = cfg.train.seed
-    unet = MiniUnet(mc, seed=seed)
-    bundle = Bundle(
-        cfg=cfg, vae=Vae(mc, seed=seed), unet=unet, cond=ConditionEmbedder(mc, seed=seed),
-        sched=make_schedule(cfg.schedule.timesteps, cfg.schedule.beta_start, cfg.schedule.beta_end),
-        adapters=attach(unet, cfg.lora, seed=seed) if blob.get("has_adapters") else None,
-        frozen=bool(blob.get("frozen", False)),
-        role=role,
-        step_count=step_count,
-    )
+    bundle = Bundle.build(cfg, cfg.train.seed, adapters=bool(blob.get("has_adapters")),
+                          frozen=bool(blob.get("frozen", False)), role=role, step_count=step_count)
     params = bundle.params()
     restore(path, params, arrays)
     # loaded models are inert; the Trainer re-establishes trainability itself
@@ -324,7 +322,7 @@ class Trainer:
             self.student.set_trainable(False)
         if tc.use_vae_tuning:
             self.vae.set_trainable(True)
-            trainables.update({f"vae.{k}": p for k, p in self.vae.params().items()})
+            trainables.update(self.vae.params("vae"))
         else:
             self.vae.set_trainable(False)
         self.optimizer = make_optimizer(tc.optimizer, trainables, lr=tc.lr)
@@ -413,16 +411,13 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
         if not curation_filter(s, "train-generic"):
             raise ConfigurationError(f"sample {s.id} is not generic-sized (side fraction outside [1/4, 1/2])")
     tc = cfg.train
-    mc = model_config(cfg)
-    sched = make_schedule(cfg.schedule.timesteps, cfg.schedule.beta_start, cfg.schedule.beta_end)
-    vae = Vae(mc, seed=tc.seed)
-    unet = MiniUnet(mc, seed=tc.seed)
-    cond = ConditionEmbedder(mc, seed=tc.seed)
+    bundle = Bundle.build(cfg, tc.seed, frozen=True, role="teacher")
+    vae, unet, cond, sched = bundle.vae, bundle.unet, bundle.cond, bundle.sched
 
     loss_csv = _start_loss_csv(loss_csv)
 
     # phase A: autoencoder
-    opt_vae = make_optimizer(tc.optimizer, {f"vae.{k}": p for k, p in vae.params().items()}, lr=tc.pretrain_lr)
+    opt_vae = make_optimizer(tc.optimizer, vae.params("vae"), lr=tc.pretrain_lr)
     for step in range(tc.pretrain_vae_steps):
         t0 = time.perf_counter()
         x, m, *_ = batch_tensors(_draw_batch(dataset, tc, step, 2))
@@ -434,9 +429,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
 
     # phase B: denoiser on the frozen autoencoder
     vae.set_trainable(False)
-    trainables = {f"unet.{k}": p for k, p in unet.params().items()}
-    trainables.update({f"cond.{k}": p for k, p in cond.params().items()})
-    opt = make_optimizer(tc.optimizer, trainables, lr=tc.pretrain_lr)
+    opt = make_optimizer(tc.optimizer, {**unet.params("unet"), **cond.params("cond")}, lr=tc.pretrain_lr)
     for step in range(tc.pretrain_steps):
         t0 = time.perf_counter()
         x, m, _, _, label_ids, color_ids = batch_tensors(_draw_batch(dataset, tc, step, 3))
@@ -456,8 +449,8 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
 
     for module in (vae, unet, cond):
         module.set_trainable(False)
-    return Bundle(cfg=cfg, vae=vae, unet=unet, cond=cond, sched=sched,
-                  frozen=True, role="teacher", step_count=opt.step_count)
+    bundle.step_count = opt.step_count
+    return bundle
 
 
 # -- editing --------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from soekit.checkpoint import load_checkpoint, save_checkpoint
 from soekit.cli import main
-from soekit.data import read_dataset, read_ppm
+from soekit.data import build_split, read_dataset, read_ppm, write_dataset
 from soekit.metrics import ProbeClassifier, save_probe
 from soekit.train import load_bundle
 
@@ -151,6 +151,20 @@ def _student_with_text_step_count(root):
     return _student_blob(root, "stepx.soek", lambda b: {**b, "optimizer_step_count": "x"})
 
 
+def _student_with_config_value(root, name, section, key, value):
+    def rewrite(b):
+        return {**b, "config": {**b["config"], section: {**b["config"][section], key: value}}}
+    return _student_blob(root, name, rewrite)
+
+
+def _student_with_image_side_66(root):
+    return _student_with_config_value(root, "side66.soek", "data", "image_side", 66)
+
+
+def _student_with_crop_size_8(root):
+    return _student_with_config_value(root, "crop8.soek", "train", "crop_size", 8)
+
+
 @pytest.mark.parametrize("make, message", [
     (_probe_file, "is not a teacher or student checkpoint"),
     (_truncated_student, "truncated or corrupt"),
@@ -158,6 +172,8 @@ def _student_with_text_step_count(root):
     (_student_with_list_blob, "must be a JSON object"),
     (_student_with_extra_config_section, "unknown config section(s): ['bogus']"),
     (_student_with_text_step_count, "optimizer_step_count must be an integer, got 'x'"),
+    (_student_with_image_side_66, "image side 66 not divisible by latent factor 4"),
+    (_student_with_crop_size_8, "crop_size 8 must be >= 2x"),
 ])
 def test_edit_rejects_unusable_checkpoint_in_one_line(workdir, capsys, make, message):
     root, _ = workdir
@@ -204,6 +220,20 @@ def test_train_rejects_non_frozen_teacher(workdir, capsys):
     assert "teacher not frozen" in capsys.readouterr().err
 
 
+def test_train_rejects_unknown_color_in_index_in_one_line(workdir, capsys, tmp_path):
+    root, cfg = workdir
+    ds = write_dataset(build_split(3, "train-small", 2), tmp_path / "ds")
+    lines = (ds / "index.jsonl").read_text().splitlines()
+    (ds / "index.jsonl").write_text("\n".join([lines[0], json.dumps({**json.loads(lines[1]), "color": "mauve"})]) + "\n")
+    out = tmp_path / "student.soek"
+    rc = main(["train", "--config", cfg, "--data", str(ds), "--teacher", str(root / "teacher.soek"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ds / 'index.jsonl'}:2: unknown color 'mauve'")
+    assert "\n" not in err.strip()
+    assert not out.exists() and not out.with_suffix(".loss.csv").exists()
+
+
 def test_runtime_error_exits_1(capsys, tmp_path):
     rc = main(["eval", "--checkpoint", str(tmp_path / "missing.soek"),
                "--data", str(tmp_path), "--out", str(tmp_path / "m")])
@@ -247,16 +277,22 @@ def test_edit_rejects_malformed_ppm_header_in_one_line(workdir, capsys, tmp_path
 
 
 @pytest.mark.parametrize(
-    "flags,seed_env,named",
-    [(["--count", "0"], None, "--count"), (["--count", "-3"], None, "--count"), ([], "abc", "SOEKIT_SEED")],
-    ids=["count-0", "count-negative", "seed-env-not-int"],
+    "flags,seed_env,config,named",
+    [(["--count", "0"], None, None, "--count"), (["--count", "-3"], None, None, "--count"),
+     ([], "abc", None, "SOEKIT_SEED"),
+     ([], None, {"model": {"latent_factor": 0}}, "model.latent_factor must be >= 1, got 0")],
+    ids=["count-0", "count-negative", "seed-env-not-int", "latent-factor-0"],
 )
-def test_gen_data_rejects_bad_input_in_one_line(workdir, capsys, monkeypatch, tmp_path, flags, seed_env, named):
+def test_gen_data_rejects_bad_input_in_one_line(workdir, capsys, monkeypatch, tmp_path, flags, seed_env, config,
+                                                named):
     root, cfg = workdir
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**TINY_CONFIG, **config}))
     if seed_env is not None:
         monkeypatch.setenv("SOEKIT_SEED", seed_env)
     out = tmp_path / "ds"
-    rc = main(["gen-data", "--config", cfg, "--out", str(out), *flags])
+    rc = main(["gen-data", "--config", str(cfg), "--out", str(out), *flags])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

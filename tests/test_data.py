@@ -176,6 +176,17 @@ def test_read_reports_line_number_on_malformed_index(tmp_path):
         read_dataset(root)
 
 
+@pytest.mark.parametrize("field, value", [("label", "hexagon"), ("color", "mauve")])
+def test_read_rejects_unknown_label_or_color(tmp_path, field, value):
+    root = write_dataset(build_split(9, "train-small", 2), tmp_path / "ds")
+    lines = (root / "index.jsonl").read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+    (root / "index.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        read_dataset(root)
+    assert str(exc.value) == f"{root / 'index.jsonl'}:2: unknown {field} {value!r}"
+
+
 def test_read_reports_missing_image(tmp_path):
     samples = build_split(9, "train-small", 2)
     root = write_dataset(samples, tmp_path / "ds")

@@ -67,7 +67,7 @@ def test_add_noise_zero_latent_gives_scaled_noise():
     z0 = Tensor(np.zeros_like(eps.data))
     t = 400
     out = add_noise(z0, eps, t, S)
-    assert np.allclose(out.data, S.sigma(t) * eps.data, atol=1e-6)
+    assert np.allclose(out.data, S.sigma_t[t - 1] * eps.data, atol=1e-6)
 
 
 def test_add_noise_range_check():
@@ -125,7 +125,7 @@ def test_predict_z0_with_zero_eps():
     zero = Tensor(np.zeros_like(z_t.data))
     t = 10
     out = predict_z0(z_t, zero, t, S)
-    assert np.allclose(out.data, z_t.data / S.alpha(t), atol=1e-6)
+    assert np.allclose(out.data, z_t.data / S.alpha_t[t - 1], atol=1e-6)
 
 
 def test_predict_z0_degenerate_alpha_rejected():

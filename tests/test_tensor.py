@@ -9,7 +9,8 @@ from helpers import (
     group_norm_var, resize_per_sample, scalarize, sigmoid_select,
 )
 from soekit import tensor as T
-from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig, Vae
+from soekit.config import DataSection, ModelSection
+from soekit.nets import ConditionEmbedder, MiniUnet, Vae
 from soekit.tensor import ShapeError, Tensor, backward, topo_order
 
 RNG = np.random.default_rng(20240501)
@@ -118,14 +119,14 @@ def test_conv2d_transpose_exact_vs_direct_summation():
 def stride1_convs_of_default_nets(batch: int) -> set:
     """(input shape, kernel shape, padding) of every stride-1 conv2d that the
     default U-Net and VAE run at this batch size, recorded by a spy."""
-    cfg, seen, conv2d = ModelConfig(), set(), T.conv2d
+    cfg, image_side, seen, conv2d = ModelSection(), DataSection().image_side, set(), T.conv2d
 
     def spy(x, w, stride=1, padding=0):
         if stride == 1:
             seen.add((x.shape, w.shape, padding))
         return conv2d(x, w, stride=stride, padding=padding)
 
-    side = cfg.latent_side
+    side = image_side // cfg.latent_factor
     z = Tensor(np.zeros((batch, cfg.latent_channels, side, side), np.float32))
     ml = Tensor(np.ones((batch, 1, side, side), np.float32))
     cond = ConditionEmbedder(cfg, seed=0).embed([0] * batch, [0] * batch, "color_label")
@@ -133,7 +134,7 @@ def stride1_convs_of_default_nets(batch: int) -> set:
     try:
         MiniUnet(cfg, seed=0).forward(z, 10, cond, ml)
         vae = Vae(cfg, seed=0)
-        vae.decode(vae.encode(Tensor(np.zeros((batch, 3, cfg.image_side, cfg.image_side), np.float32))))
+        vae.decode(vae.encode(Tensor(np.zeros((batch, 3, image_side, image_side), np.float32))))
     finally:
         T.conv2d = conv2d
     return seen

@@ -6,10 +6,10 @@ import pytest
 from helpers import set_adapter_b
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from soekit.config import LoraSection, RunConfig
+from soekit.config import LoraSection, ModelSection, RunConfig
 from soekit.data import build_split
 from soekit.lora import _linears_by_name, attach
-from soekit.nets import ConditionEmbedder, MiniUnet, ModelConfig
+from soekit.nets import ConditionEmbedder, MiniUnet
 from soekit.schedule import add_noise, make_schedule, predict_z0
 from soekit.tensor import Tensor, backward, topo_order
 from soekit.train import (
@@ -202,7 +202,7 @@ def test_distill_loss_empty_mask_rejected():
 
 
 def test_distill_gradient_reaches_student_only():
-    cfg = ModelConfig(image_side=16, base_width=8, depth=1, cond_dim=8, time_dim=8, groups=4)
+    cfg = ModelSection(base_width=8, depth=1, cond_dim=8, time_dim=8, groups=4)
     student = MiniUnet(cfg, seed=0)
     teacher = MiniUnet(cfg, seed=1)
     s_adapt = attach(student, LoraSection(rank=2, blocks=("mid",)), seed=0)
@@ -228,7 +228,7 @@ def test_distill_gradient_reaches_student_only():
 
 
 def test_vae_recon_loss_contracts():
-    cfg = ModelConfig(image_side=32, base_width=16, groups=4)
+    cfg = ModelSection(base_width=16, groups=4)
     vae = Vae(cfg, seed=0)
     vae.set_trainable(False)
     rng = np.random.default_rng(8)
@@ -253,9 +253,8 @@ def test_vae_overfits_constant_image():
     # identity on a constant image: the loss trends towards zero
     cfg = tiny_cfg()
     from soekit.optim import Adam
-    from soekit.train import model_config
 
-    vae = Vae(model_config(cfg), seed=0)
+    vae = Vae(cfg.model, seed=0)
     x = Tensor(np.full((1, 3, 64, 64), 0.35, np.float32))
     m = np.ones((1, 1, 64, 64), np.float32)
     opt = Adam(vae.params(), lr=3e-3)
