@@ -82,8 +82,7 @@ class Conv2d(Module):
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.conv2d(x, self.w, stride=self.stride, padding=self.padding)
-        return T.add(y, T.reshape(self.b, (1, -1, 1, 1)))
+        return T.conv2d(x, self.w, stride=self.stride, padding=self.padding, bias=self.b)
 
 
 class ConvTranspose2d(Module):
@@ -95,8 +94,7 @@ class ConvTranspose2d(Module):
         self.b = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.conv2d_transpose(x, self.w, stride=2)
-        return T.add(y, T.reshape(self.b, (1, -1, 1, 1)))
+        return T.conv2d_transpose(x, self.w, stride=2, bias=self.b)
 
 
 class GroupNorm(Module):

@@ -14,15 +14,19 @@ method. The one Huber op, ``huber``, takes an optional mask.
 Storage is float32. Constructing tensors as float64 is supported so tests can
 run finite-difference oracles at higher precision; all ops preserve dtype.
 
-conv2d and conv2d_transpose share one channel-major (C, B, H, W) im2col and
-col2im. A GEMM over im2col columns gives conv2d's output, its weight gradient
-and its stride-1 input gradient (a correlation with the flipped kernel), and
-both of conv2d_transpose's gradients; col2im scatters a column product tap by
-tap for conv2d's stride-2 input gradient and conv2d_transpose's output. Each
-contraction runs in float64 and rounds once to the storage dtype: float32
-products are exact in float64, so every result is bit-equal to a
-direct-summation oracle whichever path, summation order or BLAS blocking
-produced it.
+conv2d and conv2d_transpose share two kernels. The correlation core copies
+an input once per kernel column (a slice per stride phase) into one zero
+float64 buffer (``_windows``), whose views are each kernel row's
+(kw*C, ho*B*wo) window matrix, and runs one GEMM per kernel row, accumulated
+in place. It gives conv2d's output, its weight gradient, its stride-1 input
+gradient (the output gradient correlated with the flipped kernel) and both of
+conv2d_transpose's gradients. The scatter (``_col2im``) adds a column product
+tap by tap, for conv2d's stride-2 input gradient and conv2d_transpose's
+output. Each contraction runs in float64 and rounds once to the storage
+dtype: float32 products are exact in float64, so every result is bit-equal
+to a direct-summation oracle whichever path, summation order or BLAS
+blocking produced it. Both ops take an optional bias, added after that
+rounding.
 
 resize_nearest and resize_bilinear resample a (B, C, H, W) map at half-pixel
 centres, either whole or from one (x0, y0, x1, y1) box per sample, so a batch
@@ -34,7 +38,6 @@ from __future__ import annotations
 from functools import reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class ShapeError(ValueError):
@@ -379,34 +382,98 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 # -- convolutions ------------------------------------------------------------------
 
 
-def _im2col(xc: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Columns (C*kh*kw, B*ho*wo), rows ordered (c, ky, kx), of a (C, B, H, W) buffer."""
-    c, b = xc.shape[:2]
-    sc, sb, sh, sw = xc.strides
-    view = as_strided(xc, shape=(c, kh, kw, b, ho, wo), strides=(sc, sh, sw, sb, sh * stride, sw * stride))
-    return view.reshape(c * kh * kw, b * ho * wo)
+def _windows(a: np.ndarray, kh: int, kw: int, stride: int, pad, out_hw) -> list:
+    """Per kernel row, the (kw*C, ho*B*wo) window matrix of a (B, C, H, W) array.
 
-
-def _col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
-    """Scatter-add (C, kh, kw, B, ho, wo) columns into a zero (C, B, H, W) float64 buffer, tap by tap."""
-    _, kh, kw, _, ho, wo = cols.shape
-    out = np.zeros(shape, np.float64)
-    for ky in range(kh):
+    Row (kx, c), column (i, b, j) of kernel row ky's matrix holds the input at
+    (b, c, i*stride + ky - py, j*stride + kx - px), zero outside it; pads may
+    be negative, which crops. Every matrix is a unit-column-stride view of one
+    zero (kw, C, stride, hq, B, wo) float64 buffer, filled by one slice copy
+    per kernel column and stride phase.
+    """
+    b, c, h, w = a.shape
+    (py, px), (ho, wo) = pad, out_hw
+    hq = ho + (kh - 1) // stride
+    buf = np.zeros((kw, c, stride, hq, b, wo))
+    src = a.transpose(1, 2, 0, 3)  # (C, H, B, W)
+    for s in range(stride):
+        q0, q1 = max(0, -((s - py) // stride)), min(hq, (h - 1 - s + py) // stride + 1)
         for kx in range(kw):
-            out[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += cols[:, ky, kx]
+            j0, j1 = max(0, -((kx - px) // stride)), min(wo, (w - 1 - kx + px) // stride + 1)
+            if q0 < q1 and j0 < j1:
+                y, x = q0 * stride + s - py, j0 * stride + kx - px
+                buf[kx, :, s, q0:q1, :, j0:j1] = src[:, y : y + stride * (q1 - q0) : stride, :,
+                                                     x : x + stride * (j1 - j0) : stride]
+    rows, n = buf.reshape(kw * c, stride, hq * b * wo), b * wo
+    return [rows[:, ky % stride, ky // stride * n : (ky // stride + ho) * n] for ky in range(kh)]
+
+
+def _kernel_rows(k: np.ndarray) -> np.ndarray:
+    """An (O, I, KH, KW) kernel as float64 (KH, O, KW*I), one GEMM operand per kernel row."""
+    o, i, kh, kw = k.shape
+    return np.ascontiguousarray(k.transpose(2, 0, 3, 1), np.float64).reshape(kh, o, kw * i)
+
+
+def _correlate(kr: np.ndarray, wins: list) -> np.ndarray:
+    """(O, ho*B*wo) correlation: kernel rows against their windows, accumulated in float64."""
+    out = kr[0] @ wins[0]
+    part = np.empty_like(out)
+    for k, win in zip(kr[1:], wins[1:]):
+        out += np.matmul(k, win, out=part)
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution (cross-correlation), NCHW input, (CO, CI, KH, KW) kernel.
+def _kernel_grad(gm: np.ndarray, wins: list, shape) -> np.ndarray:
+    """Gradient of an (O, I, KH, KW) kernel: per kernel row, gm (O, ho*B*wo) against its windows."""
+    o, i, kh, kw = shape
+    gk = np.empty((kh, o, kw * i))
+    for ky, win in enumerate(wins):
+        np.matmul(gm, win.T, out=gk[ky])
+    return gk.reshape(kh, o, kw, i).transpose(1, 3, 0, 2)
 
-    The output and the weight gradient are GEMMs over im2col columns. At
-    stride 1 so is the input gradient: the output gradient, zero-padded by the
-    kernel size less one, correlated with the flipped, channel-transposed
-    kernel. At stride 2 the output gradient would first need zeros between its
-    samples, so col2im scatters the column product w^T g tap by tap instead.
+
+def _col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
+    """Scatter-add (C, kh, kw, ho, B, wo) columns into a zero (C, H, B, W) float64 buffer, tap by tap."""
+    _, kh, kw, ho, _, wo = cols.shape
+    out = np.zeros(shape)
+    for ky in range(kh):
+        for kx in range(kw):
+            out[:, ky : ky + ho * stride : stride, :, kx : kx + wo * stride : stride] += cols[:, ky, kx]
+    return out
+
+
+def _chbw(a: np.ndarray) -> np.ndarray:
+    """A (B, C, H, W) array as a C-contiguous float64 (C, H*B*W) matrix, columns ordered (h, b, w)."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0, 3), np.float64).reshape(a.shape[1], -1)
+
+
+def _nchw(m: np.ndarray, b: int, hw, dtype) -> np.ndarray:
+    """Inverse of _chbw: (C, H, B, W)-ordered float64 values as a (B, C, H, W) array of dtype, rounded once."""
+    return m.reshape(m.shape[0], hw[0], b, hw[1]).transpose(2, 0, 1, 3).astype(dtype, order="C")
+
+
+def _add_bias(op: str, out: np.ndarray, bias) -> tuple:
+    """Add a (C,) bias to a (B, C, H, W) output in place; the bias as a tuple of extra parents."""
+    if bias is None:
+        return ()
+    if bias.shape != (out.shape[1],):
+        raise ShapeError(op, f"bias must be ({out.shape[1]},), got {bias.shape}")
+    out += bias.data.reshape(1, -1, 1, 1)
+    return (bias,)
+
+
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor = None) -> Tensor:
+    """2-D convolution (cross-correlation), NCHW input, (CO, CI, KH, KW) kernel, optional (CO,) bias.
+
+    The output is the correlation core: one float64 GEMM per kernel row over
+    the input's windows (``_windows``), accumulated in place. Its weight
+    gradient reads the same windows, transposed. At stride 1 the input
+    gradient is the core again: the output gradient at pads (kh-1-p, kw-1-p),
+    correlated with the flipped, channel-transposed kernel. At stride 2 the
+    output gradient would first need zeros between its samples, so the
+    scatter (``_col2im``) adds the column product w^T g tap by tap instead.
     Each contracts in float64 and rounds once to the storage dtype, making it
-    bit-equal to direct summation.
+    bit-equal to direct summation; the bias is added after that rounding.
     """
     if stride not in (1, 2):
         raise ShapeError("conv2d", f"stride must be 1 or 2, got {stride}")
@@ -421,35 +488,36 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
 
-    padded = (ci, b, h + 2 * padding, wd + 2 * padding)
-    xp = np.zeros(padded, np.float64)
-    xp[:, :, padding : padding + h, padding : padding + wd] = x.data.transpose(1, 0, 2, 3)
-    cols = _im2col(xp, kh, kw, stride, ho, wo)
-    wm = w.data.astype(np.float64).reshape(co, -1)
-    out = (wm @ cols).reshape(co, b, ho, wo).transpose(1, 0, 2, 3).astype(x.dtype, order="C")
-    cols = cols if w.requires_grad else None  # only the weight gradient reads it
+    wins = _windows(x.data, kh, kw, stride, (padding, padding), (ho, wo))
+    out = _nchw(_correlate(_kernel_rows(w.data), wins), b, (ho, wo), x.dtype)
+    extra = _add_bias("conv2d", out, bias)
+    wins = wins if w.requires_grad else None  # only the weight gradient reads them
 
     def bw(g):
-        gm = np.ascontiguousarray(g.transpose(1, 0, 2, 3), np.float64).reshape(co, -1)
+        if extra and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if w.requires_grad:
-            _accumulate(w, (gm @ cols.T).reshape(w.shape).astype(w.dtype))
+            _accumulate(w, _kernel_grad(_chbw(g), wins, w.shape).astype(w.dtype))
         if x.requires_grad and stride == 1:
-            # correlate g, zero-padded by the kernel size less one, with the flipped kernel
-            gp = np.zeros((co, b, ho + 2 * kh - 2, wo + 2 * kw - 2), np.float64)
-            gp[:, :, kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = gm.reshape(co, b, ho, wo)
-            wf = np.ascontiguousarray(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), np.float64)
-            gx = wf.reshape(ci, -1) @ _im2col(gp[:, :, padding:, padding:], kh, kw, 1, h, wd)
-            _accumulate(x, gx.reshape(ci, b, h, wd).transpose(1, 0, 2, 3).astype(x.dtype))
+            gwins = _windows(g, kh, kw, 1, (kh - 1 - padding, kw - 1 - padding), (h, wd))
+            gx = _correlate(_kernel_rows(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), gwins)
+            _accumulate(x, _nchw(gx, b, (h, wd), x.dtype))
         elif x.requires_grad:
-            gxp = _col2im((wm.T @ gm).reshape(ci, kh, kw, b, ho, wo), padded, stride)
-            gx = gxp[:, :, padding : padding + h, padding : padding + wd].transpose(1, 0, 2, 3)
-            _accumulate(x, gx.astype(x.dtype))
+            cols = w.data.astype(np.float64).reshape(co, -1).T @ _chbw(g)
+            gxp = _col2im(cols.reshape(ci, kh, kw, ho, b, wo), (ci, h + 2 * padding, b, wd + 2 * padding), stride)
+            _accumulate(x, _nchw(gxp[:, padding : padding + h, :, padding : padding + wd], b, (h, wd), x.dtype))
 
-    return _make(out, (x, w), bw, "conv2d")
+    return _make(out, (x, w) + extra, bw, "conv2d")
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 2) -> Tensor:
-    """Transposed convolution, NCHW input, (CI, CO, KH, KW) kernel, stride 2, exact as conv2d."""
+def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 2, bias: Tensor = None) -> Tensor:
+    """Transposed convolution, NCHW input, (CI, CO, KH, KW) kernel, stride 2, optional (CO,) bias.
+
+    The output is the scatter (``_col2im``) of the column product w^T x. Both
+    gradients are the correlation core at stride 2 over the output gradient's
+    windows: the input gradient against w itself, the weight gradient against
+    x. Exact as conv2d, with the bias added after rounding.
+    """
     if stride != 2:
         raise ShapeError("conv2d_transpose", f"stride must be 2, got {stride}")
     if x.ndim != 4 or w.ndim != 4:
@@ -460,21 +528,22 @@ def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 2) -> Tensor:
     _, co, kh, kw = w.shape
     ho, wo = (hi - 1) * stride + kh, (wi - 1) * stride + kw
 
-    xm = np.ascontiguousarray(x.data.transpose(1, 0, 2, 3), np.float64).reshape(ci, -1)
-    wm = w.data.astype(np.float64).reshape(ci, -1)
-    out64 = _col2im((wm.T @ xm).reshape(co, kh, kw, b, hi, wi), (co, b, ho, wo), stride)
-    out = out64.transpose(1, 0, 2, 3).astype(x.dtype, order="C")
+    xm = _chbw(x.data)
+    cols = w.data.astype(np.float64).reshape(ci, -1).T @ xm
+    out = _nchw(_col2im(cols.reshape(co, kh, kw, hi, b, wi), (co, ho, b, wo), stride), b, (ho, wo), x.dtype)
+    extra = _add_bias("conv2d_transpose", out, bias)
     xm = xm if w.requires_grad else None  # only the weight gradient reads it
 
     def bw(g):
-        gcols = _im2col(np.ascontiguousarray(g.transpose(1, 0, 2, 3), np.float64), kh, kw, stride, hi, wi)
+        if extra and bias.requires_grad:
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+        wins = _windows(g, kh, kw, stride, (0, 0), (hi, wi))
         if x.requires_grad:
-            gx = (wm @ gcols).reshape(ci, b, hi, wi).transpose(1, 0, 2, 3)
-            _accumulate(x, gx.astype(x.dtype))
+            _accumulate(x, _nchw(_correlate(_kernel_rows(w.data), wins), b, (hi, wi), x.dtype))
         if w.requires_grad:
-            _accumulate(w, (xm @ gcols.T).reshape(w.shape).astype(w.dtype))
+            _accumulate(w, _kernel_grad(xm, wins, w.shape).astype(w.dtype))
 
-    return _make(out, (x, w), bw, "conv2d_transpose")
+    return _make(out, (x, w) + extra, bw, "conv2d_transpose")
 
 
 # -- normalisation ------------------------------------------------------------------

@@ -223,8 +223,11 @@ def load_bundle(path) -> Bundle:
     step_count = blob.get("optimizer_step_count", 0)
     if type(step_count) is not int:
         raise CheckpointError(f"{path}: optimizer_step_count must be an integer, got {step_count!r}")
-    bundle = Bundle.build(cfg, cfg.train.seed, adapters=bool(blob.get("has_adapters")),
-                          frozen=bool(blob.get("frozen", False)), role=role, step_count=step_count)
+    try:
+        bundle = Bundle.build(cfg, cfg.train.seed, adapters=bool(blob.get("has_adapters")),
+                              frozen=bool(blob.get("frozen", False)), role=role, step_count=step_count)
+    except ValueError as e:  # a config that validates but that the nets refuse
+        raise CheckpointError(f"{path}: {role} checkpoint config refused by the model ({e})") from None
     params = bundle.params()
     restore(path, params, arrays)
     # loaded models are inert; the Trainer re-establishes trainability itself

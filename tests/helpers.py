@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference gradient checking and oracles."""
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from soekit.tensor import Tensor, backward
 
@@ -151,6 +152,71 @@ def conv2d_input_grad_col2im(w: np.ndarray, g: np.ndarray, x_shape, stride: int,
         for kx in range(kw):
             gxp[:, :, ky : ky + ho * stride : stride, kx : kx + wo * stride : stride] += cols[:, ky, kx]
     return gxp[:, :, padding : padding + h, padding : padding + wd].transpose(1, 0, 2, 3).astype(w.dtype)
+
+
+def im2col(xc: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Columns (C*kh*kw, B*ho*wo), rows ordered (c, ky, kx), of a (C, B, H, W) float64 buffer."""
+    c, b = xc.shape[:2]
+    sc, sb, sh, sw = xc.strides
+    view = as_strided(xc, shape=(c, kh, kw, b, ho, wo), strides=(sc, sh, sw, sb, sh * stride, sw * stride))
+    return view.reshape(c * kh * kw, b * ho * wo)
+
+
+def _conv2d_cols(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
+    """im2col columns of x zero-padded by `padding`, in float64."""
+    b, c, h, wd = x.shape
+    xp = np.zeros((c, b, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x.transpose(1, 0, 2, 3)
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    return im2col(xp, kh, kw, stride, ho, wo)
+
+
+def conv2d_im2col(x: np.ndarray, w: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """conv2d's output as one float64 GEMM over im2col columns, rounded once to x's dtype."""
+    b, _, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    out = w.astype(np.float64).reshape(co, -1) @ _conv2d_cols(x, kh, kw, stride, padding)
+    return out.reshape(co, b, ho, wo).transpose(1, 0, 2, 3).astype(x.dtype)
+
+
+def conv2d_weight_grad_im2col(x: np.ndarray, w_shape, g: np.ndarray, stride: int, padding: int) -> np.ndarray:
+    """conv2d's weight gradient as gm @ cols.T over im2col columns of x, rounded once to x's dtype."""
+    co, _, kh, kw = w_shape
+    gm = g.transpose(1, 0, 2, 3).astype(np.float64).reshape(co, -1)
+    return (gm @ _conv2d_cols(x, kh, kw, stride, padding).T).reshape(w_shape).astype(x.dtype)
+
+
+def conv2d_input_grad_im2col(w: np.ndarray, g: np.ndarray, x_shape, padding: int) -> np.ndarray:
+    """conv2d's stride-1 input gradient as one im2col GEMM: g zero-padded by the kernel
+    size less one, correlated with the flipped, channel-transposed kernel."""
+    b, ci, h, wd = x_shape
+    co, _, kh, kw = w.shape
+    ho, wo = g.shape[2:]
+    gp = np.zeros((co, b, ho + 2 * kh - 2, wo + 2 * kw - 2))
+    gp[:, :, kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = g.transpose(1, 0, 2, 3)
+    wf = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), np.float64)
+    gx = wf.reshape(ci, -1) @ im2col(gp[:, :, padding:, padding:], kh, kw, 1, h, wd)
+    return gx.reshape(ci, b, h, wd).transpose(1, 0, 2, 3).astype(w.dtype)
+
+
+def conv2d_transpose_im2col(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """conv2d_transpose at stride 2: the output as the column product w^T x scattered
+    tap by tap, and the input and weight gradients as GEMMs over im2col columns of g.
+    Float64, each rounded once to x's dtype."""
+    b, ci, hi, wi = x.shape
+    _, co, kh, kw = w.shape
+    xm = x.transpose(1, 0, 2, 3).astype(np.float64).reshape(ci, -1)
+    wm = w.astype(np.float64).reshape(ci, -1)
+    cols = (wm.T @ xm).reshape(co, kh, kw, b, hi, wi)
+    out = np.zeros((co, b, 2 * hi - 2 + kh, 2 * wi - 2 + kw))
+    for ky in range(kh):
+        for kx in range(kw):
+            out[:, :, ky : ky + 2 * hi : 2, kx : kx + 2 * wi : 2] += cols[:, ky, kx]
+    gcols = im2col(g.transpose(1, 0, 2, 3).astype(np.float64), kh, kw, 2, hi, wi)
+    gx = (wm @ gcols).reshape(ci, b, hi, wi).transpose(1, 0, 2, 3)
+    gw = (xm @ gcols.T).reshape(w.shape)
+    return tuple(a.astype(x.dtype) for a in (out.transpose(1, 0, 2, 3), gx, gw))
 
 
 def sigmoid_select(x: np.ndarray) -> np.ndarray:

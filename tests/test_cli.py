@@ -165,6 +165,12 @@ def _student_with_crop_size_8(root):
     return _student_with_config_value(root, "crop8.soek", "train", "crop_size", 8)
 
 
+def _teacher_with_latent_factor_8(root):
+    arrays, blob = load_checkpoint(root / "teacher.soek")
+    blob["config"]["model"]["latent_factor"] = 8  # passes validate (64 % 8 == 0); the VAE refuses it
+    return save_checkpoint(root / "lf8.soek", arrays, blob)
+
+
 @pytest.mark.parametrize("make, message", [
     (_probe_file, "is not a teacher or student checkpoint"),
     (_truncated_student, "truncated or corrupt"),
@@ -174,6 +180,7 @@ def _student_with_crop_size_8(root):
     (_student_with_text_step_count, "optimizer_step_count must be an integer, got 'x'"),
     (_student_with_image_side_66, "image side 66 not divisible by latent factor 4"),
     (_student_with_crop_size_8, "crop_size 8 must be >= 2x"),
+    (_teacher_with_latent_factor_8, "vae supports latent_factor 4 (two downsamples), got 8"),
 ])
 def test_edit_rejects_unusable_checkpoint_in_one_line(workdir, capsys, make, message):
     root, _ = workdir

@@ -1,15 +1,19 @@
 """Op catalog: forward oracles, gradient checks, and graph contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
-    conv2d_direct, conv2d_grads_direct, conv2d_input_grad_col2im, conv2d_transpose_direct, gradcheck,
-    group_norm_var, resize_per_sample, scalarize, sigmoid_select,
+    conv2d_direct, conv2d_grads_direct, conv2d_im2col, conv2d_input_grad_col2im, conv2d_input_grad_im2col,
+    conv2d_transpose_direct, conv2d_transpose_im2col, conv2d_weight_grad_im2col, gradcheck, group_norm_var,
+    resize_per_sample, scalarize, sigmoid_select,
 )
 from soekit import tensor as T
 from soekit.config import DataSection, ModelSection
+from soekit.metrics import PROBE_CROP_SIDE, ProbeClassifier
 from soekit.nets import ConditionEmbedder, MiniUnet, Vae
 from soekit.tensor import ShapeError, Tensor, backward, topo_order
 
@@ -85,10 +89,10 @@ def conv_sweep(padding):
 
 
 def grads_for(op, x, w, g, **kwargs):
-    """Output, input gradient and weight gradient of op with the upstream gradient g."""
-    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    """Output, input gradient and weight gradient of op with the upstream gradient g, in x's dtype."""
+    xt, wt = Tensor(x, requires_grad=True, dtype=x.dtype), Tensor(w, requires_grad=True, dtype=x.dtype)
     y = op(xt, wt, **kwargs)
-    backward(T.sum_(T.mul(y, Tensor(g))))
+    backward(T.sum_(T.mul(y, Tensor(g, dtype=x.dtype))))
     return y.data, xt.grad, wt.grad
 
 
@@ -116,28 +120,40 @@ def test_conv2d_transpose_exact_vs_direct_summation():
             assert a.tobytes() == e.tobytes()
 
 
-def stride1_convs_of_default_nets(batch: int) -> set:
-    """(input shape, kernel shape, padding) of every stride-1 conv2d that the
-    default U-Net and VAE run at this batch size, recorded by a spy."""
-    cfg, image_side, seen, conv2d = ModelSection(), DataSection().image_side, set(), T.conv2d
+def convs_of_default_nets(batch: int) -> set:
+    """(op, input shape, kernel shape, stride, padding) of every conv2d and
+    conv2d_transpose that the default U-Net, VAE and probe run at this batch
+    size, recorded by spies."""
+    cfg, image_side, seen = ModelSection(), DataSection().image_side, set()
+    conv2d, conv2d_transpose = T.conv2d, T.conv2d_transpose
 
-    def spy(x, w, stride=1, padding=0):
-        if stride == 1:
-            seen.add((x.shape, w.shape, padding))
-        return conv2d(x, w, stride=stride, padding=padding)
+    def spy(x, w, stride=1, padding=0, bias=None):
+        seen.add(("conv2d", x.shape, w.shape, stride, padding))
+        return conv2d(x, w, stride=stride, padding=padding, bias=bias)
+
+    def spy_transpose(x, w, stride=2, bias=None):
+        seen.add(("conv2d_transpose", x.shape, w.shape, stride, 0))
+        return conv2d_transpose(x, w, stride=stride, bias=bias)
 
     side = image_side // cfg.latent_factor
     z = Tensor(np.zeros((batch, cfg.latent_channels, side, side), np.float32))
     ml = Tensor(np.ones((batch, 1, side, side), np.float32))
     cond = ConditionEmbedder(cfg, seed=0).embed([0] * batch, [0] * batch, "color_label")
-    T.conv2d = spy
+    T.conv2d, T.conv2d_transpose = spy, spy_transpose
     try:
         MiniUnet(cfg, seed=0).forward(z, 10, cond, ml)
         vae = Vae(cfg, seed=0)
         vae.decode(vae.encode(Tensor(np.zeros((batch, 3, image_side, image_side), np.float32))))
+        ProbeClassifier(0).forward(Tensor(np.zeros((batch, 3, PROBE_CROP_SIDE, PROBE_CROP_SIDE), np.float32)))
     finally:
-        T.conv2d = conv2d
+        T.conv2d, T.conv2d_transpose = conv2d, conv2d_transpose
     return seen
+
+
+def stride1_convs_of_default_nets(batch: int) -> set:
+    """(input shape, kernel shape, padding) of every stride-1 conv2d that the
+    default U-Net and VAE run at this batch size (the probe has none)."""
+    return {(x, w, p) for op, x, w, stride, p in convs_of_default_nets(batch) if op == "conv2d" and stride == 1}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -162,6 +178,91 @@ def test_stride1_conv_input_grad_matches_col2im_at_net_shapes(dtype):
             terms = conv2d_input_grad_col2im(np.abs(w.data), np.abs(g), x_shape, 1, padding)
             k = w_shape[0] * w_shape[2] * w_shape[3]
             assert np.all(np.abs(x.grad - expect) <= k * np.finfo(dtype).eps * terms), (x_shape, w_shape)
+
+
+def im2col_oracles(op, x, w, g, stride, padding):
+    """(output, input gradient, weight gradient) of op by the im2col/col2im
+    oracles, each with the length of the sums that made it."""
+    if op == "conv2d_transpose":
+        b, _, hi, wi = x.shape
+        _, co, kh, kw = w.shape
+        return zip(conv2d_transpose_im2col(x, w, g), (x.shape[1] * kh * kw, co * kh * kw, b * hi * wi))
+    b, _, ho, wo = g.shape
+    co, ci, kh, kw = w.shape
+    gx = (conv2d_input_grad_im2col(w, g, x.shape, padding) if stride == 1
+          else conv2d_input_grad_col2im(w, g, x.shape, stride, padding))
+    return zip((conv2d_im2col(x, w, stride, padding), gx, conv2d_weight_grad_im2col(x, w.shape, g, stride, padding)),
+               (ci * kh * kw, co * kh * kw, b * ho * wo))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 4, 8])
+def test_convs_match_im2col_at_net_shapes(batch, dtype):
+    # the correlation core sums each output in another order than one im2col
+    # GEMM: float32 must still be byte-equal, float64 within K ulps of the sum
+    # of |terms|, K the number of terms in each sum
+    convs = convs_of_default_nets(batch)
+    assert {(op, stride) for op, _, _, stride, _ in convs} == {("conv2d", 1), ("conv2d", 2), ("conv2d_transpose", 2)}
+    rng = np.random.default_rng(14)
+    for op, x_shape, w_shape, stride, padding in sorted(convs):
+        x = rng.standard_normal(x_shape).astype(dtype)
+        w = (rng.standard_normal(w_shape) / np.sqrt(np.prod(w_shape[1:]))).astype(dtype)
+        kwargs = {"stride": stride} if op == "conv2d_transpose" else {"stride": stride, "padding": padding}
+        y = getattr(T, op)(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype), **kwargs)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        got = grads_for(getattr(T, op), x, w, g, **kwargs)
+        expect = im2col_oracles(op, x, w, g, stride, padding)
+        terms = im2col_oracles(op, np.abs(x), np.abs(w), np.abs(g), stride, padding)
+        for name, a, (e, k), (t, _) in zip(("output", "input grad", "weight grad"), got, expect, terms):
+            if dtype == np.float32:
+                assert a.tobytes() == e.tobytes(), (op, x_shape, w_shape, name)
+            else:
+                assert np.all(np.abs(a - e) <= k * np.finfo(dtype).eps * t), (op, x_shape, w_shape, name)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op, x_shape, w_shape, kwargs", [
+    ("conv2d", (2, 3, 6, 5), (4, 3, 3, 2), {"stride": 1, "padding": 1}),
+    ("conv2d", (2, 3, 7, 7), (4, 3, 3, 3), {"stride": 2, "padding": 1}),
+    ("conv2d_transpose", (2, 3, 4, 3), (3, 4, 2, 2), {"stride": 2}),
+])
+def test_conv_bias_in_op_matches_separate_add(op, x_shape, w_shape, kwargs, dtype):
+    # bias added after the conv's single rounding: the same bytes, output and
+    # every gradient, as today's add of the reshaped bias
+    rng = np.random.default_rng(15)
+    arrays = [rng.standard_normal(s).astype(dtype) for s in (x_shape, w_shape, (w_shape[1 if op != "conv2d" else 0],))]
+    fn = getattr(T, op)
+    results = []
+    for fused in (True, False):
+        x, w, b = (Tensor(a, requires_grad=True, dtype=dtype) for a in arrays)
+        y = fn(x, w, bias=b, **kwargs) if fused else T.add(fn(x, w, **kwargs), T.reshape(b, (1, -1, 1, 1)))
+        g = np.random.default_rng(16).standard_normal(y.shape).astype(dtype)
+        backward(T.sum_(T.mul(y, Tensor(g, dtype=dtype))))
+        results.append([t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)])
+    assert results[0] == results[1]
+
+
+def test_conv_bias_shape_is_checked():
+    x, w = Tensor(np.zeros((1, 3, 4, 4), np.float32)), Tensor(np.zeros((2, 3, 3, 3), np.float32))
+    with pytest.raises(ShapeError, match=r"conv2d: bias must be \(2,\), got \(3,\)"):
+        T.conv2d(x, w, padding=1, bias=Tensor(np.zeros(3, np.float32)))
+
+
+def test_conv_forward_retains_under_kw_plus_one_inputs():
+    # the weight gradient keeps the forward's kw-shifted window buffer, about
+    # kw times the input in float64; an im2col column buffer would be kh*kw times
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.standard_normal((4, 96, 16, 16)).astype(np.float32))
+    w = Tensor(rng.standard_normal((32, 96, 3, 3)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = T.conv2d(x, w, stride=1, padding=1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert y.requires_grad
+    assert retained < (w.shape[3] + 1) * x.size * 8, retained / (x.size * 8)
 
 
 def test_bilinear_resize_of_constant_is_constant():
@@ -454,7 +555,8 @@ def test_grad_double_use_matches_fd():
     ["add", "sub", "mul", "sigmoid", "silu",
      "sum", "mean", "reshape", "transpose", "concat", "matmul",
      "matmul_batched", "softmax", "log_softmax", "cross_attention", "conv2d_s1",
-     "conv2d_s2", "conv2d_transpose", "group_norm", "resize_nearest",
+     "conv2d_s2", "conv2d_transpose", "conv2d_s1_bias", "conv2d_s2_bias", "conv2d_transpose_bias",
+     "group_norm", "resize_nearest",
      "resize_bilinear_up", "resize_bilinear_down", "huber", "masked_huber", "mse",
      "resize_nearest_boxed", "resize_bilinear_boxed"],
 )
@@ -532,6 +634,18 @@ def catalog_gradchecks():
             lambda ts: T.resize_bilinear(ts[0], 4, 3, [(1, 0, 4, 5), (0, 2, 6, 6)]), (2, 2, 4, 3),
             [rr(2, 2, 6, 6)], [0],
         ),
+        "conv2d_s1_bias": case(
+            lambda ts: T.conv2d(ts[0], ts[1], stride=1, padding=1, bias=ts[2]), (2, 4, 5, 5),
+            [rr(2, 3, 5, 4), rr(4, 3, 3, 2), rr(4)], [0, 1, 2],
+        ),
+        "conv2d_s2_bias": case(
+            lambda ts: T.conv2d(ts[0], ts[1], stride=2, padding=1, bias=ts[2]), (2, 4, 3, 3),
+            [rr(2, 3, 5, 5), rr(4, 3, 3, 3), rr(4)], [0, 1, 2],
+        ),
+        "conv2d_transpose_bias": case(
+            lambda ts: T.conv2d_transpose(ts[0], ts[1], stride=2, bias=ts[2]), (2, 4, 8, 8),
+            [rr(2, 3, 4, 4), rr(3, 4, 2, 2), rr(4)], [0, 1, 2],
+        ),
     }
     return cases
 
@@ -595,6 +709,38 @@ def test_conv_identity_property(b, c, side, seed):
     w = np.zeros((c, c, 1, 1), np.float32)
     w[np.arange(c), np.arange(c), 0, 0] = 1.0
     assert np.array_equal(T.conv2d(Tensor(x), Tensor(w)).data, x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from([1, 2]), st.integers(0, 2), st.data())
+def test_conv2d_matches_direct_summation_property(kh, kw, stride, padding, data):
+    # padding above kernel-1 makes the stride-1 input gradient's pads negative
+    b, ci, co = (data.draw(st.integers(1, 2)) for _ in range(3))
+    h = data.draw(st.integers(max(1, kh - 2 * padding), 6))
+    wd = data.draw(st.integers(max(1, kw - 2 * padding), 6))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    x = (rng.standard_normal((b, ci, h, wd)) * 3).astype(np.float32)
+    w = rng.standard_normal((co, ci, kh, kw)).astype(np.float32)
+    ho, wo = (h + 2 * padding - kh) // stride + 1, (wd + 2 * padding - kw) // stride + 1
+    g = rng.standard_normal((b, co, ho, wo)).astype(np.float32)
+    y, gx, gw = grads_for(T.conv2d, x, w, g, stride=stride, padding=padding)
+    expect_gx, expect_gw = conv2d_grads_direct(x, w, g, stride, padding)
+    assert y.tobytes() == conv2d_direct(x, w, stride, padding).tobytes()
+    assert gx.tobytes() == expect_gx.tobytes()
+    assert gw.tobytes() == expect_gw.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_conv2d_transpose_matches_direct_summation_property(kh, kw, data):
+    b, ci, co, hi, wi = (data.draw(st.integers(1, n)) for n in (2, 2, 2, 4, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
+    x = (rng.standard_normal((b, ci, hi, wi)) * 3).astype(np.float32)
+    w = rng.standard_normal((ci, co, kh, kw)).astype(np.float32)
+    g = rng.standard_normal((b, co, 2 * hi - 2 + kh, 2 * wi - 2 + kw)).astype(np.float32)
+    got = grads_for(T.conv2d_transpose, x, w, g, stride=2)
+    for a, e in zip(got, conv2d_transpose_direct(x, w, g, 2)):
+        assert a.tobytes() == e.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
