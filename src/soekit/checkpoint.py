@@ -11,6 +11,7 @@ Arrays are written in insertion order and the JSON blob canonically
 
 Writes are atomic: the file is written to `<name>.tmp` and moved over the
 target with `os.replace`, so a failed save leaves any earlier file intact.
+A save refuses a non-float32 array or one holding NaN or inf, and names it.
 Reads are strict: a truncated or corrupt file, or a config blob that is not
 a JSON object, raises a `CheckpointError` naming it, and `restore` copies
 arrays into same-named Tensors only if the names match exactly and every
@@ -42,10 +43,12 @@ def save_checkpoint(path, arrays: dict, config: dict) -> Path:
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         if arr.dtype != np.float32:
-            raise CheckpointError(f"array {name!r} must be float32, got {arr.dtype}")
+            raise CheckpointError(f"{path}: array {name!r} must be float32, got {arr.dtype}")
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name!r} has non-finite values")
         encoded = name.encode("utf-8")
         if len(encoded) > 0xFFFF:
-            raise CheckpointError(f"array name too long: {name[:40]}...")
+            raise CheckpointError(f"{path}: array name too long: {name[:40]}...")
         chunks.append(struct.pack("<H", len(encoded)))
         chunks.append(encoded)
         chunks.append(struct.pack("<BB", DTYPE_F32, arr.ndim))

@@ -84,7 +84,7 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     trainer = Trainer(cfg, dataset, teacher, loss_csv=out.with_suffix(".loss.csv"))
     trainer.run()
-    save_bundle(out, trainer.bundle(), trainer.optimizer)
+    save_bundle(out, trainer.bundle())
     print(f"student checkpoint: {out}")
     return 0
 

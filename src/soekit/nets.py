@@ -86,7 +86,8 @@ class Conv2d(Module):
 
 
 class ConvTranspose2d(Module):
-    """Kernel-2 stride-2 upsampler (disjoint taps, exact x2)."""
+    """Exact x2 upsampler: kernel 2 at stride 2, so taps are disjoint. ``T.conv2d_transpose`` runs
+    it as one GEMM plus a depth-to-space reshape, and its backward as one GEMM per operand."""
 
     def __init__(self, rng, c_in: int, c_out: int):
         std = 1.0 / np.sqrt(c_in * 4)
@@ -94,7 +95,7 @@ class ConvTranspose2d(Module):
         self.b = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d_transpose(x, self.w, stride=2, bias=self.b)
+        return T.conv2d_transpose(x, self.w, bias=self.b)
 
 
 class GroupNorm(Module):

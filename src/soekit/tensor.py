@@ -14,19 +14,20 @@ method. The one Huber op, ``huber``, takes an optional mask.
 Storage is float32. Constructing tensors as float64 is supported so tests can
 run finite-difference oracles at higher precision; all ops preserve dtype.
 
-conv2d and conv2d_transpose share two kernels. The correlation core copies
-an input once per kernel column (a slice per stride phase) into one zero
-float64 buffer (``_windows``), whose views are each kernel row's
-(kw*C, ho*B*wo) window matrix, and runs one GEMM per kernel row, accumulated
-in place. It gives conv2d's output, its weight gradient, its stride-1 input
-gradient (the output gradient correlated with the flipped kernel) and both of
-conv2d_transpose's gradients. The scatter (``_col2im``) adds a column product
-tap by tap, for conv2d's stride-2 input gradient and conv2d_transpose's
-output. Each contraction runs in float64 and rounds once to the storage
-dtype: float32 products are exact in float64, so every result is bit-equal
-to a direct-summation oracle whichever path, summation order or BLAS
-blocking produced it. Both ops take an optional bias, added after that
-rounding.
+conv2d runs on one correlation core. It copies an input once per kernel
+column (a slice per stride phase) into one zero float64 buffer
+(``_windows``), whose views are each kernel row's (kw*C, ho*B*wo) window
+matrix, and runs one GEMM per kernel row, accumulated in place. It gives
+conv2d's output, its weight gradient and its stride-1 input gradient (the
+output gradient correlated with the flipped kernel); the stride-2 input
+gradient scatters a column product tap by tap instead. conv2d_transpose
+takes only the 2x2, stride-2 kernel the nets build, whose taps are disjoint:
+its output is one GEMM and a depth-to-space reshape, and its gradients are
+the inverse reshape and one GEMM per operand. Each contraction runs in
+float64 and rounds once to the storage dtype: float32 products are exact in
+float64, so every result is bit-equal to a direct-summation oracle whichever
+path, summation order or BLAS blocking produced it. Both ops take an
+optional bias, added after that rounding.
 
 resize_nearest and resize_bilinear resample a (B, C, H, W) map at half-pixel
 centres, either whole or from one (x0, y0, x1, y1) box per sample, so a batch
@@ -432,16 +433,6 @@ def _kernel_grad(gm: np.ndarray, wins: list, shape) -> np.ndarray:
     return gk.reshape(kh, o, kw, i).transpose(1, 3, 0, 2)
 
 
-def _col2im(cols: np.ndarray, shape, stride: int) -> np.ndarray:
-    """Scatter-add (C, kh, kw, ho, B, wo) columns into a zero (C, H, B, W) float64 buffer, tap by tap."""
-    _, kh, kw, ho, _, wo = cols.shape
-    out = np.zeros(shape)
-    for ky in range(kh):
-        for kx in range(kw):
-            out[:, ky : ky + ho * stride : stride, :, kx : kx + wo * stride : stride] += cols[:, ky, kx]
-    return out
-
-
 def _chbw(a: np.ndarray) -> np.ndarray:
     """A (B, C, H, W) array as a C-contiguous float64 (C, H*B*W) matrix, columns ordered (h, b, w)."""
     return np.ascontiguousarray(a.transpose(1, 2, 0, 3), np.float64).reshape(a.shape[1], -1)
@@ -471,7 +462,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
     gradient is the core again: the output gradient at pads (kh-1-p, kw-1-p),
     correlated with the flipped, channel-transposed kernel. At stride 2 the
     output gradient would first need zeros between its samples, so the
-    scatter (``_col2im``) adds the column product w^T g tap by tap instead.
+    column product w^T g is instead scattered into the input tap by tap.
     Each contracts in float64 and rounds once to the storage dtype, making it
     bit-equal to direct summation; the bias is added after that rounding.
     """
@@ -503,45 +494,48 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
             gx = _correlate(_kernel_rows(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), gwins)
             _accumulate(x, _nchw(gx, b, (h, wd), x.dtype))
         elif x.requires_grad:
-            cols = w.data.astype(np.float64).reshape(co, -1).T @ _chbw(g)
-            gxp = _col2im(cols.reshape(ci, kh, kw, ho, b, wo), (ci, h + 2 * padding, b, wd + 2 * padding), stride)
+            cols = (w.data.astype(np.float64).reshape(co, -1).T @ _chbw(g)).reshape(ci, kh, kw, ho, b, wo)
+            gxp = np.zeros((ci, h + 2 * padding, b, wd + 2 * padding))
+            for ky in range(kh):
+                for kx in range(kw):
+                    gxp[:, ky : ky + ho * stride : stride, :, kx : kx + wo * stride : stride] += cols[:, ky, kx]
             _accumulate(x, _nchw(gxp[:, padding : padding + h, :, padding : padding + wd], b, (h, wd), x.dtype))
 
     return _make(out, (x, w) + extra, bw, "conv2d")
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, stride: int = 2, bias: Tensor = None) -> Tensor:
-    """Transposed convolution, NCHW input, (CI, CO, KH, KW) kernel, stride 2, optional (CO,) bias.
+def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
+    """x2 transposed convolution: NCHW input, (CI, CO, 2, 2) kernel, stride 2, optional (CO,) bias.
 
-    The output is the scatter (``_col2im``) of the column product w^T x. Both
-    gradients are the correlation core at stride 2 over the output gradient's
-    windows: the input gradient against w itself, the weight gradient against
-    x. Exact as conv2d, with the bias added after rounding.
+    At kernel 2 and stride 2 each input pixel's taps fill a 2x2 output block
+    of their own, so no two products meet. The output is the sub-pixel
+    layout: one float64 GEMM w^T x, then a depth-to-space reshape putting tap
+    (ky, kx) of pixel (i, j) at (2i+ky, 2j+kx). The backward inverts that
+    reshape and runs one GEMM per operand. Each GEMM sums in float64 and
+    rounds once, so the op is exact as conv2d; the bias is added after.
     """
-    if stride != 2:
-        raise ShapeError("conv2d_transpose", f"stride must be 2, got {stride}")
-    if x.ndim != 4 or w.ndim != 4:
-        raise ShapeError("conv2d_transpose", f"need 4-D input and kernel, got {x.shape} and {w.shape}")
+    if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (2, 2):
+        raise ShapeError("conv2d_transpose", f"need 4-D input and (CI, CO, 2, 2) kernel, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[0]:
         raise ShapeError("conv2d_transpose", f"channel mismatch: input {x.shape} vs kernel {w.shape}")
     b, ci, hi, wi = x.shape
-    _, co, kh, kw = w.shape
-    ho, wo = (hi - 1) * stride + kh, (wi - 1) * stride + kw
+    co = w.shape[1]
 
-    xm = _chbw(x.data)
-    cols = w.data.astype(np.float64).reshape(ci, -1).T @ xm
-    out = _nchw(_col2im(cols.reshape(co, kh, kw, hi, b, wi), (co, ho, b, wo), stride), b, (ho, wo), x.dtype)
+    xm, wm = _chbw(x.data), w.data.reshape(ci, co * 4)  # each GEMM promotes wm to float64, exactly
+    blocks = (wm.T @ xm).reshape(co, 2, 2, hi, b, wi).transpose(4, 0, 3, 1, 5, 2)
+    out = blocks.astype(x.dtype, order="C").reshape(b, co, 2 * hi, 2 * wi)
     extra = _add_bias("conv2d_transpose", out, bias)
     xm = xm if w.requires_grad else None  # only the weight gradient reads it
 
     def bw(g):
         if extra and bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        wins = _windows(g, kh, kw, stride, (0, 0), (hi, wi))
+        gm = np.ascontiguousarray(g.reshape(b, co, hi, 2, wi, 2).transpose(1, 3, 5, 2, 0, 4), np.float64)
+        gm = gm.reshape(co * 4, -1)  # rows (co, ky, kx), columns (i, b, j) as xm's
         if x.requires_grad:
-            _accumulate(x, _nchw(_correlate(_kernel_rows(w.data), wins), b, (hi, wi), x.dtype))
+            _accumulate(x, _nchw(wm @ gm, b, (hi, wi), x.dtype))
         if w.requires_grad:
-            _accumulate(w, _kernel_grad(xm, wins, w.shape).astype(w.dtype))
+            _accumulate(w, (xm @ gm.T).reshape(w.shape).astype(w.dtype))
 
     return _make(out, (x, w) + extra, bw, "conv2d_transpose")
 

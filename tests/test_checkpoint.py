@@ -89,8 +89,10 @@ def _interrupted_write(self, data):
 
 @pytest.mark.parametrize("arrays, interrupt, error", [
     ({"x": np.zeros(2, np.float64)}, False, "float32"),
+    ({**sample_arrays(), "x": np.array([1.0, np.nan], np.float32)}, False, "array 'x' has non-finite values"),
+    ({**sample_arrays(), "x": np.array([[-np.inf]], np.float32)}, False, "array 'x' has non-finite values"),
     (sample_arrays(), True, "no space"),
-], ids=["float64-array", "interrupted-write"])
+], ids=["float64-array", "nan-array", "inf-array", "interrupted-write"])
 def test_failed_save_leaves_existing_file_and_no_tmp(tmp_path, monkeypatch, arrays, interrupt, error):
     p = save_checkpoint(tmp_path / "g.soek", sample_arrays(), {"a": 1})
     before = p.read_bytes()

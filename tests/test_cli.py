@@ -227,6 +227,21 @@ def test_train_rejects_non_frozen_teacher(workdir, capsys):
     assert "teacher not frozen" in capsys.readouterr().err
 
 
+def test_train_with_nan_lora_alpha_writes_no_checkpoint(workdir, capsys, tmp_path):
+    # a NaN alpha makes every adapter non-finite after one step; the save refuses them
+    root, _ = workdir
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "lora": {"alpha": float("nan")}}))
+    out = tmp_path / "student.soek"
+    rc = main(["train", "--config", str(config), "--data", str(root / "ds"),
+               "--teacher", str(root / "teacher.soek"), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out}: array 'lora.") and err.rstrip().endswith("has non-finite values")
+    assert "\n" not in err.strip()
+    assert not out.exists()
+
+
 def test_train_rejects_unknown_color_in_index_in_one_line(workdir, capsys, tmp_path):
     root, cfg = workdir
     ds = write_dataset(build_split(3, "train-small", 2), tmp_path / "ds")

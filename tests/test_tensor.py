@@ -110,12 +110,13 @@ def test_conv2d_grads_exact_vs_direct_summation(stride, padding):
 
 
 def test_conv2d_transpose_exact_vs_direct_summation():
+    # the sweep's inputs and channel counts, each with a (CI, CO, 2, 2) kernel
     rng = np.random.default_rng(8)
     for x, w in conv_sweep(0):
-        w = w.transpose(1, 0, 2, 3).copy()  # (CI, CO, KH, KW)
+        w = rng.standard_normal((w.shape[1], w.shape[0], 2, 2)).astype(np.float32)
         b, _, hi, wi = x.shape
-        g = rng.standard_normal((b, w.shape[1], 2 * hi - 2 + w.shape[2], 2 * wi - 2 + w.shape[3])).astype(np.float32)
-        got = grads_for(T.conv2d_transpose, x, w, g, stride=2)
+        g = rng.standard_normal((b, w.shape[1], 2 * hi, 2 * wi)).astype(np.float32)
+        got = grads_for(T.conv2d_transpose, x, w, g)
         for a, e in zip(got, conv2d_transpose_direct(x, w, g, 2)):
             assert a.tobytes() == e.tobytes()
 
@@ -131,9 +132,9 @@ def convs_of_default_nets(batch: int) -> set:
         seen.add(("conv2d", x.shape, w.shape, stride, padding))
         return conv2d(x, w, stride=stride, padding=padding, bias=bias)
 
-    def spy_transpose(x, w, stride=2, bias=None):
-        seen.add(("conv2d_transpose", x.shape, w.shape, stride, 0))
-        return conv2d_transpose(x, w, stride=stride, bias=bias)
+    def spy_transpose(x, w, bias=None):
+        seen.add(("conv2d_transpose", x.shape, w.shape, 2, 0))
+        return conv2d_transpose(x, w, bias=bias)
 
     side = image_side // cfg.latent_factor
     z = Tensor(np.zeros((batch, cfg.latent_channels, side, side), np.float32))
@@ -207,7 +208,7 @@ def test_convs_match_im2col_at_net_shapes(batch, dtype):
     for op, x_shape, w_shape, stride, padding in sorted(convs):
         x = rng.standard_normal(x_shape).astype(dtype)
         w = (rng.standard_normal(w_shape) / np.sqrt(np.prod(w_shape[1:]))).astype(dtype)
-        kwargs = {"stride": stride} if op == "conv2d_transpose" else {"stride": stride, "padding": padding}
+        kwargs = {} if op == "conv2d_transpose" else {"stride": stride, "padding": padding}
         y = getattr(T, op)(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype), **kwargs)
         g = rng.standard_normal(y.shape).astype(dtype)
         got = grads_for(getattr(T, op), x, w, g, **kwargs)
@@ -224,7 +225,7 @@ def test_convs_match_im2col_at_net_shapes(batch, dtype):
 @pytest.mark.parametrize("op, x_shape, w_shape, kwargs", [
     ("conv2d", (2, 3, 6, 5), (4, 3, 3, 2), {"stride": 1, "padding": 1}),
     ("conv2d", (2, 3, 7, 7), (4, 3, 3, 3), {"stride": 2, "padding": 1}),
-    ("conv2d_transpose", (2, 3, 4, 3), (3, 4, 2, 2), {"stride": 2}),
+    ("conv2d_transpose", (2, 3, 4, 3), (3, 4, 2, 2), {}),
 ])
 def test_conv_bias_in_op_matches_separate_add(op, x_shape, w_shape, kwargs, dtype):
     # bias added after the conv's single rounding: the same bytes, output and
@@ -412,6 +413,10 @@ def test_shape_errors_name_op_and_shapes():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
     with pytest.raises(ShapeError, match="conv2d"):
         T.conv2d(Tensor(np.zeros((1, 3, 4, 4), np.float32)), Tensor(np.zeros((2, 4, 3, 3), np.float32)))
+    for w_shape, message in (((3, 4, 3, 3), r"\(CI, CO, 2, 2\) kernel.*\(3, 4, 3, 3\)"),
+                             ((2, 4, 2, 2), r"channel mismatch.*\(1, 3, 4, 4\).*\(2, 4, 2, 2\)")):
+        with pytest.raises(ShapeError, match=rf"^conv2d_transpose: .*{message}"):
+            T.conv2d_transpose(Tensor(np.zeros((1, 3, 4, 4), np.float32)), Tensor(np.zeros(w_shape, np.float32)))
     for op in (T.add, T.sub, T.mul):
         with pytest.raises(ShapeError, match=rf"^{op.__name__}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
             op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4,))))
@@ -463,7 +468,7 @@ def test_conv_and_norm_grads_are_c_contiguous():
     gamma, beta = leaf(4), leaf(4)
     y = T.conv2d(x, w, stride=2, padding=1)
     y = T.group_norm(y, gamma, beta, groups=2)
-    y = T.conv2d_transpose(y, wt, stride=2)
+    y = T.conv2d_transpose(y, wt)
     backward(T.mean(T.mul(y, y)))
     for t in (x, w, wt, gamma, beta):
         assert t.grad.flags.c_contiguous
@@ -609,7 +614,7 @@ def catalog_gradchecks():
             [rr(2, 3, 5, 5), rr(4, 3, 3, 3)], [0, 1],
         ),
         "conv2d_transpose": case(
-            lambda ts: T.conv2d_transpose(ts[0], ts[1], stride=2), (2, 4, 8, 8),
+            lambda ts: T.conv2d_transpose(ts[0], ts[1]), (2, 4, 8, 8),
             [rr(2, 3, 4, 4), rr(3, 4, 2, 2)], [0, 1],
         ),
         "group_norm": case(
@@ -643,7 +648,7 @@ def catalog_gradchecks():
             [rr(2, 3, 5, 5), rr(4, 3, 3, 3), rr(4)], [0, 1, 2],
         ),
         "conv2d_transpose_bias": case(
-            lambda ts: T.conv2d_transpose(ts[0], ts[1], stride=2, bias=ts[2]), (2, 4, 8, 8),
+            lambda ts: T.conv2d_transpose(ts[0], ts[1], bias=ts[2]), (2, 4, 8, 8),
             [rr(2, 3, 4, 4), rr(3, 4, 2, 2), rr(4)], [0, 1, 2],
         ),
     }
@@ -731,14 +736,14 @@ def test_conv2d_matches_direct_summation_property(kh, kw, stride, padding, data)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.data())
-def test_conv2d_transpose_matches_direct_summation_property(kh, kw, data):
+@given(st.data())
+def test_conv2d_transpose_matches_direct_summation_property(data):
     b, ci, co, hi, wi = (data.draw(st.integers(1, n)) for n in (2, 2, 2, 4, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31 - 1)))
     x = (rng.standard_normal((b, ci, hi, wi)) * 3).astype(np.float32)
-    w = rng.standard_normal((ci, co, kh, kw)).astype(np.float32)
-    g = rng.standard_normal((b, co, 2 * hi - 2 + kh, 2 * wi - 2 + kw)).astype(np.float32)
-    got = grads_for(T.conv2d_transpose, x, w, g, stride=2)
+    w = rng.standard_normal((ci, co, 2, 2)).astype(np.float32)
+    g = rng.standard_normal((b, co, 2 * hi, 2 * wi)).astype(np.float32)
+    got = grads_for(T.conv2d_transpose, x, w, g)
     for a, e in zip(got, conv2d_transpose_direct(x, w, g, 2)):
         assert a.tobytes() == e.tobytes()
 
