@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from soekit.config import ConfigError, RunConfig
-from soekit.data import SPLITS, build_split, read_dataset, read_ppm, write_dataset, write_ppm
-from soekit.metrics import effective_area, evaluate, load_probe, save_probe, train_probe
+from soekit.data import PROMPT_STYLES, SPLITS, build_split, read_dataset, read_ppm, write_dataset, write_ppm
+from soekit.metrics import effective_area, evaluate, load_probe, map_side, save_probe, train_probe
 from soekit.train import Trainer, load_bundle, pretrain_teacher, save_bundle
 from soekit.train import edit as edit_op
 
@@ -141,13 +141,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _int_list(flag: str, text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def cmd_analyze_effective_area(args) -> int:
-    depths = [int(d) for d in args.depths.split(",")]
-    mask_sides = [int(m) for m in args.mask_sides.split(",")]
+    depths = _int_list("--depths", args.depths)
+    mask_sides = _int_list("--mask-sides", args.mask_sides)
     lines = []
     for d in depths:
-        map_side = args.image_side / (args.latent_factor * (2 ** d))
-        lines.append(f"# depth={d} map={map_side:g}x{map_side:g}")
+        side = map_side(args.image_side, args.latent_factor, d)
+        lines.append(f"# depth={d} map={side:g}x{side:g}")
         lines.append("mask_side,effective_side")
         for m in mask_sides:
             lines.append(f"{m},{effective_area(args.image_side, m, args.latent_factor, d)}")
@@ -197,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--bbox", required=True, help="x,y,w,h in pixels")
     e.add_argument("--label", required=True)
     e.add_argument("--color", required=True)
-    e.add_argument("--style", default="color_label", choices=["label_only", "color_label"])
+    e.add_argument("--style", default="color_label", choices=PROMPT_STYLES)
     e.add_argument("--steps", type=int, default=10, help="DDIM steps")
     e.add_argument("--seed", type=int, help="noise seed (default: SOEKIT_SEED or config)")
     e.add_argument("--out", required=True, help="output P6 PPM path")
@@ -207,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--config", help="JSON config (default: the checkpoint's embedded config)")
     ev.add_argument("--data", required=True, help="dataset directory (val-small split)")
-    ev.add_argument("--style", default="color_label", choices=["label_only", "color_label"])
+    ev.add_argument("--style", default="color_label", choices=PROMPT_STYLES)
     ev.add_argument("--seed", type=int, help="eval noise seed (default: SOEKIT_SEED or config)")
     ev.add_argument("--out", required=True, help="output directory for metrics.csv")
     ev.set_defaults(fn=cmd_eval)

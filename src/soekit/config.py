@@ -10,6 +10,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from soekit.data import PROMPT_STYLES
+
 
 @dataclass
 class DataSection:
@@ -154,7 +156,7 @@ class RunConfig:
             )
         if self.train.distill_loss not in ("huber", "mse"):
             raise ConfigError(f"distill_loss must be 'huber' or 'mse', got {self.train.distill_loss!r}")
-        if self.train.prompt_style not in ("label_only", "color_label"):
+        if self.train.prompt_style not in PROMPT_STYLES:
             raise ConfigError(f"unknown prompt_style {self.train.prompt_style!r}")
         if self.train.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.train.optimizer!r}")

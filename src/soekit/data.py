@@ -39,6 +39,9 @@ PALETTE = (
 )
 COLOR_NAMES = tuple(name for name, _ in PALETTE)
 
+# how a prompt is worded: the label alone, or the colour and the label
+PROMPT_STYLES = ("label_only", "color_label")
+
 SPLITS = ("train-small", "train-generic", "val-small")
 MIN_OBJECT_SIDE = 5  # latent_factor + 1 at the default x4 downscale
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
-from soekit.data import COLOR_NAMES, LABELS, check_bbox, generate_scene
+from soekit.data import COLOR_NAMES, LABELS, PROMPT_STYLES, check_bbox, generate_scene
 from soekit.nets import Conv2d, Linear, Module
 from soekit.optim import Adam
 from soekit.rng import child_seed, stream_rng
@@ -190,7 +190,7 @@ def alignment_score(crop: np.ndarray, prompted_label: str, prompted_color: str,
     Label-only style scores the label probability; color+label takes the
     geometric mean of label and color probabilities.
     """
-    if style not in ("label_only", "color_label"):
+    if style not in PROMPT_STYLES:
         raise ValueError(f"unknown prompt style {style!r}")
     ps, pc = probe.probabilities([crop])
     p_label = float(ps[0, LABELS.index(prompted_label)])
@@ -203,19 +203,29 @@ def alignment_score(crop: np.ndarray, prompted_label: str, prompted_color: str,
 # -- effective area -----------------------------------------------------------------
 
 
+def map_side(image_side: int, latent_factor: int, depth: int) -> float:
+    """Side of the feature map at a U-Net depth: image_side / (latent_factor * 2^depth)."""
+    for name, value in (("image_side", image_side), ("latent_factor", latent_factor)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return image_side / (latent_factor * (2 ** depth))
+
+
 def effective_area(image_side: int, mask_side: int, latent_factor: int, depth: int) -> int:
     """Feature-map footprint of a mask after latent + U-Net downsampling.
 
     round(map_side * mask_fraction) with half-away-from-zero rounding, where
-    map_side = image_side / (latent_factor * 2^depth). Collapsing to <= 1
-    cell is the conditioning-starvation regime for small objects.
+    map_side is ``map_side(image_side, latent_factor, depth)``. Collapsing to
+    <= 1 cell is the conditioning-starvation regime for small objects.
     """
-    if image_side <= 0 or mask_side <= 0 or latent_factor <= 0 or depth < 0:
-        raise ValueError("all arguments must be positive (depth may be zero)")
+    side = map_side(image_side, latent_factor, depth)
+    if mask_side <= 0:
+        raise ValueError(f"mask_side must be positive, got {mask_side}")
     if mask_side > image_side:
         raise ValueError(f"mask side {mask_side} exceeds image side {image_side}")
-    map_side = image_side / (latent_factor * (2 ** depth))
-    raw = map_side * (mask_side / image_side)
+    raw = side * (mask_side / image_side)
     return max(int(np.floor(raw + 0.5)), 0)
 
 

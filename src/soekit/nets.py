@@ -15,7 +15,7 @@ import numpy as np
 
 from soekit import tensor as T
 from soekit.config import ModelSection
-from soekit.data import COLOR_NAMES, LABELS
+from soekit.data import COLOR_NAMES, LABELS, PROMPT_STYLES
 from soekit.rng import stream_rng
 from soekit.tensor import ShapeError, Tensor
 
@@ -38,8 +38,6 @@ class Module:
                 for i, item in enumerate(val):
                     if isinstance(item, Module):
                         out.update(item.params(f"{name}.{i}"))
-                    elif isinstance(item, Tensor):
-                        out[f"{name}.{i}"] = item
         return out
 
     def set_trainable(self, flag: bool):
@@ -118,8 +116,6 @@ class ConditionEmbedder(Module):
     the label. Identical inputs always yield the identical embedding.
     """
 
-    STYLES = ("label_only", "color_label")
-
     def __init__(self, cfg: ModelSection, seed: int):
         rng = stream_rng(seed, "init", 0)
         self.label_table = Tensor(_gauss(rng, (len(LABELS), cfg.cond_dim), 0.1), requires_grad=True)
@@ -127,8 +123,8 @@ class ConditionEmbedder(Module):
         self.cond_dim = cfg.cond_dim
 
     def embed(self, label_ids, color_ids, style: str) -> Tensor:
-        if style not in self.STYLES:
-            raise ValueError(f"unknown prompt style {style!r}; expected one of {self.STYLES}")
+        if style not in PROMPT_STYLES:
+            raise ValueError(f"unknown prompt style {style!r}; expected one of {PROMPT_STYLES}")
         label_ids = np.atleast_1d(np.asarray(label_ids, dtype=np.int64))
         color_ids = np.atleast_1d(np.asarray(color_ids, dtype=np.int64))
         lab = T.gather_rows(self.label_table, label_ids)

@@ -1,10 +1,12 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
 Data and gradients live in C-contiguous (row-major) numpy buffers, whatever
-layout an op uses inside, so reductions over them add in one order. Every
-operation that touches a tensor requiring gradients records itself on the
-output (parent references plus a backward closure); ``backward`` replays the
-chain rule over a topological ordering of that record. Tensors built with
+layout an op uses inside, so reductions over them add in one order. Every op
+hands ``_make`` its output and one gradient function per parent, mapping the
+output gradient to that parent's gradient. Only the parents that require
+gradients are recorded on the output, each with its function, and a frozen
+parent's function is dropped unrun; ``backward`` replays the chain rule over
+a topological ordering of that record. Tensors built with
 ``requires_grad=False`` never accumulate a gradient and record nothing.
 
 Ops are module functions only (``mul(a, b)``, ``reshape(a, shape)``, ...);
@@ -100,24 +102,42 @@ class Tensor:
 # -- graph machinery ----------------------------------------------------------
 
 
-def _make(data, parents, backward_fn, op: str) -> Tensor:
-    """Wrap op output; record parents + backward only when a parent needs grad."""
+def _make(data, parents, grads, op: str) -> Tensor:
+    """Wrap an op's output and record the parents that require gradients.
+
+    ``grads`` holds one function per parent, mapping the output gradient to
+    that parent's gradient. Only the pairs whose parent requires a gradient
+    are kept: those parents become ``_parents``, and ``_backward_fn`` runs
+    their functions and adds each result into the parent's ``grad``. The
+    other functions are dropped unrun, with whatever only they hold.
+    """
     out = Tensor(data, requires_grad=False, dtype=data.dtype)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
-        out._op = op
-    return out
-
-
-def _accumulate(t: Tensor, g: np.ndarray):
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=t.data.dtype, order="C")
+    # plain loops: most calls outside training take the early return, and a
+    # generator or comprehension here costs more than the small ops it wraps
+    for p in parents:
+        if p.requires_grad:
+            break
     else:
-        t.grad += g
+        return out
+    kept, fns = [], []
+    for p, fn in zip(parents, grads):
+        if p.requires_grad:
+            kept.append(p)
+            fns.append(fn)
+
+    def backward_fn(g):
+        for p, fn in zip(kept, fns):
+            gp = fn(g)
+            if p.grad is None:
+                p.grad = np.array(gp, dtype=p.data.dtype, order="C")
+            else:
+                p.grad += gp
+
+    out.requires_grad = True
+    out._parents = tuple(kept)
+    out._backward_fn = backward_fn
+    out._op = op
+    return out
 
 
 def topo_order(root: Tensor) -> list:
@@ -181,33 +201,19 @@ def _broadcast(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _broadcast("add", np.add, a, b)
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
-
-    return _make(out, (a, b), bw, "add")
+    return _make(out, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)), "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _broadcast("sub", np.subtract, a, b)
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _make(out, (a, b), bw, "sub")
+    return _make(out, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; also the mask-gating op (mask as non-grad tensor)."""
     out = _broadcast("mul", np.multiply, a, b)
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    return _make(out, (a, b), bw, "mul")
+    grads = (lambda g: _unbroadcast(g * b.data, a.shape), lambda g: _unbroadcast(g * a.data, b.shape))
+    return _make(out, (a, b), grads, "mul")
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -219,68 +225,39 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _stable_sigmoid(a.data)
-
-    def bw(g):
-        _accumulate(a, g * out * (1.0 - out))
-
-    return _make(out, (a,), bw, "sigmoid")
+    return _make(out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
 
 
 def silu(a: Tensor) -> Tensor:
     s = _stable_sigmoid(a.data)
     out = a.data * s
-
-    def bw(g):
-        _accumulate(a, g * (s * (1.0 + a.data * (1.0 - s))))
-
-    return _make(out, (a,), bw, "silu")
+    return _make(out, (a,), (lambda g: g * (s * (1.0 + a.data * (1.0 - s))),), "silu")
 
 
 # -- reductions and reshaping ---------------------------------------------------
 
 
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def bw(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape))
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gk, a.shape))
-
-    return _make(np.asarray(out), (a,), bw, "sum")
+    kept = a.data.sum(axis=axis, keepdims=True)  # a 1 at each reduced axis, whence the gradient broadcasts
+    return _make(kept if keepdims else kept.squeeze(axis), (a,),
+                 (lambda g: np.broadcast_to(g.reshape(kept.shape), a.shape),), "sum")
 
 
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = a.data.mean(axis=axis, keepdims=keepdims)
-    n = a.size if axis is None else a.size // np.asarray(out).size
-
-    def bw(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g / n, a.shape))
-        else:
-            gk = g if keepdims else np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gk / n, a.shape))
-
-    return _make(np.asarray(out), (a,), bw, "mean")
+    kept = a.data.mean(axis=axis, keepdims=True)  # as in sum_
+    n = a.size // kept.size
+    return _make(kept if keepdims else kept.squeeze(axis), (a,),
+                 (lambda g: np.broadcast_to(g.reshape(kept.shape) / n, a.shape),), "mean")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def bw(g):
-        _accumulate(a, g.reshape(a.shape))
-
-    return _make(a.data.reshape(shape), (a,), bw, "reshape")
+    return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),), "reshape")
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     axes_ = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
     inv = np.argsort(axes_)
-
-    def bw(g):
-        _accumulate(a, g.transpose(inv))
-
-    return _make(np.ascontiguousarray(a.data.transpose(axes_)), (a,), bw, "transpose")
+    return _make(np.ascontiguousarray(a.data.transpose(axes_)), (a,), (lambda g: g.transpose(inv),), "transpose")
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -295,12 +272,12 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         raise ValueError(f"gather_rows: ids out of range [0, {table.shape[0]})")
     out = table.data[ids]
 
-    def bw(g):
+    def table_grad(g):
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
-        _accumulate(table, gt)
+        return gt
 
-    return _make(np.ascontiguousarray(out), (table,), bw, "gather_rows")
+    return _make(np.ascontiguousarray(out), (table,), (table_grad,), "gather_rows")
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -313,14 +290,9 @@ def concat(tensors, axis: int = 1) -> Tensor:
     out = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
-
-    def bw(g):
-        for t, o0, o1 in zip(tensors, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(o0, o1)
-            _accumulate(t, g[tuple(sl)])
-
-    return _make(out, tuple(tensors), bw, "concat")
+    lead = (slice(None),) * (axis % out.ndim)
+    grads = [lambda g, part=lead + (slice(o0, o1),): g[part] for o0, o1 in zip(offsets[:-1], offsets[1:])]
+    return _make(out, tuple(tensors), grads, "concat")
 
 
 # -- matmul and attention --------------------------------------------------------
@@ -332,12 +304,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError("matmul", f"inner dims differ: {a.shape} vs {b.shape}")
     out = a.data @ b.data
-
-    def bw(g):
-        _accumulate(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        _accumulate(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return _make(out, (a, b), bw, "matmul")
+    grads = (lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+             lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+    return _make(out, (a, b), grads, "matmul")
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -345,11 +314,7 @@ def softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        _accumulate(a, out * (g - (g * out).sum(axis=-1, keepdims=True)))
-
-    return _make(out, (a,), bw, "softmax")
+    return _make(out, (a,), (lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True)),), "softmax")
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -358,11 +323,7 @@ def log_softmax(a: Tensor) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     soft = np.exp(out)
-
-    def bw(g):
-        _accumulate(a, g - soft * g.sum(axis=-1, keepdims=True))
-
-    return _make(out, (a,), bw, "log_softmax")
+    return _make(out, (a,), (lambda g: g - soft * g.sum(axis=-1, keepdims=True),), "log_softmax")
 
 
 def cross_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -453,6 +414,11 @@ def _add_bias(op: str, out: np.ndarray, bias) -> tuple:
     return (bias,)
 
 
+def _channel_sum(g: np.ndarray) -> np.ndarray:
+    """Gradient of a (C,) parameter added to every (B, C, H, W) position: g summed per channel."""
+    return g.sum(axis=(0, 2, 3))
+
+
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor = None) -> Tensor:
     """2-D convolution (cross-correlation), NCHW input, (CO, CI, KH, KW) kernel, optional (CO,) bias.
 
@@ -465,6 +431,10 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
     column product w^T g is instead scattered into the input tap by tap.
     Each contracts in float64 and rounds once to the storage dtype, making it
     bit-equal to direct summation; the bias is added after that rounding.
+
+    A trainable kernel keeps the forward's window buffer, about kw float64
+    copies of the input, until backward; a frozen one keeps no more than the
+    output, since the input gradient recomputes from the kernel.
     """
     if stride not in (1, 2):
         raise ShapeError("conv2d", f"stride must be 1 or 2, got {stride}")
@@ -482,26 +452,23 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
     wins = _windows(x.data, kh, kw, stride, (padding, padding), (ho, wo))
     out = _nchw(_correlate(_kernel_rows(w.data), wins), b, (ho, wo), x.dtype)
     extra = _add_bias("conv2d", out, bias)
-    wins = wins if w.requires_grad else None  # only the weight gradient reads them
 
-    def bw(g):
-        if extra and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        if w.requires_grad:
-            _accumulate(w, _kernel_grad(_chbw(g), wins, w.shape).astype(w.dtype))
-        if x.requires_grad and stride == 1:
+    # only the weight gradient may name `wins`: _make drops that function for
+    # a frozen kernel, and the window buffer goes with it
+    def x_grad(g):
+        if stride == 1:
             gwins = _windows(g, kh, kw, 1, (kh - 1 - padding, kw - 1 - padding), (h, wd))
-            gx = _correlate(_kernel_rows(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), gwins)
-            _accumulate(x, _nchw(gx, b, (h, wd), x.dtype))
-        elif x.requires_grad:
-            cols = (w.data.astype(np.float64).reshape(co, -1).T @ _chbw(g)).reshape(ci, kh, kw, ho, b, wo)
-            gxp = np.zeros((ci, h + 2 * padding, b, wd + 2 * padding))
-            for ky in range(kh):
-                for kx in range(kw):
-                    gxp[:, ky : ky + ho * stride : stride, :, kx : kx + wo * stride : stride] += cols[:, ky, kx]
-            _accumulate(x, _nchw(gxp[:, padding : padding + h, :, padding : padding + wd], b, (h, wd), x.dtype))
+            return _nchw(_correlate(_kernel_rows(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), gwins),
+                         b, (h, wd), x.dtype)
+        cols = (w.data.astype(np.float64).reshape(co, -1).T @ _chbw(g)).reshape(ci, kh, kw, ho, b, wo)
+        gxp = np.zeros((ci, h + 2 * padding, b, wd + 2 * padding))
+        for ky in range(kh):
+            for kx in range(kw):
+                gxp[:, ky : ky + ho * stride : stride, :, kx : kx + wo * stride : stride] += cols[:, ky, kx]
+        return _nchw(gxp[:, padding : padding + h, :, padding : padding + wd], b, (h, wd), x.dtype)
 
-    return _make(out, (x, w) + extra, bw, "conv2d")
+    grads = (x_grad, lambda g: _kernel_grad(_chbw(g), wins, w.shape).astype(w.dtype), _channel_sum)
+    return _make(out, (x, w) + extra, grads, "conv2d")
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
@@ -513,6 +480,9 @@ def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
     (ky, kx) of pixel (i, j) at (2i+ky, 2j+kx). The backward inverts that
     reshape and runs one GEMM per operand. Each GEMM sums in float64 and
     rounds once, so the op is exact as conv2d; the bias is added after.
+
+    A trainable kernel keeps a float64 copy of the input until backward; a
+    frozen one keeps no more than the output and a view of the kernel.
     """
     if x.ndim != 4 or w.ndim != 4 or w.shape[2:] != (2, 2):
         raise ShapeError("conv2d_transpose", f"need 4-D input and (CI, CO, 2, 2) kernel, got {x.shape} and {w.shape}")
@@ -525,19 +495,17 @@ def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
     blocks = (wm.T @ xm).reshape(co, 2, 2, hi, b, wi).transpose(4, 0, 3, 1, 5, 2)
     out = blocks.astype(x.dtype, order="C").reshape(b, co, 2 * hi, 2 * wi)
     extra = _add_bias("conv2d_transpose", out, bias)
-    xm = xm if w.requires_grad else None  # only the weight gradient reads it
 
-    def bw(g):
-        if extra and bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
-        gm = np.ascontiguousarray(g.reshape(b, co, hi, 2, wi, 2).transpose(1, 3, 5, 2, 0, 4), np.float64)
-        gm = gm.reshape(co * 4, -1)  # rows (co, ky, kx), columns (i, b, j) as xm's
-        if x.requires_grad:
-            _accumulate(x, _nchw(wm @ gm, b, (hi, wi), x.dtype))
-        if w.requires_grad:
-            _accumulate(w, (xm @ gm.T).reshape(w.shape).astype(w.dtype))
+    def gm(g):
+        """The output gradient as float64 (CO*4, hi*B*wi): rows (co, ky, kx), columns (i, b, j) as xm's."""
+        gb = g.reshape(b, co, hi, 2, wi, 2).transpose(1, 3, 5, 2, 0, 4)
+        return np.ascontiguousarray(gb, np.float64).reshape(co * 4, -1)
 
-    return _make(out, (x, w) + extra, bw, "conv2d_transpose")
+    # only the weight gradient may name `xm`: _make drops that function for a
+    # frozen kernel, and the float64 input copy goes with it
+    grads = (lambda g: _nchw(wm @ gm(g), b, (hi, wi), x.dtype),
+             lambda g: (xm @ gm(g).T).reshape(w.shape).astype(w.dtype), _channel_sum)
+    return _make(out, (x, w) + extra, grads, "conv2d_transpose")
 
 
 # -- normalisation ------------------------------------------------------------------
@@ -561,20 +529,16 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
     out = xhat * gamma.data.reshape(1, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)
 
-    def bw(g):
-        if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-        if x.requires_grad:
-            u = (g * gamma.data.reshape(1, c, 1, 1)).reshape(b, groups, -1)
-            xh = xhat.reshape(b, groups, -1)
-            mu_u = u.mean(axis=2, keepdims=True)
-            mu_ux = (u * xh).mean(axis=2, keepdims=True)
-            gx = inv * (u - mu_u - xh * mu_ux)
-            _accumulate(x, gx.reshape(b, c, h, w).astype(x.dtype))
+    def x_grad(g):
+        u = (g * gamma.data.reshape(1, c, 1, 1)).reshape(b, groups, -1)
+        xh = xhat.reshape(b, groups, -1)
+        mu_u = u.mean(axis=2, keepdims=True)
+        mu_ux = (u * xh).mean(axis=2, keepdims=True)
+        gx = inv * (u - mu_u - xh * mu_ux)
+        return gx.reshape(b, c, h, w).astype(x.dtype)
 
-    return _make(out.astype(x.dtype, copy=False), (x, gamma, beta), bw, "group_norm")
+    grads = (x_grad, lambda g: (g * xhat).sum(axis=(0, 2, 3)), _channel_sum)
+    return _make(out.astype(x.dtype, copy=False), (x, gamma, beta), grads, "group_norm")
 
 
 # -- resampling ---------------------------------------------------------------------
@@ -620,13 +584,13 @@ def _resample(x: Tensor, out_h: int, out_w: int, boxes, bilinear: bool, op: str)
             for ii, wy in rows for jj, wx in cols]
     out = reduce(np.add, [x.data.reshape(-1)[flat] * wt for flat, wt in taps])
 
-    def bw(g):
+    def x_grad(g):
         ga = np.zeros(x.size, x.dtype)
         for flat, wt in taps:
             np.add.at(ga, flat.reshape(-1), (g * wt).reshape(-1))
-        _accumulate(x, ga.reshape(x.shape))
+        return ga.reshape(x.shape)
 
-    return _make(np.ascontiguousarray(out), (x,), bw, op)
+    return _make(np.ascontiguousarray(out), (x,), (x_grad,), op)
 
 
 def resize_nearest(x: Tensor, out_h: int, out_w: int, boxes=None) -> Tensor:
@@ -676,12 +640,11 @@ def huber(pred: Tensor, target: Tensor, mask: Tensor = None, delta: float = 1.0)
     elems = np.where(quad, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
     out = np.asarray(elems.sum() / count, dtype=pred.dtype)
 
-    def bw(g):
-        d = np.where(quad, r, delta * np.sign(r)) * m * (g / count)
-        _accumulate(pred, d.astype(pred.dtype))
-        _accumulate(target, (-d).astype(target.dtype))
+    def d(g):  # the gradient with respect to pred, in the working precision
+        return np.where(quad, r, delta * np.sign(r)) * m * (g / count)
 
-    return _make(out, (pred, target), bw, "huber")
+    grads = (lambda g: d(g).astype(pred.dtype), lambda g: (-d(g)).astype(target.dtype))
+    return _make(out, (pred, target), grads, "huber")
 
 
 def mse(pred: Tensor, target: Tensor) -> Tensor:

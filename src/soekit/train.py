@@ -113,7 +113,7 @@ def distill_loss(z0_hat: Tensor, m_latent: Tensor, z0p_hat: Tensor, mp_latent: T
         raise ValueError(f"distill_loss: unknown loss type {loss_type!r}")
     z0p_hat = z0p_hat.detach()
     student_gated = T.mul(z0_hat, m_latent)
-    teacher_gated = T.mul(z0p_hat, mp_latent.detach() if mp_latent.requires_grad else mp_latent)
+    teacher_gated = T.mul(z0p_hat, mp_latent.detach())
     s_boxes = [_latent_bbox(mask, "student") for mask in m_latent.data[:, 0]]
     t_boxes = [_latent_bbox(mask, "teacher") for mask in mp_latent.data[:, 0]]
     s_all = T.resize_bilinear(student_gated, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, s_boxes)

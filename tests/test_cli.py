@@ -64,6 +64,20 @@ def test_analyze_effective_area_anchor_row(capsys, tmp_path):
     assert "64,1" in csv.read_text().splitlines()
 
 
+@pytest.mark.parametrize("flag, value, named", [
+    ("--latent-factor", "0", "latent_factor"),
+    ("--depths", "2,x", "--depths"),
+    ("--mask-sides", "0", "mask_side"),
+    ("--image-side", "-64", "image_side"),
+])
+def test_analyze_effective_area_rejects_bad_input_in_one_line(capsys, flag, value, named):
+    assert main(["analyze-effective-area", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], err
+
+
 def test_pipeline_gen_data(workdir):
     root, cfg = workdir
     rc = main(["gen-data", "--config", cfg, "--out", str(root / "ds"), "--seed", "3"])

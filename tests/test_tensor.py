@@ -249,21 +249,34 @@ def test_conv_bias_shape_is_checked():
         T.conv2d(x, w, padding=1, bias=Tensor(np.zeros(3, np.float32)))
 
 
+def _retained_bytes(op, *args, **kwargs):
+    """Bytes still allocated once op(*args, **kwargs) has returned, and its output."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        y = op(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[0] - before, y
+    finally:
+        tracemalloc.stop()
+
+
 def test_conv_forward_retains_under_kw_plus_one_inputs():
     # the weight gradient keeps the forward's kw-shifted window buffer, about
     # kw times the input in float64; an im2col column buffer would be kh*kw times
     rng = np.random.default_rng(17)
     x = Tensor(rng.standard_normal((4, 96, 16, 16)).astype(np.float32))
     w = Tensor(rng.standard_normal((32, 96, 3, 3)).astype(np.float32), requires_grad=True)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        y = T.conv2d(x, w, stride=1, padding=1)
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    retained, y = _retained_bytes(T.conv2d, x, w, stride=1, padding=1)
     assert y.requires_grad
     assert retained < (w.shape[3] + 1) * x.size * 8, retained / (x.size * 8)
+    # a frozen kernel under a trainable input: no weight gradient will run, so
+    # neither the window buffer nor conv2d_transpose's float64 input copy stays
+    x.requires_grad, w.requires_grad = True, False
+    wt = Tensor(rng.standard_normal((96, 32, 2, 2)).astype(np.float32))
+    for op, kernel in ((T.conv2d, w), (T.conv2d_transpose, wt)):
+        retained, y = _retained_bytes(op, x, kernel, **({"padding": 1} if op is T.conv2d else {}))
+        assert y.requires_grad
+        assert retained < y.data.nbytes + x.size * 8 // 2, (op.__name__, retained / (x.size * 8))
 
 
 def test_bilinear_resize_of_constant_is_constant():
@@ -504,6 +517,25 @@ def test_no_grad_tensors_never_accumulate():
     assert not c.requires_grad
 
 
+def test_only_parents_requiring_grad_are_recorded():
+    frozen = Tensor(np.ones(3, np.float32))
+    trainable = Tensor(np.ones(3, np.float32), requires_grad=True)
+    assert T.mul(frozen, trainable)._parents == (trainable,)
+
+
+def test_frozen_parents_gradient_function_never_runs():
+    frozen = Tensor(np.full(3, 2.0, np.float32))
+    trainable = Tensor(np.ones(3, np.float32), requires_grad=True)
+
+    def refuse(g):
+        raise AssertionError("the gradient of a frozen parent was computed")
+
+    out = T._make(frozen.data * trainable.data, (frozen, trainable), (refuse, lambda g: g * frozen.data), "mul")
+    backward(T.sum_(out))
+    assert frozen.grad is None
+    assert np.array_equal(trainable.grad, frozen.data)
+
+
 def test_grad_accumulates_across_multiple_uses():
     w = Tensor(np.array([2.0, -1.0]), requires_grad=True, dtype=np.float64)
     y = T.add(T.mul(w, w), w)  # w^2 + w -> dy/dw = 2w + 1
@@ -563,7 +595,7 @@ def test_grad_double_use_matches_fd():
      "conv2d_s2", "conv2d_transpose", "conv2d_s1_bias", "conv2d_s2_bias", "conv2d_transpose_bias",
      "group_norm", "resize_nearest",
      "resize_bilinear_up", "resize_bilinear_down", "huber", "masked_huber", "mse",
-     "resize_nearest_boxed", "resize_bilinear_boxed"],
+     "resize_nearest_boxed", "resize_bilinear_boxed", "sum_all", "concat_last"],
 )
 def test_gradcheck_catalog(name):
     checks = catalog_gradchecks()
@@ -651,8 +683,28 @@ def catalog_gradchecks():
             lambda ts: T.conv2d_transpose(ts[0], ts[1], bias=ts[2]), (2, 4, 8, 8),
             [rr(2, 3, 4, 4), rr(3, 4, 2, 2), rr(4)], [0, 1, 2],
         ),
+        "sum_all": case(lambda ts: T.sum_(ts[0]), (), [rr(3, 4)], [0]),
+        "concat_last": case(
+            lambda ts: T.concat([ts[0], ts[1]], axis=-1), (2, 3, 5), [rr(2, 3, 2), rr(2, 3, 3)], [0, 1],
+        ),
     }
     return cases
+
+
+def _catalog_grads(build, arrays, trainable) -> dict:
+    tensors = [Tensor(a, requires_grad=(i in trainable), dtype=np.float64) for i, a in enumerate(arrays)]
+    backward(build(tensors))
+    return {i: tensors[i].grad for i in trainable}
+
+
+@pytest.mark.parametrize("name", [n for n, (_, _, wrt) in catalog_gradchecks().items() if len(wrt) > 1])
+def test_catalog_grads_do_not_depend_on_frozen_operands(name):
+    # LoRA training runs most ops with frozen operands: each input's gradient
+    # with the others frozen is bit-equal to its gradient with all trainable
+    build, arrays, wrt = catalog_gradchecks()[name]
+    every = _catalog_grads(build, arrays, wrt)
+    for i in wrt:
+        assert _catalog_grads(build, arrays, [i])[i].tobytes() == every[i].tobytes(), f"input {i}"
 
 
 MASK_2344 = (np.random.default_rng(11).random((2, 1, 4, 4)) > 0.5).astype(np.float64)
