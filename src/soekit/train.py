@@ -10,7 +10,10 @@ frozen teacher on the zoomed view, revert both predictions to clean-latent
 estimates, and combine the masked denoising loss, the cross-scale
 distillation loss (teacher side detached), and the VAE loss into one
 weighted objective. Only adapters train (plus the VAE when tuning is
-enabled).
+enabled). Teacher views are built only when distilling.
+
+Every gradient step, adapter or pretraining, ends in `_update`: the one place
+that runs backward and the optimizer, and that refuses a non-finite loss.
 
 Teacher, student and every loaded checkpoint share one architecture, so
 `Bundle.build` makes all of their nets, from the run config's `ModelSection`.
@@ -280,11 +283,37 @@ def _start_loss_csv(loss_csv):
     return path
 
 
-def _log_loss(path, report: LossReport):
-    """Append one row; the file is closed again after every step."""
-    if path:
-        with open(path, "a") as fh:
+# -- the gradient step ------------------------------------------------------------------
+
+
+def _noise(rng, sched: NoiseSchedule, shape, n: int = 1):
+    """One timestep per sample, then n noise Tensors of `shape`, in that draw order."""
+    ts = rng.integers(1, sched.T + 1, size=shape[0])
+    return ts, [Tensor(rng.standard_normal(shape).astype(np.float32)) for _ in range(n)]
+
+
+def _predict(unet: MiniUnet, z: Tensor, eps: Tensor, ts, m: Tensor, cond: Tensor, sched: NoiseSchedule):
+    """Noise z with eps at ts and predict the noise; returns (z_t, latent mask, eps_pred)."""
+    z_t = add_noise(z, eps, ts, sched)
+    m_lat = unet.latent_mask(m)
+    return z_t, m_lat, unet.forward(z_t, ts, cond, m_lat)
+
+
+def _update(optimizer, loss_csv, step: int, t0: float, denoise=None, distill=None, vae=None,
+            distill_weight: float = 1.0, vae_weight: float = 1.0) -> LossReport:
+    """Weight the parts and step; a non-finite loss raises before backward and logs no row."""
+    loss = total_loss(denoise, distill, vae, distill_weight, vae_weight)
+    values = [0.0 if part is None else float(part.item()) for part in (denoise, distill, vae, loss)]
+    for column, value in zip(("L_denoise", "L_distill", "L_vae", "L_total"), values):
+        if not np.isfinite(value):
+            raise ConfigurationError(f"step {step}: {column} is {value}; no update applied")
+    T.backward(loss)
+    optimizer.step()
+    report = LossReport(step, *values, (time.perf_counter() - t0) * 1000.0)
+    if loss_csv:
+        with open(loss_csv, "a") as fh:  # closed again after every step
             fh.write(report.csv_line() + "\n")
+    return report
 
 
 # -- trainer --------------------------------------------------------------------------
@@ -339,52 +368,28 @@ class Trainer:
         if any(p.requires_grad for p in self.teacher_unet.params().values()):
             raise ConfigurationError("teacher not frozen")
         samples = samples if samples is not None else _draw_batch(self.dataset, tc, step, 0)
-        x, m, xp, mp, label_ids, color_ids = batch_tensors(samples, tc.crop_size)
-        b = x.shape[0]
-
+        x, m, xp, mp, label_ids, color_ids = batch_tensors(samples, tc.crop_size if tc.use_distill else None)
         z = self.vae.encode(x)
-        zp = self.vae.encode(xp)
 
         vae_part = None
         if tc.use_vae_tuning:
             vae_part = vae_recon_loss(x, m, self.vae, delta=tc.huber_delta, unmasked=tc.unmasked_vae_loss)
 
-        rng = stream_rng(tc.seed, "noise", step, 1)
-        ts = rng.integers(1, self.sched.T + 1, size=b)
-        eps_s = Tensor(rng.standard_normal(z.shape).astype(np.float32))
-        eps_t = Tensor(rng.standard_normal(zp.shape).astype(np.float32))
-        z_t = add_noise(z, eps_s, ts, self.sched)
-        zp_t = add_noise(zp.detach(), eps_t, ts, self.sched)
-
+        # the zoomed view's noise is drawn even when not distilling, so no draw depends on the flag
+        ts, (eps, eps_p) = _noise(stream_rng(tc.seed, "noise", step, 1), self.sched, z.shape, 2)
         cond = self.cond.embed(label_ids, color_ids, tc.prompt_style)
-        m_lat = self.student.latent_mask(m)
-        mp_lat = self.teacher_unet.latent_mask(mp)
-
-        eps_pred = self.student.forward(z_t, ts, cond, m_lat)
-        den_part = denoise_loss(eps_s, eps_pred, m_lat, delta=tc.huber_delta)
+        z_t, m_lat, eps_pred = _predict(self.student, z, eps, ts, m, cond, self.sched)
+        den_part = denoise_loss(eps, eps_pred, m_lat, delta=tc.huber_delta)
 
         dist_part = None
         if tc.use_distill:
-            epsp_pred = self.teacher_unet.forward(zp_t, ts, cond, mp_lat)
-            z0_hat = predict_z0(z_t, eps_pred, ts, self.sched)
-            z0p_hat = predict_z0(zp_t, epsp_pred, ts, self.sched)
-            dist_part = distill_loss(z0_hat, m_lat, z0p_hat, mp_lat,
+            zp = self.vae.encode(xp).detach()
+            zp_t, mp_lat, epsp_pred = _predict(self.teacher_unet, zp, eps_p, ts, mp, cond, self.sched)
+            dist_part = distill_loss(predict_z0(z_t, eps_pred, ts, self.sched), m_lat,
+                                     predict_z0(zp_t, epsp_pred, ts, self.sched), mp_lat,
                                      loss_type=tc.distill_loss, delta=tc.huber_delta)
-
-        loss = total_loss(den_part, dist_part, vae_part, tc.distill_weight, tc.vae_weight)
-        T.backward(loss)
-        self.optimizer.step()
-
-        report = LossReport(
-            step=step,
-            denoise=float(den_part.item()),
-            distill=float(dist_part.item()) if dist_part is not None else 0.0,
-            vae=float(vae_part.item()) if vae_part is not None else 0.0,
-            total=float(loss.item()),
-            wall_ms=(time.perf_counter() - t0) * 1000.0,
-        )
-        _log_loss(self.loss_csv, report)
-        return report
+        return _update(self.optimizer, self.loss_csv, step, t0, den_part, dist_part, vae_part,
+                       tc.distill_weight, tc.vae_weight)
 
     def run(self, steps=None) -> list:
         steps = steps if steps is not None else self.cfg.train.steps
@@ -405,7 +410,8 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
 
     Phase A fits the autoencoder with full-image reconstruction; phase B
     trains the U-Net and condition embedder with the masked denoising loss
-    on the frozen autoencoder.
+    on the frozen autoencoder. Both phases step through `_update`; the loss
+    CSV numbers their steps in one sequence.
     """
     cfg.validate()
     if not dataset:
@@ -424,11 +430,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
     for step in range(tc.pretrain_vae_steps):
         t0 = time.perf_counter()
         x, m, *_ = batch_tensors(_draw_batch(dataset, tc, step, 2))
-        loss = vae_recon_loss(x, m, vae, delta=tc.huber_delta, unmasked=True)
-        T.backward(loss)
-        opt_vae.step()
-        _log_loss(loss_csv, LossReport(step, 0.0, 0.0, float(loss.item()), float(loss.item()),
-                                       (time.perf_counter() - t0) * 1000.0))
+        _update(opt_vae, loss_csv, step, t0, vae=vae_recon_loss(x, m, vae, delta=tc.huber_delta, unmasked=True))
 
     # phase B: denoiser on the frozen autoencoder
     vae.set_trainable(False)
@@ -437,18 +439,10 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
         t0 = time.perf_counter()
         x, m, _, _, label_ids, color_ids = batch_tensors(_draw_batch(dataset, tc, step, 3))
         z = vae.encode(x).detach()
-        rng = stream_rng(tc.seed, "noise", step, 4)
-        ts = rng.integers(1, sched.T + 1, size=x.shape[0])
-        eps = Tensor(rng.standard_normal(z.shape).astype(np.float32))
-        z_t = add_noise(z, eps, ts, sched)
-        cond_tokens = cond.embed(label_ids, color_ids, tc.prompt_style)
-        ml = unet.latent_mask(m)
-        eps_pred = unet.forward(z_t, ts, cond_tokens, ml)
-        loss = denoise_loss(eps, eps_pred, ml, delta=tc.huber_delta)
-        T.backward(loss)
-        opt.step()
-        _log_loss(loss_csv, LossReport(tc.pretrain_vae_steps + step, float(loss.item()), 0.0, 0.0,
-                                       float(loss.item()), (time.perf_counter() - t0) * 1000.0))
+        ts, (eps,) = _noise(stream_rng(tc.seed, "noise", step, 4), sched, z.shape)
+        _, ml, eps_pred = _predict(unet, z, eps, ts, m, cond.embed(label_ids, color_ids, tc.prompt_style), sched)
+        _update(opt, loss_csv, tc.pretrain_vae_steps + step, t0,
+                denoise=denoise_loss(eps, eps_pred, ml, delta=tc.huber_delta))
 
     for module in (vae, unet, cond):
         module.set_trainable(False)

@@ -241,19 +241,27 @@ def test_train_rejects_non_frozen_teacher(workdir, capsys):
     assert "teacher not frozen" in capsys.readouterr().err
 
 
-def test_train_with_nan_lora_alpha_writes_no_checkpoint(workdir, capsys, tmp_path):
-    # a NaN alpha makes every adapter non-finite after one step; the save refuses them
+@pytest.mark.parametrize("verb, section, key, value, refusal", [
+    ("train", "lora", "alpha", float("nan"), "step 0: L_denoise is nan"),
+    ("train", "train", "huber_delta", float("nan"), "step 0: L_denoise is nan"),
+    ("train", "train", "distill_weight", float("inf"), "step 0: L_total is inf"),
+    ("train", "train", "lr", float("nan"), "step 1: L_denoise is nan"),
+    ("pretrain-teacher", "train", "pretrain_lr", float("nan"), "step 1: L_vae is nan"),
+], ids=["lora-alpha", "huber-delta", "distill-weight", "lr", "pretrain-lr"])
+def test_non_finite_loss_stops_before_update(workdir, capsys, tmp_path, verb, section, key, value, refusal):
+    # the step that first meets a non-finite loss refuses it: no update, no row, no checkpoint
     root, _ = workdir
-    config = tmp_path / "nan.json"
-    config.write_text(json.dumps({**TINY_CONFIG, "lora": {"alpha": float("nan")}}))
-    out = tmp_path / "student.soek"
-    rc = main(["train", "--config", str(config), "--data", str(root / "ds"),
-               "--teacher", str(root / "teacher.soek"), "--out", str(out)])
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG.get(section, {}), key: value}}))
+    out = tmp_path / "model.soek"
+    teacher = ["--teacher", str(root / "teacher.soek")] if verb == "train" else []
+    rc = main([verb, "--config", str(config), "--data", str(root / "ds"), *teacher, "--out", str(out)])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {out}: array 'lora.") and err.rstrip().endswith("has non-finite values")
-    assert "\n" not in err.strip()
+    assert capsys.readouterr().err == f"error: {refusal}; no update applied\n"
     assert not out.exists()
+    rows = out.with_suffix(".loss.csv").read_text().splitlines()[1:]
+    assert len(rows) == int(refusal.split()[1].rstrip(":"))  # one row per step before the refused one
+    assert np.isfinite(np.asarray([row.split(",") for row in rows], float)).all()
 
 
 def test_train_rejects_unknown_color_in_index_in_one_line(workdir, capsys, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import set_adapter_b
 from soekit import tensor as T
+from soekit import train
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import LoraSection, ModelSection, RunConfig
 from soekit.data import build_split
@@ -355,6 +356,34 @@ def test_loss_csv_written(teacher_bundle, tmp_path):
     assert len(lines) == 3
 
 
+def test_no_teacher_views_without_distillation(teacher_bundle, monkeypatch):
+    small = build_split(4, "train-small", 8)
+    with_views = Trainer(tiny_cfg(use_distill=True), small, teacher_bundle).train_step(0)
+
+    def refuse(*args):
+        raise AssertionError("teacher views built without distillation")
+
+    monkeypatch.setattr(train, "crop_resize_pair", refuse)
+    without = Trainer(tiny_cfg(use_distill=False), small, teacher_bundle).train_step(0)
+    assert without.distill == 0.0
+    assert without.denoise == with_views.denoise  # the student's draws do not depend on the flag
+
+
+def test_repeated_step_on_a_fixed_batch_learns(teacher_bundle):
+    # step 0 again and again: the same samples, timesteps and noise every time
+    batch = build_split(6, "train-small", 2)
+
+    def fit(**overrides):
+        tr = Trainer(tiny_cfg(**overrides), batch, teacher_bundle)
+        return [tr.train_step(0, batch) for _ in range(10)]
+
+    default = fit()
+    assert default[-1].denoise < default[0].denoise
+    assert default[-1].distill < default[0].distill
+    # a sign error in the distillation term would reverse this
+    assert fit(distill_weight=1.0)[-1].distill < fit(distill_weight=0.0)[-1].distill
+
+
 # -- pretraining ------------------------------------------------------------------------
 
 
@@ -365,6 +394,20 @@ def test_pretrain_rejects_empty_and_wrong_sized_data():
     small = build_split(5, "train-small", 2)
     with pytest.raises(ConfigurationError, match="generic"):
         pretrain_teacher(small, cfg)
+
+
+def test_pretrain_loss_csv_has_one_row_per_step(tmp_path):
+    cfg = tiny_cfg(pretrain_vae_steps=2, pretrain_steps=3)
+    csv = tmp_path / "teacher.loss.csv"
+    pretrain_teacher(build_split(1, "train-generic", 4), cfg, loss_csv=csv)
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "step,L_denoise,L_distill,L_vae,L_total,wall_ms"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(r[0]) for r in rows] == list(range(5))
+    for _, den, dist, vae, total, _ in rows[:2]:  # phase A: the autoencoder alone
+        assert vae == total and float(den) == float(dist) == 0.0
+    for _, den, dist, vae, total, _ in rows[2:]:  # phase B: the denoiser alone
+        assert den == total and float(dist) == float(vae) == 0.0
 
 
 def test_teacher_bundle_is_frozen(teacher_bundle):
