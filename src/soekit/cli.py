@@ -133,8 +133,7 @@ def cmd_eval(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     probe = _probe_for(cfg, out_dir)
     report = evaluate(bundle, val, args.style, seed=seed, probe=probe,
-                      ddim_steps=cfg.eval.ddim_steps, max_samples=cfg.eval.samples,
-                      batch_size=cfg.eval.batch_size)
+                      ddim_steps=cfg.eval.ddim_steps, max_samples=cfg.eval.samples)
     (out_dir / "metrics.csv").write_text(report.csv_text())
     _echo_config(cfg, out_dir)
     print((out_dir / "metrics.csv").read_text().strip())

@@ -6,11 +6,12 @@ identical document (lists stay lists, numbers keep their values).
 """
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from soekit.data import PROMPT_STYLES
+from soekit.data import MIN_OBJECT_SIDE, PROMPT_STYLES, SPLITS, candidate_sides, split_fraction_range
+
+LATENT_FACTOR = 4  # the VAE's spatial downscale: its two stride-2 encoder convs
 
 
 @dataclass
@@ -31,7 +32,6 @@ class ScheduleSection:
 
 @dataclass
 class ModelSection:
-    latent_factor: int = 4
     latent_channels: int = 4
     base_width: int = 32
     depth: int = 2
@@ -62,7 +62,6 @@ class TrainSection:
     use_adapters: bool = True
     use_distill: bool = True
     use_vae_tuning: bool = False
-    unmasked_vae_loss: bool = False
     prompt_style: str = "color_label"
     pretrain_vae_steps: int = 700
     pretrain_steps: int = 2600
@@ -74,7 +73,6 @@ class TrainSection:
 class EvalSection:
     ddim_steps: int = 10
     samples: int = 64
-    batch_size: int = 8
     probe_seed: int = 7
     probe_train_count: int = 1500
     probe_steps: int = 700
@@ -143,12 +141,24 @@ class RunConfig:
             fh.write("\n")
 
     def validate(self):
-        """Cross-section coherence checks; raises ConfigError on violation."""
+        """Cross-section coherence checks; raises ConfigError on violation.
+
+        The image side must survive the VAE and every U-Net downsample evenly,
+        and leave each data split at least one legal object side.
+        """
         img = self.data.image_side
+        step = LATENT_FACTOR * 2 ** self.model.depth
+        if img % step:
+            raise ConfigError(f"data.image_side {img} not divisible by {step} "
+                              f"(latent factor {LATENT_FACTOR} x 2**model.depth)")
+        try:
+            sides = {split: candidate_sides(split_fraction_range(split, img), img, MIN_OBJECT_SIDE)
+                     for split in SPLITS}
+        except ValueError as e:
+            raise ConfigError(f"data.image_side {img} leaves a data split no legal object side: {e}") from None
         if self.train.crop_size >= img:
             raise ConfigError(f"crop_size {self.train.crop_size} must be < image side {img}")
-        # largest train-small bbox side: the biggest integer strictly below img/8
-        max_mask_side = math.ceil(img / 8.0) - 1
+        max_mask_side = sides["train-small"][-1]
         if self.train.crop_size < 2 * max_mask_side:
             raise ConfigError(
                 f"crop_size {self.train.crop_size} must be >= 2x the largest training "
@@ -160,12 +170,4 @@ class RunConfig:
             raise ConfigError(f"unknown prompt_style {self.train.prompt_style!r}")
         if self.train.optimizer not in ("adam", "sgd"):
             raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.train.optimizer!r}")
-        bs = self.eval.batch_size
-        if type(bs) is not int or bs < 1:
-            raise ConfigError(f"eval.batch_size must be an integer >= 1, got {bs!r}")
-        lf = self.model.latent_factor
-        if lf < 1:
-            raise ConfigError(f"model.latent_factor must be >= 1, got {lf!r}")
-        if img % lf:
-            raise ConfigError(f"image side {img} not divisible by latent factor {lf}")
         return self

@@ -11,8 +11,9 @@ Split conventions (area fractions of the image):
   val-small     in ((1/8)^2, (1/6)^2]
   train-generic side fraction in [1/4, 1/2]
 
-Objects are never drawn smaller than latent_factor + 1 pixels per side so a
-nearest-downsampled mask can never vanish at latent resolution.
+Objects are never drawn smaller than MIN_OBJECT_SIDE pixels per side, one more
+than the VAE's x4 latent factor, so a nearest-downsampled mask can never
+vanish at latent resolution.
 """
 
 import json
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from soekit import tensor as T
 from soekit.rng import stream_rng
 
 LABELS = ("circle", "square", "triangle", "cross", "ring")
@@ -43,7 +45,7 @@ COLOR_NAMES = tuple(name for name, _ in PALETTE)
 PROMPT_STYLES = ("label_only", "color_label")
 
 SPLITS = ("train-small", "train-generic", "val-small")
-MIN_OBJECT_SIDE = 5  # latent_factor + 1 at the default x4 downscale
+MIN_OBJECT_SIDE = 5  # config.LATENT_FACTOR + 1: any 4-pixel run holds a latent sample
 
 
 @dataclass
@@ -90,28 +92,6 @@ def captions_for(label: str, color: str) -> dict:
 # -- drawing ---------------------------------------------------------------------
 
 
-def _bilinear_up(img: np.ndarray, side: int) -> np.ndarray:
-    """Half-pixel-centre bilinear upsample of an (h, w, 3) array."""
-    h, w = img.shape[:2]
-
-    def coords(n_in, n_out):
-        src = (np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5
-        i0 = np.floor(src).astype(int)
-        f = src - i0
-        return np.clip(i0, 0, n_in - 1), np.clip(i0 + 1, 0, n_in - 1), f
-
-    i0, i1, fy = coords(h, side)
-    j0, j1, fx = coords(w, side)
-    fy = fy[:, None, None]
-    fx = fx[None, :, None]
-    return (
-        img[i0][:, j0] * (1 - fy) * (1 - fx)
-        + img[i0][:, j1] * (1 - fy) * fx
-        + img[i1][:, j0] * fy * (1 - fx)
-        + img[i1][:, j1] * fy * fx
-    )
-
-
 def _shape_coverage(label: str, side: int, supersample: int = 4) -> np.ndarray:
     """(side, side) anti-aliased coverage in [0,1]; shapes touch the box edges."""
     n = side * supersample
@@ -137,7 +117,7 @@ def _shape_coverage(label: str, side: int, supersample: int = 4) -> np.ndarray:
     return cov.mean(axis=(1, 3))
 
 
-def _candidate_sides(side_fraction_range, image_side: int, min_side: int) -> list:
+def candidate_sides(side_fraction_range, image_side: int, min_side: int) -> list:
     lo, hi = side_fraction_range
     if not (0.0 < lo < hi):
         raise ValueError(f"invalid side fraction range [{lo}, {hi})")
@@ -166,10 +146,10 @@ def generate_scene(seed, side_fraction_range, palette=PALETTE, image_side: int =
         rng = stream_rng(seed[0], "data", *seed[1:])
     else:
         rng = stream_rng(seed, "data")
-    sides = _candidate_sides(side_fraction_range, image_side, min_side)
+    sides = candidate_sides(side_fraction_range, image_side, min_side)
 
-    bg = 0.4 + 0.2 * rng.random((8, 8, 3))
-    img = _bilinear_up(bg, image_side)
+    bg = T.Tensor(0.4 + 0.2 * rng.random((1, 8, 8, 3)).transpose(0, 3, 1, 2), dtype=np.float64)
+    img = np.ascontiguousarray(T.resize_bilinear(bg, image_side, image_side).data[0].transpose(1, 2, 0))
 
     s = int(rng.choice(sides))
     label = str(rng.choice(LABELS))

@@ -28,6 +28,7 @@ from soekit.train import edit_batch
 PROBE_CROP_SIDE = 32
 PROBE_FEATURE_DIM = 32
 PROBE_DATA_SUBSTREAM = 9  # distinct from the dataset splits' substreams
+EVAL_BATCH_SIZE = 8  # samples per edit_batch call; a speed setting, since evaluation is batch-invariant
 
 
 # -- cropping -----------------------------------------------------------------------
@@ -263,17 +264,15 @@ def metrics_from_crop_pairs(gen_crops, ref_crops, labels, colors, style, probe) 
 
 
 def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
-             ddim_steps: int = 10, max_samples: int = None, batch_size: int = None) -> MetricsReport:
+             ddim_steps: int = 10, max_samples: int = None, batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
     """Edit every validation sample at its own bbox/prompt and score the crops.
 
-    Samples are edited in consecutive chunks of `batch_size` (default: the
-    bundle's eval.batch_size) through `edit_batch`. Sample i, in id order,
-    draws its noise from child_seed(seed, "eval", i), and `edit_batch` is
-    batch-invariant, so the report and the crops are the same at every batch
-    size and reproducible regardless of evaluation count. Probe scoring runs
-    per crop.
+    Samples are edited in consecutive chunks of `batch_size` through
+    `edit_batch`. Sample i, in id order, draws its noise from
+    child_seed(seed, "eval", i), and `edit_batch` is batch-invariant, so the
+    report and the crops are the same at every batch size and reproducible
+    regardless of evaluation count. Probe scoring runs per crop.
     """
-    batch_size = bundle.cfg.eval.batch_size if batch_size is None else batch_size
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not val_samples:

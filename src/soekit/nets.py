@@ -14,7 +14,7 @@ is the one place that builds all three for a run.
 import numpy as np
 
 from soekit import tensor as T
-from soekit.config import ModelSection
+from soekit.config import LATENT_FACTOR, ModelSection
 from soekit.data import COLOR_NAMES, LABELS, PROMPT_STYLES
 from soekit.rng import stream_rng
 from soekit.tensor import ShapeError, Tensor
@@ -246,8 +246,7 @@ class MiniUnet(Module):
             raise ValueError(f"mask must be binary in {{0,1}}, found values {vals[:5]}")
         if m.ndim != 4 or m.shape[1] != 1:
             raise ShapeError("latent_mask", f"mask must be (B,1,H,W), got {m.shape}")
-        f = self.cfg.latent_factor
-        return T.resize_nearest(m.detach(), m.shape[2] // f, m.shape[3] // f)
+        return T.resize_nearest(m.detach(), m.shape[2] // LATENT_FACTOR, m.shape[3] // LATENT_FACTOR)
 
     def forward(self, z_t: Tensor, t, cond: Tensor, ml: Tensor) -> Tensor:
         """eps prediction; ml is the (B,1,h,w) latent mask, from `latent_mask`."""
@@ -295,7 +294,7 @@ class MiniUnet(Module):
 
 
 class Vae(Module):
-    """Deterministic convolutional autoencoder with a x4 spatial downscale.
+    """Deterministic convolutional autoencoder with the x4 spatial downscale f = LATENT_FACTOR.
 
     encode maps (B,3,H,W) -> (B,C,H/f,W/f); decode inverts the shape and
     squashes output through a sigmoid so pixels stay in [0,1].
@@ -306,8 +305,6 @@ class Vae(Module):
         self.cfg = cfg
         w = cfg.base_width
         half = max(w // 2, 4)
-        if cfg.latent_factor != 4:
-            raise ValueError(f"vae supports latent_factor 4 (two downsamples), got {cfg.latent_factor}")
         self.enc1 = Conv2d(rng, 3, half, 3, 2, 1)
         self.enc2 = Conv2d(rng, half, w, 3, 2, 1)
         self.enc3 = Conv2d(rng, w, cfg.latent_channels, 3, 1, 1)
@@ -319,9 +316,8 @@ class Vae(Module):
     def encode(self, x: Tensor) -> Tensor:
         if x.ndim != 4 or x.shape[1] != 3:
             raise ShapeError("vae_encode", f"need (B,3,H,W), got {x.shape}")
-        f = self.cfg.latent_factor
-        if x.shape[2] % f or x.shape[3] % f:
-            raise ShapeError("vae_encode", f"spatial dims {x.shape[2:]} not divisible by {f}")
+        if x.shape[2] % LATENT_FACTOR or x.shape[3] % LATENT_FACTOR:
+            raise ShapeError("vae_encode", f"spatial dims {x.shape[2:]} not divisible by {LATENT_FACTOR}")
         h = T.silu(self.enc1.forward(x))
         h = T.silu(self.enc2.forward(h))
         return self.enc3.forward(h)

@@ -3,14 +3,15 @@
 One training step follows the published recipe end to end: sample scenes,
 build the teacher's crop-and-resized views (which at least double the mask's
 relative size) for the whole batch, one boxed resample per image and mask,
-encode both views with the shared VAE, compute the masked reconstruction
-loss, noise both latents at a shared per-sample timestep with independent
-noise draws, run the adapter-augmented student on the original view and the
-frozen teacher on the zoomed view, revert both predictions to clean-latent
-estimates, and combine the masked denoising loss, the cross-scale
-distillation loss (teacher side detached), and the VAE loss into one
-weighted objective. Only adapters train (plus the VAE when tuning is
-enabled). Teacher views are built only when distilling.
+encode both views with the shared VAE, noise both latents at a shared
+per-sample timestep with independent noise draws, run the adapter-augmented
+student on the original view and the frozen teacher on the zoomed view,
+revert both predictions to clean-latent estimates, and combine the masked
+denoising loss, the cross-scale distillation loss (teacher side detached),
+and the VAE loss into one weighted objective. Only adapters train (plus the
+VAE when tuning is enabled, whose masked reconstruction loss decodes the
+step's own latent: one encode per view). Teacher views are built only when
+distilling.
 
 Every gradient step, adapter or pretraining, ends in `_update`: the one place
 that runs backward and the optimizer, and that refuses a non-finite loss.
@@ -105,22 +106,19 @@ def denoise_loss(eps: Tensor, eps_pred: Tensor, m_latent: Tensor, delta: float =
 
 def distill_loss(z0_hat: Tensor, m_latent: Tensor, z0p_hat: Tensor, mp_latent: Tensor,
                  loss_type: str = "huber", delta: float = 1.0) -> Tensor:
-    """Align mask-gated clean-latent crops of student and teacher.
+    """Align the clean-latent crops of student and teacher under their masks.
 
-    Each latent is gated by its own mask, and the mask's latent bbox is
-    bilinearly resized to a common 8x8 before the distance, in one boxed
-    resample per side. The teacher side is detached: gradient flows into the
-    student path only.
+    Each side's latent mask bbox is bilinearly resized to a common 8x8 before
+    the distance, in one boxed resample per side. Every mask is a box, so the
+    crop holds masked cells only. The teacher side is detached: gradient flows
+    into the student path only.
     """
     if loss_type not in ("huber", "mse"):
         raise ValueError(f"distill_loss: unknown loss type {loss_type!r}")
-    z0p_hat = z0p_hat.detach()
-    student_gated = T.mul(z0_hat, m_latent)
-    teacher_gated = T.mul(z0p_hat, mp_latent.detach())
     s_boxes = [_latent_bbox(mask, "student") for mask in m_latent.data[:, 0]]
     t_boxes = [_latent_bbox(mask, "teacher") for mask in mp_latent.data[:, 0]]
-    s_all = T.resize_bilinear(student_gated, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, s_boxes)
-    t_all = T.resize_bilinear(teacher_gated, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, t_boxes)
+    s_all = T.resize_bilinear(z0_hat, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, s_boxes)
+    t_all = T.resize_bilinear(z0p_hat.detach(), DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, t_boxes)
     if loss_type == "huber":
         return T.huber(s_all, t_all, delta=delta)
     return T.mse(s_all, t_all)
@@ -133,11 +131,10 @@ def _latent_bbox(mask2d: np.ndarray, who: str) -> tuple:
         raise ValueError(f"distill_loss: {who} mask empty at latent resolution (degenerate sample)") from None
 
 
-def vae_recon_loss(x: Tensor, m: Tensor, vae: Vae, delta: float = 1.0, unmasked: bool = False) -> Tensor:
-    """Huber between the image and its reconstruction, gated by the mask unless unmasked."""
-    recon = vae.decode(vae.encode(x))
+def vae_recon_loss(x: Tensor, z: Tensor, vae: Vae, m: Tensor = None, delta: float = 1.0) -> Tensor:
+    """Huber between the images x and the decoding of their latents z, over the mask m (None: everywhere)."""
     try:
-        return T.huber(recon, x, None if unmasked else m, delta=delta)
+        return T.huber(vae.decode(z), x, m, delta=delta)
     except ValueError as e:
         raise ValueError(f"vae_recon_loss: {e}") from None
 
@@ -363,17 +360,10 @@ class Trainer:
     def train_step(self, step: int, samples=None) -> LossReport:
         t0 = time.perf_counter()
         tc = self.cfg.train
-        if tc.use_adapters and self.adapters is None:
-            raise ConfigurationError("missing adapters on the student model")
-        if any(p.requires_grad for p in self.teacher_unet.params().values()):
-            raise ConfigurationError("teacher not frozen")
         samples = samples if samples is not None else _draw_batch(self.dataset, tc, step, 0)
         x, m, xp, mp, label_ids, color_ids = batch_tensors(samples, tc.crop_size if tc.use_distill else None)
         z = self.vae.encode(x)
-
-        vae_part = None
-        if tc.use_vae_tuning:
-            vae_part = vae_recon_loss(x, m, self.vae, delta=tc.huber_delta, unmasked=tc.unmasked_vae_loss)
+        vae_part = vae_recon_loss(x, z, self.vae, m, delta=tc.huber_delta) if tc.use_vae_tuning else None
 
         # the zoomed view's noise is drawn even when not distilling, so no draw depends on the flag
         ts, (eps, eps_p) = _noise(stream_rng(tc.seed, "noise", step, 1), self.sched, z.shape, 2)
@@ -429,8 +419,8 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
     opt_vae = make_optimizer(tc.optimizer, vae.params("vae"), lr=tc.pretrain_lr)
     for step in range(tc.pretrain_vae_steps):
         t0 = time.perf_counter()
-        x, m, *_ = batch_tensors(_draw_batch(dataset, tc, step, 2))
-        _update(opt_vae, loss_csv, step, t0, vae=vae_recon_loss(x, m, vae, delta=tc.huber_delta, unmasked=True))
+        x, *_ = batch_tensors(_draw_batch(dataset, tc, step, 2))
+        _update(opt_vae, loss_csv, step, t0, vae=vae_recon_loss(x, vae.encode(x), vae, delta=tc.huber_delta))
 
     # phase B: denoiser on the frozen autoencoder
     vae.set_trainable(False)

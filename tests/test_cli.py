@@ -179,12 +179,6 @@ def _student_with_crop_size_8(root):
     return _student_with_config_value(root, "crop8.soek", "train", "crop_size", 8)
 
 
-def _teacher_with_latent_factor_8(root):
-    arrays, blob = load_checkpoint(root / "teacher.soek")
-    blob["config"]["model"]["latent_factor"] = 8  # passes validate (64 % 8 == 0); the VAE refuses it
-    return save_checkpoint(root / "lf8.soek", arrays, blob)
-
-
 @pytest.mark.parametrize("make, message", [
     (_probe_file, "is not a teacher or student checkpoint"),
     (_truncated_student, "truncated or corrupt"),
@@ -192,9 +186,8 @@ def _teacher_with_latent_factor_8(root):
     (_student_with_list_blob, "must be a JSON object"),
     (_student_with_extra_config_section, "unknown config section(s): ['bogus']"),
     (_student_with_text_step_count, "optimizer_step_count must be an integer, got 'x'"),
-    (_student_with_image_side_66, "image side 66 not divisible by latent factor 4"),
+    (_student_with_image_side_66, "data.image_side 66 not divisible by 16"),
     (_student_with_crop_size_8, "crop_size 8 must be >= 2x"),
-    (_teacher_with_latent_factor_8, "vae supports latent_factor 4 (two downsamples), got 8"),
 ])
 def test_edit_rejects_unusable_checkpoint_in_one_line(workdir, capsys, make, message):
     root, _ = workdir
@@ -218,18 +211,6 @@ def test_eval_rejects_cached_probe_without_seed_in_one_line(workdir, capsys, tmp
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and "has no 'probe_seed' key" in err
-    assert "\n" not in err.strip()
-
-
-def test_eval_rejects_zero_batch_size_in_one_line(workdir, capsys, tmp_path):
-    root, _ = workdir
-    config = tmp_path / "bs0.json"
-    config.write_text(json.dumps({**TINY_CONFIG, "eval": {**TINY_CONFIG["eval"], "batch_size": 0}}))
-    rc = main(["eval", "--checkpoint", str(root / "student.soek"), "--config", str(config),
-               "--data", str(root / "ds"), "--out", str(tmp_path / "eval")])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: eval.batch_size") and "got 0" in err
     assert "\n" not in err.strip()
 
 
@@ -323,9 +304,8 @@ def test_edit_rejects_malformed_ppm_header_in_one_line(workdir, capsys, tmp_path
 @pytest.mark.parametrize(
     "flags,seed_env,config,named",
     [(["--count", "0"], None, None, "--count"), (["--count", "-3"], None, None, "--count"),
-     ([], "abc", None, "SOEKIT_SEED"),
-     ([], None, {"model": {"latent_factor": 0}}, "model.latent_factor must be >= 1, got 0")],
-    ids=["count-0", "count-negative", "seed-env-not-int", "latent-factor-0"],
+     ([], "abc", None, "SOEKIT_SEED")],
+    ids=["count-0", "count-negative", "seed-env-not-int"],
 )
 def test_gen_data_rejects_bad_input_in_one_line(workdir, capsys, monkeypatch, tmp_path, flags, seed_env, config,
                                                 named):
@@ -342,3 +322,44 @@ def test_gen_data_rejects_bad_input_in_one_line(workdir, capsys, monkeypatch, tm
     assert err.startswith("error: ") and named in err
     assert "\n" not in err.strip()
     assert not out.exists()
+
+
+def _gen_data_with(section, key, value):
+    def make(root, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG.get(section, {}), key: value}}))
+        return ["gen-data", "--config", str(config), "--count", "1"], tmp_path / "ds"
+    return make
+
+
+def _edit_with_stored_latent_factor(root, tmp_path):
+    arrays, blob = load_checkpoint(root / "teacher.soek")
+    blob["config"]["model"]["latent_factor"] = 4
+    path = save_checkpoint(tmp_path / "lf.soek", arrays, blob)
+    return ["edit", "--checkpoint", str(path), "--image", str(root / "in.ppm"), "--bbox", "8,8,8,8",
+            "--label", "circle", "--color", "red"], tmp_path / "x.ppm"
+
+
+@pytest.mark.parametrize("make, named", [
+    (_gen_data_with("data", "image_side", 32), "data.image_side 32"),  # no train-small side below 1/8
+    (_gen_data_with("data", "image_side", 40), "data.image_side 40"),
+    (_gen_data_with("data", "image_side", 72), "data.image_side 72"),  # the U-Net's last level would be 4.5 cells
+    (_gen_data_with("data", "image_side", 48), None),
+    (_gen_data_with("data", "image_side", 64), None),
+    (_gen_data_with("model", "latent_factor", 4), "['latent_factor']"),
+    (_gen_data_with("train", "unmasked_vae_loss", False), "['unmasked_vae_loss']"),
+    (_gen_data_with("eval", "batch_size", 8), "section 'eval': ['batch_size']"),
+    (_edit_with_stored_latent_factor, "lf.soek: bad config in teacher checkpoint"),
+], ids=["side-32", "side-40", "side-72", "side-48", "side-64", "latent-factor", "unmasked-vae-loss",
+        "eval-batch-size", "stored-latent-factor"])
+def test_image_side_and_removed_keys_by_name(workdir, capsys, tmp_path, make, named):
+    root, _ = workdir
+    argv, out = make(root, tmp_path)
+    rc = main([*argv, "--out", str(out)])
+    out_text, err = capsys.readouterr()
+    if named is None:
+        assert rc == 0 and out.exists(), err
+        return
+    assert rc == 1 and out_text == "" and not out.exists()
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], err

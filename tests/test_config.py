@@ -78,8 +78,9 @@ def test_validate_passes_defaults():
     RunConfig().validate()
 
 
-@pytest.mark.parametrize("value", [0, -2, 1.5, True, "8", None])
-def test_validate_eval_batch_size_by_name(value):
-    with pytest.raises(ConfigError, match=rf"eval\.batch_size must be an integer >= 1, got {value!r}"):
-        RunConfig.from_dict({"eval": {"batch_size": value}}).validate()
-    RunConfig.from_dict({"eval": {"batch_size": 1}}).validate()
+def test_config_fields_and_image_side_rule():
+    assert sum(len(section) for section in RunConfig().to_dict().values()) == 42
+    for side in (48, 64, 128):
+        RunConfig.from_dict({"data": {"image_side": side}, "train": {"crop_size": side // 2}}).validate()
+    with pytest.raises(ConfigError, match=r"data\.image_side 80 not divisible by 32"):
+        RunConfig.from_dict({"data": {"image_side": 80}, "model": {"depth": 3}}).validate()

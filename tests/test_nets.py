@@ -5,7 +5,7 @@ import pytest
 
 from helpers import numeric_grad, rel_error
 from soekit import tensor as T
-from soekit.config import ConfigError, LoraSection, ModelSection, RunConfig
+from soekit.config import LATENT_FACTOR, ConfigError, LoraSection, ModelSection, RunConfig
 from soekit.lora import attach
 from soekit.nets import ConditionEmbedder, MiniUnet, Vae, sinusoidal_time_embedding
 from soekit.optim import Adam
@@ -18,7 +18,7 @@ TINY = ModelSection(base_width=8, depth=1, cond_dim=8, time_dim=8, groups=4)
 
 def make_inputs(cfg, seed=0, batch=2):
     rng = np.random.default_rng(seed)
-    side = SIDE // cfg.latent_factor
+    side = SIDE // LATENT_FACTOR
     z = Tensor(rng.standard_normal((batch, cfg.latent_channels, side, side)).astype(np.float32))
     m = np.zeros((batch, 1, SIDE, SIDE), np.float32)
     m[:, :, 8:16, 8:16] = 1.0
@@ -96,7 +96,7 @@ def test_unet_rejects_non_binary_mask():
 
 def test_unet_mid_block_is_4x4_at_default_scale():
     cfg = RunConfig()
-    assert cfg.data.image_side // cfg.model.latent_factor // (2 ** cfg.model.depth) == 4
+    assert cfg.data.image_side // LATENT_FACTOR // (2 ** cfg.model.depth) == 4
 
 
 def test_condition_embedding_deterministic_and_style_gated():
@@ -133,7 +133,7 @@ def test_attention_rows_sum_to_one_inside_net():
     cond = emb.embed([2], [4], "color_label")
     attn = unet.mid.attn
     b, c = 1, attn.channels
-    side = SIDE // CFG.latent_factor // (2 ** CFG.depth)
+    side = SIDE // LATENT_FACTOR // (2 ** CFG.depth)
     x = Tensor(np.random.default_rng(1).standard_normal((b, c, side, side)).astype(np.float32))
     flat = T.transpose(T.reshape(attn.norm.forward(x), (b, c, side * side)), (0, 2, 1))
     q = attn.wq.forward(flat)
@@ -185,7 +185,5 @@ def test_sinusoidal_embedding_shape_and_determinism():
 
 
 def test_model_config_validation():
-    with pytest.raises(ValueError, match="latent_factor 4"):
-        Vae(ModelSection(latent_factor=3), seed=0)
     with pytest.raises(ConfigError, match="divisible"):
         RunConfig.from_dict({"data": {"image_side": 50}}).validate()

@@ -12,7 +12,7 @@ from helpers import (
     resize_per_sample, scalarize, sigmoid_select,
 )
 from soekit import tensor as T
-from soekit.config import DataSection, ModelSection
+from soekit.config import LATENT_FACTOR, DataSection, ModelSection
 from soekit.metrics import PROBE_CROP_SIDE, ProbeClassifier
 from soekit.nets import ConditionEmbedder, MiniUnet, Vae
 from soekit.tensor import ShapeError, Tensor, backward, topo_order
@@ -136,7 +136,7 @@ def convs_of_default_nets(batch: int) -> set:
         seen.add(("conv2d_transpose", x.shape, w.shape, 2, 0))
         return conv2d_transpose(x, w, bias=bias)
 
-    side = image_side // cfg.latent_factor
+    side = image_side // LATENT_FACTOR
     z = Tensor(np.zeros((batch, cfg.latent_channels, side, side), np.float32))
     ml = Tensor(np.ones((batch, 1, side, side), np.float32))
     cond = ConditionEmbedder(cfg, seed=0).embed([0] * batch, [0] * batch, "color_label")

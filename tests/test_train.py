@@ -236,14 +236,16 @@ def test_vae_recon_loss_contracts():
     x = Tensor(rng.random((1, 3, 32, 32)).astype(np.float32))
     m = np.zeros((1, 1, 32, 32), np.float32)
     m[:, :, 10:20, 10:20] = 1.0
-    loss = vae_recon_loss(x, Tensor(m), vae)
+    z = vae.encode(x)
+    loss = vae_recon_loss(x, z, vae, Tensor(m))
     assert loss.item() > 0
     with pytest.raises(ValueError, match="degenerate"):
-        vae_recon_loss(x, Tensor(np.zeros_like(m)), vae)
-    # comparison gating: the masked Huber reads masked pixels only
-    recon = vae.decode(vae.encode(x))
+        vae_recon_loss(x, z, vae, Tensor(np.zeros_like(m)))
+    # comparison gating: the masked Huber reads masked pixels only; no mask reads every pixel
+    recon = vae.decode(z)
     direct = T.huber(recon, x, Tensor(m)).item()
     assert abs(loss.item() - direct) < 1e-7
+    assert vae_recon_loss(x, z, vae).item() == T.huber(recon, x).item()
     perturbed_recon = recon.data + rng.standard_normal(recon.shape).astype(np.float32) * (1 - m)
     perturbed_x = x.data + rng.standard_normal(x.shape).astype(np.float32) * (1 - m)
     again = T.huber(Tensor(perturbed_recon), Tensor(perturbed_x), Tensor(m)).item()
@@ -259,12 +261,12 @@ def test_vae_overfits_constant_image():
     x = Tensor(np.full((1, 3, 64, 64), 0.35, np.float32))
     m = np.ones((1, 1, 64, 64), np.float32)
     opt = Adam(vae.params(), lr=3e-3)
-    first = vae_recon_loss(x, Tensor(m), vae).item()
+    first = vae_recon_loss(x, vae.encode(x), vae, Tensor(m)).item()
     for _ in range(80):
-        loss = vae_recon_loss(x, Tensor(m), vae)
+        loss = vae_recon_loss(x, vae.encode(x), vae, Tensor(m))
         backward(loss)
         opt.step()
-    final = vae_recon_loss(x, Tensor(m), vae).item()
+    final = vae_recon_loss(x, vae.encode(x), vae, Tensor(m)).item()
     assert final < 0.1 * first
 
 
@@ -343,6 +345,20 @@ def test_vae_tuning_flag_moves_vae(teacher_bundle):
     tr.train_step(0)
     moved = any(not np.array_equal(vae_before[k], p.data) for k, p in tr.vae.params().items())
     assert moved
+
+
+def test_vae_tuning_encodes_each_view_once(teacher_bundle, monkeypatch):
+    # the reconstruction decodes the step's own latent: x and the zoomed view, no third encode
+    tr = Trainer(tiny_cfg(use_vae_tuning=True, use_distill=True), build_split(3, "train-small", 8), teacher_bundle)
+    calls, encode = [], Vae.encode
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return encode(self, x)
+
+    monkeypatch.setattr(Vae, "encode", counted)
+    report = tr.train_step(0)
+    assert len(calls) == 2 and report.vae > 0 and report.distill > 0
 
 
 def test_loss_csv_written(teacher_bundle, tmp_path):
