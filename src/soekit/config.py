@@ -141,11 +141,16 @@ class RunConfig:
             fh.write("\n")
 
     def validate(self):
-        """Cross-section coherence checks; raises ConfigError on violation.
+        """Coherence checks; raises ConfigError on violation.
 
-        The image side must survive the VAE and every U-Net downsample evenly,
-        and leave each data split at least one legal object side.
+        The U-Net needs at least one level and an evaluation at least one
+        sample. The image side must survive the VAE and every U-Net
+        downsample evenly, and leave each data split at least one legal
+        object side.
         """
+        for key, value in (("model.depth", self.model.depth), ("eval.samples", self.eval.samples)):
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
         img = self.data.image_side
         step = LATENT_FACTOR * 2 ** self.model.depth
         if img % step:

@@ -275,6 +275,8 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if max_samples is not None and max_samples < 1:
+        raise ValueError(f"max_samples must be >= 1, got {max_samples}")
     if not val_samples:
         raise ValueError("validation split is empty")
     samples = sorted(val_samples, key=lambda s: s.id)

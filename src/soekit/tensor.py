@@ -9,6 +9,14 @@ parent's function is dropped unrun; ``backward`` replays the chain rule over
 a topological ordering of that record. Tensors built with
 ``requires_grad=False`` never accumulate a gradient and record nothing.
 
+A pass releases what it has spent. Each op output's gradient is dropped as
+soon as its gradient function has run, and when the pass ends every op output
+it reached is cut out of the graph: its parents are forgotten and its
+gradient function raises. The pass keeps the leaves' gradients, which the
+optimizers read, and every Tensor's data. So a caller holding an output of
+one step keeps no graph alive into the next, and a second backward over a
+spent graph fails instead of adding wrong gradients.
+
 Ops are module functions only (``mul(a, b)``, ``reshape(a, shape)``, ...);
 ``Tensor`` carries data, gradient and graph links, with no operator or op
 method. The one Huber op, ``huber``, takes an optional mask.
@@ -129,6 +137,8 @@ def _make(data, parents, grads, op: str) -> Tensor:
         for p, fn in zip(kept, fns):
             gp = fn(g)
             if p.grad is None:
+                # copied, never adopted: add hands one array to both parents, and
+                # reshape, transpose, concat, sum_ and mean hand views
                 p.grad = np.array(gp, dtype=p.data.dtype, order="C")
             else:
                 p.grad += gp
@@ -158,21 +168,40 @@ def topo_order(root: Tensor) -> list:
     return order
 
 
+_SPENT = "backward: this graph was released by an earlier backward; build it again"
+
+
+def _spent(g):
+    raise RuntimeError(_SPENT)
+
+
 def backward(loss: Tensor):
-    """Populate ``grad`` on every requires_grad tensor reachable from loss.
+    """Populate ``grad`` on every leaf tensor that requires grad and is reachable from loss.
 
     Gradients accumulate additively, so a tensor used on several paths
-    receives the sum of all path contributions.
+    receives the sum of all path contributions. The pass keeps the leaves'
+    gradients and every Tensor's data, and releases the rest: each op
+    output's gradient (the loss's included) as soon as it has been passed on,
+    and at the end the graph itself. Every op output reached is left with no
+    parents and a gradient function that raises, so a second backward through
+    it fails with a RuntimeError, before any gradient has run.
     """
     if loss.size != 1:
         raise ShapeError("backward", f"loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         raise ValueError("backward: loss is not connected to any requires_grad tensor")
     order = topo_order(loss)
+    if any(node._backward_fn is _spent for node in order):
+        raise RuntimeError(_SPENT)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            node.grad = None
+    for node in order:
+        if node._backward_fn is not None:
+            node._parents = ()
+            node._backward_fn = _spent
 
 
 # -- broadcasting helpers ------------------------------------------------------

@@ -245,6 +245,25 @@ def test_non_finite_loss_stops_before_update(workdir, capsys, tmp_path, verb, se
     assert np.isfinite(np.asarray([row.split(",") for row in rows], float)).all()
 
 
+@pytest.mark.parametrize("verb, section, key, value", [
+    ("pretrain-teacher", "model", "depth", 0),
+    ("pretrain-teacher", "model", "depth", -1),
+    ("eval", "eval", "samples", -2),
+    ("eval", "eval", "samples", 0),
+], ids=["depth-0", "depth-negative", "samples-negative", "samples-0"])
+def test_config_below_one_is_refused_by_name(workdir, capsys, tmp_path, verb, section, key, value):
+    root, _ = workdir
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG.get(section, {}), key: value}}))
+    out = tmp_path / "out"
+    source = ["--checkpoint", str(root / "student.soek")] if verb == "eval" else []
+    rc = main([verb, *source, "--config", str(config), "--data", str(root / "ds"), "--out", str(out)])
+    out_text, err = capsys.readouterr()
+    assert rc == 1 and out_text == ""
+    assert err == f"error: {section}.{key} must be >= 1, got {value}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
 def test_train_rejects_unknown_color_in_index_in_one_line(workdir, capsys, tmp_path):
     root, cfg = workdir
     ds = write_dataset(build_split(3, "train-small", 2), tmp_path / "ds")

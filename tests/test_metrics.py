@@ -296,6 +296,13 @@ def test_evaluate_is_batch_invariant(probe, tiny_bundle, monkeypatch):
         evaluate(student, val, "color_label", seed=9, probe=probe, batch_size=0)
 
 
+@pytest.mark.parametrize("max_samples", [0, -2])
+def test_evaluate_refuses_max_samples_below_one(probe, tiny_bundle, max_samples):
+    val = build_split(17, "val-small", 3)
+    with pytest.raises(ValueError, match=f"max_samples must be >= 1, got {max_samples}"):
+        evaluate(tiny_bundle, val, "color_label", seed=9, probe=probe, max_samples=max_samples)
+
+
 def test_metrics_csv_schema():
     report = MetricsReport(rows=[StyleRow("label_only", 0.5, 1.25, 8)], seed=3)
     text = report.csv_text()

@@ -155,10 +155,10 @@ def test_unet_gradient_through_lora_factor_matches_fd():
     m = np.zeros((1, 1, 16, 16), np.float32)
     m[:, :, 5:11, 5:11] = 1.0
     m = Tensor(m)
-    cond = emb.embed([1], [2], "color_label")
 
     target = adapters.adapters["mid.attn.wv"]
     for factor in (target.b, target.a):
+        cond = emb.embed([1], [2], "color_label")
         loss = T.mean(unet.forward(z, 40, cond, unet.latent_mask(m)))
         backward(loss)
         analytic = factor.grad.copy()

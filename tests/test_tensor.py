@@ -1,6 +1,7 @@
 """Op catalog: forward oracles, gradient checks, and graph contracts."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -554,6 +555,41 @@ def test_topo_order_puts_producers_first():
     for node in order:
         for parent in node._parents:
             assert pos[id(parent)] < pos[id(node)]
+
+
+def test_backward_frees_what_only_the_graph_held():
+    x = Tensor(np.arange(4, dtype=np.float32), requires_grad=True)
+    h = T.mul(x, x)
+    out = T.mul(h, x)  # kept by the caller, as a training loop keeps its prediction
+    loss = T.sum_(out)
+    held = weakref.ref(h.data)  # owned by h alone, so it lives exactly as long as h
+    del h
+    backward(loss)
+    assert held() is None
+    assert out._parents == () and out.grad is None and loss.grad is None
+    assert np.array_equal(out.data, np.arange(4, dtype=np.float32) ** 3)
+    assert np.array_equal(x.grad, 3 * x.data ** 2)
+
+
+def test_second_backward_over_a_spent_graph_raises():
+    # replaying it would add the same gradients again: 2, then 6 instead of 4
+    x = Tensor(np.ones((1, 1, 1), np.float32), requires_grad=True)
+    loss = T.sum_(T.mul(x, x))
+    backward(loss)
+    assert x.grad.item() == 2.0
+    with pytest.raises(RuntimeError, match=r"^backward: .*released") as exc:
+        backward(loss)
+    assert "\n" not in str(exc.value)
+    assert x.grad.item() == 2.0
+
+
+def test_new_graph_on_a_spent_op_output_raises():
+    x = Tensor(np.ones(3, np.float32), requires_grad=True)
+    h = T.mul(x, x)
+    backward(T.sum_(h))
+    with pytest.raises(RuntimeError, match=r"^backward: .*released"):
+        backward(T.sum_(T.mul(h, x)))
+    assert np.array_equal(x.grad, np.full(3, 2, np.float32))  # refused before any gradient ran
 
 
 def test_detach_blocks_gradient_flow():

@@ -1,5 +1,7 @@
 """Trainer: teacher-view geometry, losses, step contracts, editing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -426,6 +428,26 @@ def test_pretrain_loss_csv_has_one_row_per_step(tmp_path):
         assert den == total and float(dist) == float(vae) == 0.0
 
 
+def test_pretraining_holds_no_graph_across_steps():
+    # a loop whose caller keeps the previous step's graph alive overlaps it with
+    # the next step's, so the peak grows with the step count (about 1.45x at this size)
+    pool = build_split(1, "train-generic", 8)
+
+    def traced_peak(pretrain_steps):
+        cfg = RunConfig.from_dict({"model": {"base_width": 16, "groups": 4},
+                                   "train": {"batch_size": 2, "pretrain_vae_steps": 1,
+                                             "pretrain_steps": pretrain_steps}})
+        tracemalloc.start()
+        try:
+            pretrain_teacher(pool, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one, four = traced_peak(1), traced_peak(4)
+    assert four <= 1.15 * one, four / one
+
+
 def test_teacher_bundle_is_frozen(teacher_bundle):
     assert teacher_bundle.frozen
     assert teacher_bundle.role == "teacher"
@@ -579,6 +601,29 @@ def test_edit_output_depends_on_adapters(teacher_bundle):
     set_adapter_b(bundle.adapters, seed=3, std=0.0)
     plain = edit(s.image, s.bbox, s.label, s.color, "color_label", bundle, steps=2, seed=0)
     assert not np.array_equal(adapted, plain)
+
+
+def test_edit_batch_sees_an_in_place_kernel_write(student_bundle, tmp_path):
+    # optimizers and checkpoint restores write parameters in place, so anything
+    # prepared from a kernel must not outlive one edit_batch call
+    path = save_bundle(tmp_path / "student.soek", student_bundle)
+    val = build_split(6, "val-small", 2)
+
+    def run(bundle):
+        return edit_batch(*_edit_args(val), "color_label", bundle, steps=2, seeds=[4, 5])
+
+    def write(bundle):
+        kernel = bundle.unet.down[0].res.conv.w.data
+        kernel *= 0.5
+
+    bundle = load_bundle(path)
+    before = run(bundle)
+    write(bundle)
+    after = run(bundle)
+    fresh = load_bundle(path)
+    write(fresh)
+    assert any(not np.array_equal(a, b) for a, b in zip(before, after))
+    assert [a.tobytes() for a in after] == [f.tobytes() for f in run(fresh)]
 
 
 # -- end-to-end determinism ------------------------------------------------------------
