@@ -9,7 +9,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from soekit.data import MIN_OBJECT_SIDE, PROMPT_STYLES, SPLITS, candidate_sides, split_fraction_range
+from soekit.data import PROMPT_STYLES, SPLITS, split_sides
 
 LATENT_FACTOR = 4  # the VAE's spatial downscale: its two stride-2 encoder convs
 
@@ -143,22 +143,31 @@ class RunConfig:
     def validate(self):
         """Coherence checks; raises ConfigError on violation.
 
-        The U-Net needs at least one level and an evaluation at least one
-        sample. The image side must survive the VAE and every U-Net
-        downsample evenly, and leave each data split at least one legal
-        object side.
+        Every count, size and step (each int field but the seeds) is an
+        integer of at least 1, and both learning rates are above 0. The image
+        side must survive the VAE and every U-Net downsample evenly, and leave
+        each data split at least one legal object side.
         """
-        for key, value in (("model.depth", self.model.depth), ("eval.samples", self.eval.samples)):
-            if value < 1:
-                raise ConfigError(f"{key} must be >= 1, got {value}")
+        for name, section_cls in _SECTIONS.items():
+            for f in fields(section_cls):
+                key, value = f"{name}.{f.name}", getattr(getattr(self, name), f.name)
+                if f.type is int and not f.name.endswith("seed"):  # every count, size and step
+                    if isinstance(value, bool) or not isinstance(value, int):
+                        raise ConfigError(f"{key} must be an integer, got {value!r}")
+                    if value < 1:
+                        raise ConfigError(f"{key} must be >= 1, got {value}")
+                if key in ("train.lr", "train.pretrain_lr"):
+                    if isinstance(value, bool) or not isinstance(value, (int, float)):
+                        raise ConfigError(f"{key} must be a number, got {value!r}")
+                    if value <= 0:  # a NaN passes here and is refused by the first step's non-finite loss
+                        raise ConfigError(f"{key} must be > 0, got {value}")
         img = self.data.image_side
         step = LATENT_FACTOR * 2 ** self.model.depth
         if img % step:
             raise ConfigError(f"data.image_side {img} not divisible by {step} "
                               f"(latent factor {LATENT_FACTOR} x 2**model.depth)")
         try:
-            sides = {split: candidate_sides(split_fraction_range(split, img), img, MIN_OBJECT_SIDE)
-                     for split in SPLITS}
+            sides = {split: split_sides(split, img) for split in SPLITS}
         except ValueError as e:
             raise ConfigError(f"data.image_side {img} leaves a data split no legal object side: {e}") from None
         if self.train.crop_size >= img:

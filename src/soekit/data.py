@@ -6,10 +6,13 @@ position. Shapes fill their bounding box edge to edge, so the stored bbox is
 tight. Pixels are quantised to 8 bits at generation time, which makes the
 P6 PPM round trip bit-exact.
 
-Split conventions (area fractions of the image):
-  train-small   < (1/8)^2
-  val-small     in ((1/8)^2, (1/6)^2]
-  train-generic side fraction in [1/4, 1/2]
+Splits are defined by object size, as COCO's "small" is (area below 32^2),
+but relative to the image. An object of side s on an image of side n belongs to
+  train-small    when 8*s < n            (area below (1/8)^2 of the image)
+  val-small      when n < 8*s and 6*s <= n  (area in ((1/8)^2, (1/6)^2])
+  train-generic  when n <= 4*s           (side at least 1/4 of the image)
+and in every split MIN_OBJECT_SIDE <= s <= n // 2. A bbox is judged by its
+longer side; `split_sides` lists the legal sides.
 
 Objects are never drawn smaller than MIN_OBJECT_SIDE pixels per side, one more
 than the VAE's x4 latent factor, so a nearest-downsampled mask can never
@@ -85,6 +88,15 @@ def check_bbox(bbox, w: int, h: int) -> tuple:
     return x, y, bw, bh
 
 
+def check_image_side(samples, image_side: int):
+    """Refuse the first sample that is not image_side x image_side."""
+    for s in samples:
+        h, w = s.image.shape[:2]
+        if h != image_side or w != image_side:
+            raise ValueError(f"image size mismatch: sample {s.id} is {w}x{h}, "
+                             f"data.image_side is {image_side}")
+
+
 def captions_for(label: str, color: str) -> dict:
     return {"label_only": f"a {label}", "color_label": f"a {color} {label}"}
 
@@ -117,44 +129,26 @@ def _shape_coverage(label: str, side: int, supersample: int = 4) -> np.ndarray:
     return cov.mean(axis=(1, 3))
 
 
-def candidate_sides(side_fraction_range, image_side: int, min_side: int) -> list:
-    lo, hi = side_fraction_range
-    if not (0.0 < lo < hi):
-        raise ValueError(f"invalid side fraction range [{lo}, {hi})")
-    sides = [
-        s
-        for s in range(min_side, image_side // 2 + 1)
-        if lo <= s / image_side < hi
-    ]
-    if not sides:
-        raise ValueError(
-            f"infeasible side fraction range [{lo}, {hi}) at image side {image_side} "
-            f"(minimum object side {min_side})"
-        )
-    return sides
-
-
-def generate_scene(seed, side_fraction_range, palette=PALETTE, image_side: int = 64,
-                   split: str = "train-small", sample_id: str = None,
-                   min_side: int = MIN_OBJECT_SIDE) -> SoeSample:
+def generate_scene(seed, sides, image_side: int = 64, split: str = "train-small",
+                   sample_id: str = None) -> SoeSample:
     """One scene from a counter-based substream; same seed => identical bytes.
 
-    `seed` is either an int or a tuple (master, *split_indices); the range is
-    half-open in the side fraction, [lo, hi).
+    `seed` is either an int or a tuple (master, *split_indices); the object
+    side is drawn uniformly from `sides`.
     """
-    if isinstance(seed, tuple):
-        rng = stream_rng(seed[0], "data", *seed[1:])
-    else:
-        rng = stream_rng(seed, "data")
-    sides = candidate_sides(side_fraction_range, image_side, min_side)
+    if not sides:
+        raise ValueError("infeasible scene: no object side to draw from")
+    if not 1 <= min(sides) <= max(sides) <= image_side:
+        raise ValueError(f"invalid object sides {min(sides)}..{max(sides)} for image side {image_side}")
+    seed = seed if isinstance(seed, tuple) else (seed,)
+    rng = stream_rng(seed[0], "data", *seed[1:])
 
     bg = T.Tensor(0.4 + 0.2 * rng.random((1, 8, 8, 3)).transpose(0, 3, 1, 2), dtype=np.float64)
     img = np.ascontiguousarray(T.resize_bilinear(bg, image_side, image_side).data[0].transpose(1, 2, 0))
 
     s = int(rng.choice(sides))
     label = str(rng.choice(LABELS))
-    color_idx = int(rng.integers(len(palette)))
-    color_name, color_rgb = palette[color_idx]
+    color_name, color_rgb = PALETTE[int(rng.integers(len(PALETTE)))]
     x0 = int(rng.integers(0, image_side - s + 1))
     y0 = int(rng.integers(0, image_side - s + 1))
 
@@ -164,7 +158,7 @@ def generate_scene(seed, side_fraction_range, palette=PALETTE, image_side: int =
 
     quantised = np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
     return SoeSample(
-        id=sample_id or f"scene-{seed if isinstance(seed, int) else '-'.join(map(str, seed))}",
+        id=sample_id or f"scene-{'-'.join(map(str, seed))}",
         image=(quantised.astype(np.float32) / 255.0),
         bbox=(x0, y0, s, s),
         label=label,
@@ -177,50 +171,44 @@ def generate_scene(seed, side_fraction_range, palette=PALETTE, image_side: int =
 # -- curation -----------------------------------------------------------------------
 
 
+_SPLIT_RULES = {
+    "train-small": lambda s, n: 8 * s < n,
+    "val-small": lambda s, n: n < 8 * s and 6 * s <= n,
+    "train-generic": lambda s, n: n <= 4 * s,
+}
+
+
+def split_sides(split: str, image_side: int) -> list:
+    """Every legal object side of `split` on an image of side `image_side`, ascending."""
+    if split not in _SPLIT_RULES:
+        raise ValueError(f"unknown split {split!r}; expected one of {SPLITS}")
+    legal = _SPLIT_RULES[split]
+    sides = [s for s in range(MIN_OBJECT_SIDE, image_side // 2 + 1) if legal(s, image_side)]
+    if not sides:
+        raise ValueError(f"split {split!r} has no legal object side at image side {image_side}")
+    return sides
+
+
 def curation_filter(sample: SoeSample, target_split: str) -> bool:
-    """Size-threshold acceptance for a target split."""
+    """Whether the sample's bbox, by its longer side, is legal in the target split."""
     h, w = sample.image.shape[:2]
-    x, y, bw, bh = sample.bbox
-    area_frac = (bw * bh) / (w * h)
-    side_frac = max(bw, bh) / max(w, h)
-    if target_split == "train-small":
-        return area_frac < (1.0 / 8.0) ** 2
-    if target_split == "val-small":
-        return (1.0 / 8.0) ** 2 < area_frac <= (1.0 / 6.0) ** 2
-    if target_split == "train-generic":
-        return 0.25 <= side_frac <= 0.5
-    raise ValueError(f"unknown split {target_split!r}; expected one of {SPLITS}")
-
-
-def split_fraction_range(split: str, image_side: int) -> tuple:
-    """Half-open generator range whose integer sides satisfy the split filter."""
-    if split == "train-small":
-        return (MIN_OBJECT_SIDE / image_side, 1.0 / 8.0)
-    if split == "val-small":
-        lo = (image_side // 8 + 1) / image_side
-        hi = (int(image_side / 6) + 1) / image_side
-        return (lo, hi)
-    if split == "train-generic":
-        return (0.25, (image_side // 2 + 1) / image_side)
-    raise ValueError(f"unknown split {split!r}; expected one of {SPLITS}")
+    _, _, bw, bh = sample.bbox
+    return max(bw, bh) in split_sides(target_split, max(h, w))
 
 
 def build_split(master_seed: int, split: str, count: int, image_side: int = 64) -> list:
     """`count` curated samples; sample i draws from substream (seed, split, i)."""
     split_idx = SPLITS.index(split)
-    frange = split_fraction_range(split, image_side)
+    sides = split_sides(split, image_side)
     samples = []
     for i in range(count):
-        s = generate_scene(
+        samples.append(generate_scene(
             (master_seed, split_idx, i),
-            frange,
+            sides,
             image_side=image_side,
             split=split,
             sample_id=f"{split}-{i:05d}",
-        )
-        if not curation_filter(s, split):
-            raise AssertionError(f"generated sample {s.id} violates its split filter")
-        samples.append(s)
+        ))
     return samples
 
 

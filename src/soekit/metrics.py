@@ -18,7 +18,8 @@ import numpy as np
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
-from soekit.data import COLOR_NAMES, LABELS, PROMPT_STYLES, check_bbox, generate_scene
+from soekit.data import (COLOR_NAMES, LABELS, MIN_OBJECT_SIDE, PROMPT_STYLES, check_bbox, check_image_side,
+                         generate_scene)
 from soekit.nets import Conv2d, Linear, Module
 from soekit.optim import Adam
 from soekit.rng import child_seed, stream_rng
@@ -100,9 +101,9 @@ def train_probe(seed: int, count: int = 1500, steps: int = 700, lr: float = 2e-3
     """Fit the probe on freshly generated scenes over a wide size range."""
     probe = ProbeClassifier(seed)
     crops, shape_ids, color_ids = [], [], []
-    wide = (5.0 / image_side, (image_side // 2 + 1) / image_side)
+    sides = range(MIN_OBJECT_SIDE, image_side // 2 + 1)
     for i in range(count):
-        s = generate_scene((seed, PROBE_DATA_SUBSTREAM, i), wide, image_side=image_side)
+        s = generate_scene((seed, PROBE_DATA_SUBSTREAM, i), sides, image_side=image_side)
         crops.append(masked_crop(s.image, s.bbox).transpose(2, 0, 1))
         shape_ids.append(s.label_id)
         color_ids.append(s.color_id)
@@ -282,13 +283,7 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     samples = sorted(val_samples, key=lambda s: s.id)
     if max_samples is not None:
         samples = samples[:max_samples]
-    side = bundle.cfg.data.image_side
-    for s in samples:
-        if s.image.shape[0] != side or s.image.shape[1] != side:
-            raise ValueError(
-                f"checkpoint/config mismatch: sample {s.id} is {s.image.shape[1]}x{s.image.shape[0]}, "
-                f"checkpoint expects {side}x{side}"
-            )
+    check_image_side(samples, bundle.cfg.data.image_side)
     gen_crops = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]

@@ -36,7 +36,7 @@ import numpy as np
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
 from soekit.config import ConfigError, ModelSection, RunConfig
-from soekit.data import COLOR_NAMES, LABELS, check_bbox, curation_filter
+from soekit.data import COLOR_NAMES, LABELS, check_bbox, check_image_side, curation_filter
 from soekit.lora import LoraAdapterSet, attach, merge
 from soekit.nets import ConditionEmbedder, MiniUnet, Vae
 from soekit.optim import make_optimizer
@@ -326,6 +326,7 @@ class Trainer:
             raise ConfigurationError("teacher not frozen")
         if not dataset:
             raise ConfigurationError("training dataset is empty")
+        check_image_side(dataset, cfg.data.image_side)
         if not (tc.use_adapters or tc.use_vae_tuning):
             raise ConfigurationError("nothing to train: enable adapters or vae tuning")
         if teacher.cfg.schedule != cfg.schedule or teacher.cfg.model != cfg.model:
@@ -406,9 +407,10 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
     cfg.validate()
     if not dataset:
         raise ConfigurationError("pretraining dataset is empty")
+    check_image_side(dataset, cfg.data.image_side)
     for s in dataset:
         if not curation_filter(s, "train-generic"):
-            raise ConfigurationError(f"sample {s.id} is not generic-sized (side fraction outside [1/4, 1/2])")
+            raise ConfigurationError(f"sample {s.id} is not generic-sized (longer bbox side not a train-generic side)")
     tc = cfg.train
     bundle = Bundle.build(cfg, tc.seed, frozen=True, role="teacher")
     vae, unet, cond, sched = bundle.vae, bundle.unet, bundle.cond, bundle.sched

@@ -245,23 +245,52 @@ def test_non_finite_loss_stops_before_update(workdir, capsys, tmp_path, verb, se
     assert np.isfinite(np.asarray([row.split(",") for row in rows], float)).all()
 
 
-@pytest.mark.parametrize("verb, section, key, value", [
-    ("pretrain-teacher", "model", "depth", 0),
-    ("pretrain-teacher", "model", "depth", -1),
-    ("eval", "eval", "samples", -2),
-    ("eval", "eval", "samples", 0),
-], ids=["depth-0", "depth-negative", "samples-negative", "samples-0"])
-def test_config_below_one_is_refused_by_name(workdir, capsys, tmp_path, verb, section, key, value):
+@pytest.mark.parametrize("verb, section, key, value, rule", [
+    ("pretrain-teacher", "model", "depth", 0, ">= 1"),
+    ("pretrain-teacher", "model", "depth", -1, ">= 1"),
+    ("eval", "eval", "samples", -2, ">= 1"),
+    ("eval", "eval", "samples", 0, ">= 1"),
+    ("pretrain-teacher", "model", "groups", 0, ">= 1"),
+    ("train", "train", "crop_size", "32", "an integer"),
+    ("train", "train", "batch_size", 0, ">= 1"),
+    ("pretrain-teacher", "model", "base_width", 0, ">= 1"),
+    ("train", "lora", "rank", -1, ">= 1"),
+    ("pretrain-teacher", "schedule", "timesteps", 0, ">= 1"),
+    ("train", "lora", "rank", 0, ">= 1"),
+    ("train", "train", "steps", -1, ">= 1"),
+    ("train", "train", "lr", -1, "> 0"),
+    ("pretrain-teacher", "train", "pretrain_lr", 0, "> 0"),
+    ("pretrain-teacher", "train", "pretrain_steps", 0, ">= 1"),
+    ("pretrain-teacher", "train", "pretrain_vae_steps", -3, ">= 1"),
+], ids=["depth-0", "depth-negative", "samples-negative", "samples-0", "groups-0", "crop-size-text",
+        "batch-size-0", "base-width-0", "rank-negative", "timesteps-0", "rank-0", "steps-negative", "lr-negative",
+        "pretrain-lr-0", "pretrain-steps-0", "pretrain-vae-steps-negative"])
+def test_config_below_one_is_refused_by_name(workdir, capsys, tmp_path, verb, section, key, value, rule):
     root, _ = workdir
     config = tmp_path / "bad.json"
     config.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG.get(section, {}), key: value}}))
     out = tmp_path / "out"
-    source = ["--checkpoint", str(root / "student.soek")] if verb == "eval" else []
+    source = {"eval": ["--checkpoint", str(root / "student.soek")],
+              "train": ["--teacher", str(root / "teacher.soek")]}.get(verb, [])
     rc = main([verb, *source, "--config", str(config), "--data", str(root / "ds"), "--out", str(out)])
     out_text, err = capsys.readouterr()
     assert rc == 1 and out_text == ""
-    assert err == f"error: {section}.{key} must be >= 1, got {value}\n"
+    assert err == f"error: {section}.{key} must be {rule}, got {value!r}\n"
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("verb, split", [("pretrain-teacher", "train-generic"), ("train", "train-small")])
+def test_dataset_at_another_image_side_is_refused(workdir, capsys, tmp_path, verb, split):
+    # the run config keeps the default 64 px; the dataset holds 128 px images
+    root, cfg = workdir
+    ds = write_dataset(build_split(3, split, 2, image_side=128), tmp_path / "ds")
+    out = tmp_path / "model.soek"
+    teacher = ["--teacher", str(root / "teacher.soek")] if verb == "train" else []
+    rc = main([verb, "--config", cfg, "--data", str(ds), *teacher, "--out", str(out)])
+    out_text, err = capsys.readouterr()
+    assert rc == 1 and out_text == ""
+    assert err == f"error: image size mismatch: sample {split}-00000 is 128x128, data.image_side is 64\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
 def test_train_rejects_unknown_color_in_index_in_one_line(workdir, capsys, tmp_path):

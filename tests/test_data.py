@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from soekit.data import (
     COLOR_NAMES,
+    MIN_OBJECT_SIDE,
     PALETTE,
     SPLITS,
     SoeSample,
@@ -17,15 +19,15 @@ from soekit.data import (
     generate_scene,
     read_dataset,
     read_ppm,
-    split_fraction_range,
+    split_sides,
     write_dataset,
     write_ppm,
 )
 
 
 def test_same_seed_gives_byte_identical_sample():
-    a = generate_scene(123, (5 / 64, 1 / 8))
-    b = generate_scene(123, (5 / 64, 1 / 8))
+    a = generate_scene(123, split_sides("train-small", 64))
+    b = generate_scene(123, split_sides("train-small", 64))
     assert a.image.tobytes() == b.image.tobytes()
     assert a.bbox == b.bbox and a.label == b.label and a.color == b.color
 
@@ -40,9 +42,18 @@ def test_generated_data_is_pinned():
     assert h.hexdigest()[:16] == "227490c1c7ea2b49"
 
 
+def test_generated_data_at_128px_is_pinned():
+    h = hashlib.sha256()
+    for split in SPLITS:
+        for s in build_split(0, split, 8, image_side=128):
+            h.update(s.image.tobytes())
+            h.update(repr((s.bbox, s.label, s.color)).encode())
+    assert h.hexdigest()[:16] == "33c2099e5c340291"
+
+
 def test_side_fraction_range_is_half_open():
     for seed in range(200):
-        s = generate_scene(seed, (1 / 16, 1 / 8))
+        s = generate_scene(seed, split_sides("train-small", 64))
         x, y, w, h = s.bbox
         assert (w * h) < (64 * 64) * (1 / 8) ** 2
         assert w / 64 >= 1 / 16
@@ -50,20 +61,20 @@ def test_side_fraction_range_is_half_open():
 
 def test_bbox_always_inside_image():
     for seed in range(100):
-        s = generate_scene(seed, (0.25, 33 / 64))
+        s = generate_scene(seed, split_sides("train-generic", 64))
         x, y, w, h = s.bbox
         assert x >= 0 and y >= 0 and x + w <= 64 and y + h <= 64
 
 
 def test_infeasible_range_rejected():
     with pytest.raises(ValueError, match="infeasible"):
-        generate_scene(0, (0.001, 0.002))
+        generate_scene(0, [])
     with pytest.raises(ValueError, match="invalid"):
-        generate_scene(0, (0.3, 0.1))
+        generate_scene(0, [0, 3])
 
 
 def test_captions_follow_templates():
-    s = generate_scene(7, (5 / 64, 1 / 8))
+    s = generate_scene(7, split_sides("train-small", 64))
     assert s.captions["label_only"] == f"a {s.label}"
     assert s.captions["color_label"] == f"a {s.color} {s.label}"
     assert captions_for("ring", "cyan") == {"label_only": "a ring", "color_label": "a cyan ring"}
@@ -74,7 +85,7 @@ def test_bbox_mean_color_decodes_to_drawn_palette_color():
     hits = 0
     n = 1000
     for seed in range(n):
-        s = generate_scene((909, 0, seed), (5 / 64, 1 / 8))
+        s = generate_scene((909, 0, seed), split_sides("train-small", 64))
         x, y, w, h = s.bbox
         mean = s.image[y : y + h, x : x + w].reshape(-1, 3).mean(axis=0)
         d = np.linalg.norm(palette_arr - mean[None, :], axis=1)
@@ -86,7 +97,7 @@ def test_bbox_mean_color_decodes_to_drawn_palette_color():
 def test_min_object_side_floor():
     # every mask survives a x4 nearest downsample: side >= 5 pixels
     for seed in range(200):
-        s = generate_scene(seed, (0.001, 1 / 8))
+        s = generate_scene(seed, split_sides("train-small", 64))
         assert s.bbox[2] >= 5 and s.bbox[3] >= 5
         latent = s.mask()[2::4, 2::4]
         assert latent.sum() >= 1
@@ -128,16 +139,52 @@ def test_build_split_sizes_and_disjoint_ids():
 
 
 def test_split_fraction_ranges_produce_expected_sides():
-    lo, hi = split_fraction_range("val-small", 64)
-    sides = [s for s in range(1, 32) if lo <= s / 64 < hi]
+    sides = split_sides("val-small", 64)
     assert sides == [9, 10]
-    lo, hi = split_fraction_range("train-small", 64)
-    sides = [s for s in range(1, 32) if lo <= s / 64 < hi]
+    sides = split_sides("train-small", 64)
     assert sides == [5, 6, 7]
+    assert split_sides("train-generic", 64) == list(range(16, 33))
+
+
+def _defined_sides(split, n):
+    """The split's sides from its area and side-fraction definitions, with exact bounds."""
+    small_area, val_area = Fraction(1, 64) * n * n, Fraction(1, 36) * n * n  # in pixels^2
+    generic_lo, generic_hi = Fraction(1, 4) * n, Fraction(1, 2) * n
+    legal = {
+        "train-small": lambda s: s * s < small_area,
+        "val-small": lambda s: small_area < s * s <= val_area,
+        "train-generic": lambda s: generic_lo <= s <= generic_hi,
+    }[split]
+    return [s for s in range(MIN_OBJECT_SIDE, n + 1) if legal(s)]
+
+
+def test_split_sides_match_the_area_and_side_definitions():
+    for n in range(16, 1025):
+        for split in SPLITS:
+            expected = _defined_sides(split, n)
+            if expected:
+                assert split_sides(split, n) == expected, (split, n)
+            else:
+                with pytest.raises(ValueError, match="no legal object side"):
+                    split_sides(split, n)
+
+
+def test_split_sides_errors_name_the_split():
+    with pytest.raises(ValueError, match="unknown split 'test'"):
+        split_sides("test", 64)
+    with pytest.raises(ValueError, match="split 'train-small' has no legal object side at image side 32"):
+        split_sides("train-small", 32)
+
+
+@pytest.mark.parametrize("sides", [[], [0], [5, 65]], ids=["empty", "zero", "above-image"])
+def test_generate_scene_refuses_sides_it_cannot_draw(sides):
+    with pytest.raises(ValueError) as exc:
+        generate_scene(0, sides, image_side=64)
+    assert "\n" not in str(exc.value)
 
 
 def test_ppm_roundtrip_bit_identical(tmp_path):
-    s = generate_scene(55, (5 / 64, 1 / 8))
+    s = generate_scene(55, split_sides("train-small", 64))
     p = tmp_path / "img.ppm"
     write_ppm(p, s.image)
     back = read_ppm(p)

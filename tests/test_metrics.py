@@ -1,5 +1,7 @@
 """Probe, Frechet distance, alignment, effective area, evaluation protocol."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from helpers import set_adapter_b
 from soekit import metrics
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import RunConfig
-from soekit.data import build_split, generate_scene
+from soekit.data import build_split, generate_scene, split_sides
 from soekit.metrics import (
     MetricsReport,
     ProbeClassifier,
@@ -165,10 +167,27 @@ def test_alignment_style_validation(probe):
         alignment_score(crop, "circle", "red", "both", probe)
 
 
+def test_probe_scenes_are_pinned(monkeypatch):
+    # the probe's training scenes span every object side from MIN_OBJECT_SIDE to half the image
+    scenes, draw = [], metrics.generate_scene
+
+    def recorded(*args, **kwargs):
+        scenes.append(draw(*args, **kwargs))
+        return scenes[-1]
+
+    monkeypatch.setattr(metrics, "generate_scene", recorded)
+    train_probe(seed=7, count=32, steps=0, image_side=64)
+    h = hashlib.sha256()
+    for s in scenes:
+        h.update(s.image.tobytes())
+        h.update(repr((s.bbox, s.label, s.color)).encode())
+    assert len(scenes) == 32 and h.hexdigest()[:16] == "19a15d5bc5902b5d"
+
+
 def test_probe_save_load_roundtrip(probe, tmp_path):
     p = save_probe(tmp_path / "probe.soek", probe, seed=7)
     back = load_probe(p)
-    crop = masked_crop(generate_scene(99, (5 / 64, 1 / 8)).image, (10, 10, 12, 12))
+    crop = masked_crop(generate_scene(99, split_sides("train-small", 64)).image, (10, 10, 12, 12))
     a = probe.probabilities([crop])
     b = back.probabilities([crop])
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
