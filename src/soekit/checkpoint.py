@@ -108,7 +108,7 @@ def load_checkpoint(path):
 
 
 def restore(path, params: dict, arrays: dict):
-    """Copy each loaded array into the same-named Tensor of `params`.
+    """Rebind each same-named Tensor of `params` to its loaded array.
 
     Every Tensor needs an array of its shape and every array a Tensor; the
     first mismatch raises a CheckpointError naming `path` and the array, and

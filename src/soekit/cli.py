@@ -16,9 +16,10 @@ import sys
 from pathlib import Path
 
 from soekit.config import ConfigError, RunConfig
-from soekit.data import PROMPT_STYLES, SPLITS, build_split, read_dataset, read_ppm, write_dataset, write_ppm
+from soekit.data import (PROMPT_STYLES, SPLITS, build_split, check_image_side, read_dataset, read_ppm, write_dataset,
+                         write_ppm)
 from soekit.metrics import effective_area, evaluate, load_probe, map_side, save_probe, train_probe
-from soekit.train import Trainer, load_bundle, pretrain_teacher, save_bundle
+from soekit.train import Trainer, check_config_matches, load_bundle, pretrain_teacher, save_bundle
 from soekit.train import edit as edit_op
 
 
@@ -28,14 +29,18 @@ def _load_config(path) -> RunConfig:
 
 def _resolve_seed(flag_value, cfg_value) -> int:
     if flag_value is not None:
-        return int(flag_value)
+        if flag_value < 0:
+            raise ValueError(f"--seed must be >= 0, got {flag_value}")
+        return flag_value
     env = os.environ.get("SOEKIT_SEED")
     if env is not None:
         try:
-            return int(env)
+            if int(env) >= 0:
+                return int(env)
         except ValueError:
-            raise ValueError(f"SOEKIT_SEED must be an integer, got {env!r}") from None
-    return int(cfg_value)
+            pass
+        raise ValueError(f"SOEKIT_SEED must be a non-negative integer, got {env!r}")
+    return cfg_value
 
 
 def _echo_config(cfg: RunConfig, out_dir):
@@ -127,8 +132,10 @@ def _probe_for(cfg: RunConfig, out_dir: Path):
 def cmd_eval(args) -> int:
     bundle = load_bundle(args.checkpoint)
     cfg = _load_config(args.config).validate() if args.config else bundle.cfg
+    check_config_matches(bundle.cfg, cfg, args.checkpoint, keys=("schedule", "model", "data.image_side"))
     seed = _resolve_seed(args.seed, cfg.eval.seed)
     val = read_dataset(args.data, split="val-small")
+    check_image_side(val, bundle.cfg.data.image_side)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     probe = _probe_for(cfg, out_dir)

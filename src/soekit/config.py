@@ -3,15 +3,47 @@
 Every field has a default; unknown keys are rejected with the offending
 section and key named. A loaded config re-serialises to a semantically
 identical document (lists stay lists, numbers keep their values).
+
+Each field's rule sits beside its default: the annotated type, plus any bound
+or choices declared through `rule`. `validate` applies them all in one loop,
+then the cross-field rules. An int field with no declared bound is a count,
+size or step and must be at least 1. No bound refuses NaN, so a NaN (like an
+infinity within its bound) reaches the first step's non-finite guard. Which
+adapter blocks exist depends on model.depth, so `lora.attach` checks the
+names in lora.blocks.
 """
 
 import json
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from soekit.data import PROMPT_STYLES, SPLITS, split_sides
+from soekit.optim import OPTIMIZERS
 
 LATENT_FACTOR = 4  # the VAE's spatial downscale: its two stride-2 encoder convs
+DISTILL_LOSSES = ("huber", "mse")
+
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "a list of strings"}
+_TESTS = {"least": (">=", operator.lt), "above": (">", operator.le), "below": ("<", operator.ge),  # none breaks for NaN
+          "choices": ("one of", lambda value, choices: value not in choices)}
+
+
+def rule(default, **rules):
+    """A field default with its declared rules: least, above, below or choices (a list)."""
+    return field(default=default, metadata=rules)
+
+
+def _broken(f, value) -> str:
+    """The rule of field f that value breaks, or '' if it keeps them all."""
+    kinds = (int, float) if f.type is float else f.type
+    if (not isinstance(value, kinds) or isinstance(value, bool) != (f.type is bool)
+            or f.type is list and not all(isinstance(v, str) for v in value)):
+        return _KINDS[f.type]
+    for name, bound in (f.metadata or ({"least": 1} if f.type is int else {})).items():
+        if _TESTS[name][1](value, bound):
+            return f"{_TESTS[name][0]} {bound}"
+    return ""
 
 
 @dataclass
@@ -20,14 +52,14 @@ class DataSection:
     train_small_count: int = 384
     train_generic_count: int = 384
     val_small_count: int = 64
-    seed: int = 0
+    seed: int = rule(0, least=0)
 
 
 @dataclass
 class ScheduleSection:
     timesteps: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
+    beta_start: float = rule(1e-4, above=0, below=1)
+    beta_end: float = rule(0.02, above=0, below=1)
 
 
 @dataclass
@@ -43,41 +75,41 @@ class ModelSection:
 @dataclass
 class LoraSection:
     rank: int = 4
-    alpha: float = 1.0
+    alpha: float = rule(1.0, above=0)
     blocks: list = field(default_factory=lambda: ["mid", "down1_up1", "down0_up3"])
-    init_std: float = 0.01
+    init_std: float = rule(0.01, above=0)
 
 
 @dataclass
 class TrainSection:
     steps: int = 2000
     batch_size: int = 4
-    lr: float = 2e-3
-    optimizer: str = "adam"
+    lr: float = rule(2e-3, above=0)
+    optimizer: str = rule("adam", choices=list(OPTIMIZERS))
     crop_size: int = 32
-    distill_weight: float = 0.01
-    vae_weight: float = 1.0
-    distill_loss: str = "huber"      # or "mse"
-    huber_delta: float = 1.0
+    distill_weight: float = rule(0.01, least=0)
+    vae_weight: float = rule(1.0, least=0)
+    distill_loss: str = rule("huber", choices=list(DISTILL_LOSSES))
+    huber_delta: float = rule(1.0, above=0)
     use_adapters: bool = True
     use_distill: bool = True
     use_vae_tuning: bool = False
-    prompt_style: str = "color_label"
+    prompt_style: str = rule("color_label", choices=list(PROMPT_STYLES))
     pretrain_vae_steps: int = 700
     pretrain_steps: int = 2600
-    pretrain_lr: float = 2e-3
-    seed: int = 0
+    pretrain_lr: float = rule(2e-3, above=0)
+    seed: int = rule(0, least=0)
 
 
 @dataclass
 class EvalSection:
     ddim_steps: int = 10
     samples: int = 64
-    probe_seed: int = 7
+    probe_seed: int = rule(7, least=0)
     probe_train_count: int = 1500
     probe_steps: int = 700
-    probe_lr: float = 2e-3
-    seed: int = 0
+    probe_lr: float = rule(2e-3, above=0)
+    seed: int = rule(0, least=0)
 
 
 _SECTIONS = {
@@ -143,24 +175,20 @@ class RunConfig:
     def validate(self):
         """Coherence checks; raises ConfigError on violation.
 
-        Every count, size and step (each int field but the seeds) is an
-        integer of at least 1, and both learning rates are above 0. The image
-        side must survive the VAE and every U-Net downsample evenly, and leave
-        each data split at least one legal object side.
+        Each field's declared rule (see `rule`) is applied first, and each
+        error reads `<section>.<key> must be <rule>, got <value>`. An int with
+        no declared bound must be at least 1; NaN passes every bound and
+        reaches the first step's non-finite guard. Then the cross-field rules:
+        the image side must survive the VAE and every U-Net downsample evenly
+        and leave each data split at least one legal object side, the crop
+        size must fit it, and model.groups must divide model.base_width.
         """
         for name, section_cls in _SECTIONS.items():
             for f in fields(section_cls):
-                key, value = f"{name}.{f.name}", getattr(getattr(self, name), f.name)
-                if f.type is int and not f.name.endswith("seed"):  # every count, size and step
-                    if isinstance(value, bool) or not isinstance(value, int):
-                        raise ConfigError(f"{key} must be an integer, got {value!r}")
-                    if value < 1:
-                        raise ConfigError(f"{key} must be >= 1, got {value}")
-                if key in ("train.lr", "train.pretrain_lr"):
-                    if isinstance(value, bool) or not isinstance(value, (int, float)):
-                        raise ConfigError(f"{key} must be a number, got {value!r}")
-                    if value <= 0:  # a NaN passes here and is refused by the first step's non-finite loss
-                        raise ConfigError(f"{key} must be > 0, got {value}")
+                value = getattr(getattr(self, name), f.name)
+                broken = _broken(f, value)
+                if broken:
+                    raise ConfigError(f"{name}.{f.name} must be {broken}, got {value!r}")
         img = self.data.image_side
         step = LATENT_FACTOR * 2 ** self.model.depth
         if img % step:
@@ -171,17 +199,14 @@ class RunConfig:
         except ValueError as e:
             raise ConfigError(f"data.image_side {img} leaves a data split no legal object side: {e}") from None
         if self.train.crop_size >= img:
-            raise ConfigError(f"crop_size {self.train.crop_size} must be < image side {img}")
+            raise ConfigError(f"train.crop_size {self.train.crop_size} must be < data.image_side {img}")
         max_mask_side = sides["train-small"][-1]
         if self.train.crop_size < 2 * max_mask_side:
             raise ConfigError(
-                f"crop_size {self.train.crop_size} must be >= 2x the largest training "
+                f"train.crop_size {self.train.crop_size} must be >= 2x the largest training "
                 f"mask side ({max_mask_side}) so the teacher view at least doubles the mask"
             )
-        if self.train.distill_loss not in ("huber", "mse"):
-            raise ConfigError(f"distill_loss must be 'huber' or 'mse', got {self.train.distill_loss!r}")
-        if self.train.prompt_style not in PROMPT_STYLES:
-            raise ConfigError(f"unknown prompt_style {self.train.prompt_style!r}")
-        if self.train.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.train.optimizer!r}")
+        if self.model.base_width % self.model.groups:
+            raise ConfigError(f"model.base_width {self.model.base_width} must be divisible by "
+                              f"model.groups {self.model.groups}")
         return self

@@ -1,8 +1,9 @@
 """Optimizers over named parameter collections.
 
 Adam is the default trainer (beta1=0.9, beta2=0.999, eps=1e-8); plain SGD
-stays selectable. Both clear gradients after applying an update and raise if
-any managed parameter is missing its gradient.
+stays selectable. `OPTIMIZERS` maps each name `train.optimizer` may take to
+its class. Both clear gradients after applying an update and raise if any
+managed parameter is missing its gradient.
 """
 
 import numpy as np
@@ -67,9 +68,4 @@ class Sgd:
             p.grad = None
 
 
-def make_optimizer(kind: str, params: dict, lr: float):
-    if kind == "adam":
-        return Adam(params, lr=lr)
-    if kind == "sgd":
-        return Sgd(params, lr=lr)
-    raise ValueError(f"unknown optimizer {kind!r} (expected 'adam' or 'sgd')")
+OPTIMIZERS = {"adam": Adam, "sgd": Sgd}

@@ -29,17 +29,18 @@ batch of one.
 import copy
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
-from soekit.config import ConfigError, ModelSection, RunConfig
+from soekit.config import DISTILL_LOSSES, ConfigError, ModelSection, RunConfig
 from soekit.data import COLOR_NAMES, LABELS, check_bbox, check_image_side, curation_filter
 from soekit.lora import LoraAdapterSet, attach, merge
 from soekit.nets import ConditionEmbedder, MiniUnet, Vae
-from soekit.optim import make_optimizer
+from soekit.optim import OPTIMIZERS
 from soekit.rng import stream_rng
 from soekit.schedule import NoiseSchedule, add_noise, ddim_step, ddim_timesteps, make_schedule, predict_z0
 from soekit.tensor import Tensor
@@ -113,7 +114,7 @@ def distill_loss(z0_hat: Tensor, m_latent: Tensor, z0p_hat: Tensor, mp_latent: T
     crop holds masked cells only. The teacher side is detached: gradient flows
     into the student path only.
     """
-    if loss_type not in ("huber", "mse"):
+    if loss_type not in DISTILL_LOSSES:
         raise ValueError(f"distill_loss: unknown loss type {loss_type!r}")
     s_boxes = [_latent_bbox(mask, "student") for mask in m_latent.data[:, 0]]
     t_boxes = [_latent_bbox(mask, "teacher") for mask in mp_latent.data[:, 0]]
@@ -316,6 +317,13 @@ def _update(optimizer, loss_csv, step: int, t0: float, denoise=None, distill=Non
 # -- trainer --------------------------------------------------------------------------
 
 
+def check_config_matches(stored: RunConfig, cfg: RunConfig, who: str, keys=("schedule", "model")):
+    """Refuse a run config that differs from a checkpoint's stored config at any of keys."""
+    differ = [key for key in keys if attrgetter(key)(stored) != attrgetter(key)(cfg)]
+    if differ:
+        raise ConfigurationError(f"checkpoint/config mismatch: {who} and run config differ at {', '.join(differ)}")
+
+
 class Trainer:
     """Owns all mutable training state for one adapter-tuning run."""
 
@@ -329,10 +337,7 @@ class Trainer:
         check_image_side(dataset, cfg.data.image_side)
         if not (tc.use_adapters or tc.use_vae_tuning):
             raise ConfigurationError("nothing to train: enable adapters or vae tuning")
-        if teacher.cfg.schedule != cfg.schedule or teacher.cfg.model != cfg.model:
-            raise ConfigurationError(
-                "checkpoint/config mismatch: teacher schedule or model section differs from run config"
-            )
+        check_config_matches(teacher.cfg, cfg, "teacher")
         self.cfg = cfg
         self.dataset = list(dataset)
         self.sched = teacher.sched
@@ -355,7 +360,7 @@ class Trainer:
             trainables.update(self.vae.params("vae"))
         else:
             self.vae.set_trainable(False)
-        self.optimizer = make_optimizer(tc.optimizer, trainables, lr=tc.lr)
+        self.optimizer = OPTIMIZERS[tc.optimizer](trainables, lr=tc.lr)
         self.loss_csv = _start_loss_csv(loss_csv)
 
     def train_step(self, step: int, samples=None) -> LossReport:
@@ -418,7 +423,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
     loss_csv = _start_loss_csv(loss_csv)
 
     # phase A: autoencoder
-    opt_vae = make_optimizer(tc.optimizer, vae.params("vae"), lr=tc.pretrain_lr)
+    opt_vae = OPTIMIZERS[tc.optimizer](vae.params("vae"), lr=tc.pretrain_lr)
     for step in range(tc.pretrain_vae_steps):
         t0 = time.perf_counter()
         x, *_ = batch_tensors(_draw_batch(dataset, tc, step, 2))
@@ -426,7 +431,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
 
     # phase B: denoiser on the frozen autoencoder
     vae.set_trainable(False)
-    opt = make_optimizer(tc.optimizer, {**unet.params("unet"), **cond.params("cond")}, lr=tc.pretrain_lr)
+    opt = OPTIMIZERS[tc.optimizer]({**unet.params("unet"), **cond.params("cond")}, lr=tc.pretrain_lr)
     for step in range(tc.pretrain_steps):
         t0 = time.perf_counter()
         x, m, _, _, label_ids, color_ids = batch_tensors(_draw_batch(dataset, tc, step, 3))

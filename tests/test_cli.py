@@ -7,6 +7,7 @@ import pytest
 
 from soekit.checkpoint import load_checkpoint, save_checkpoint
 from soekit.cli import main
+from soekit.config import RunConfig
 from soekit.data import build_split, read_dataset, read_ppm, write_dataset
 from soekit.metrics import ProbeClassifier, save_probe
 from soekit.train import load_bundle
@@ -103,9 +104,10 @@ def test_pipeline_pretrain_train_eval_edit(workdir, capsys):
     assert loss_lines[0] == "step,L_denoise,L_distill,L_vae,L_total,wall_ms"
     assert len(loss_lines) == 1 + TINY_CONFIG["train"]["steps"]
 
-    assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg,
-                 "--data", str(root / "ds"), "--style", "color_label", "--seed", "4",
-                 "--out", str(root / "eval")]) == 0
+    with pytest.warns(UserWarning, match="covariance estimates are singular"):  # 3 samples against 32 features
+        assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg,
+                     "--data", str(root / "ds"), "--style", "color_label", "--seed", "4",
+                     "--out", str(root / "eval")]) == 0
     metrics = (root / "eval" / "metrics.csv").read_text().splitlines()
     assert metrics[0] == "style,alignment_mean,frechet,n"
     assert metrics[1].startswith("color_label,")
@@ -129,8 +131,9 @@ def test_eval_trains_a_new_probe_for_new_probe_settings(workdir, tmp_path):
     other.write_text(json.dumps({**TINY_CONFIG, "eval": {**TINY_CONFIG["eval"], "probe_seed": 8}}))
     out = tmp_path / "eval"
     for config in (cfg, str(other), cfg):
-        assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", config,
-                     "--data", str(root / "ds"), "--out", str(out)]) == 0
+        with pytest.warns(UserWarning, match="covariance estimates are singular"):
+            assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", config,
+                         "--data", str(root / "ds"), "--out", str(out)]) == 0
     assert len(list(out.glob("probe-*.soek"))) == 2
 
 
@@ -352,8 +355,9 @@ def test_edit_rejects_malformed_ppm_header_in_one_line(workdir, capsys, tmp_path
 @pytest.mark.parametrize(
     "flags,seed_env,config,named",
     [(["--count", "0"], None, None, "--count"), (["--count", "-3"], None, None, "--count"),
-     ([], "abc", None, "SOEKIT_SEED")],
-    ids=["count-0", "count-negative", "seed-env-not-int"],
+     ([], "abc", None, "SOEKIT_SEED"), (["--seed", "-1"], None, None, "--seed must be >= 0, got -1"),
+     ([], "-2", None, "SOEKIT_SEED must be a non-negative integer, got '-2'")],
+    ids=["count-0", "count-negative", "seed-env-not-int", "seed-negative", "seed-env-negative"],
 )
 def test_gen_data_rejects_bad_input_in_one_line(workdir, capsys, monkeypatch, tmp_path, flags, seed_env, config,
                                                 named):
@@ -398,8 +402,9 @@ def _edit_with_stored_latent_factor(root, tmp_path):
     (_gen_data_with("train", "unmasked_vae_loss", False), "['unmasked_vae_loss']"),
     (_gen_data_with("eval", "batch_size", 8), "section 'eval': ['batch_size']"),
     (_edit_with_stored_latent_factor, "lf.soek: bad config in teacher checkpoint"),
+    (_gen_data_with("model", "groups", 3), "model.base_width 32 must be divisible by model.groups 3"),
 ], ids=["side-32", "side-40", "side-72", "side-48", "side-64", "latent-factor", "unmasked-vae-loss",
-        "eval-batch-size", "stored-latent-factor"])
+        "eval-batch-size", "stored-latent-factor", "groups-not-dividing-base-width"])
 def test_image_side_and_removed_keys_by_name(workdir, capsys, tmp_path, make, named):
     root, _ = workdir
     argv, out = make(root, tmp_path)
@@ -411,3 +416,103 @@ def test_image_side_and_removed_keys_by_name(workdir, capsys, tmp_path, make, na
     assert rc == 1 and out_text == "" and not out.exists()
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], err
+
+
+# one bad value per config key: a wrong type, or a value outside the key's declared rule
+BAD_VALUES = [
+    ("data", "image_side", 0, ">= 1"),
+    ("data", "train_small_count", 2.0, "an integer"),
+    ("data", "train_generic_count", True, "an integer"),
+    ("data", "val_small_count", 0, ">= 1"),
+    ("data", "seed", -1, ">= 0"),
+    ("schedule", "timesteps", "1000", "an integer"),
+    ("schedule", "beta_start", -1, "> 0"),
+    ("schedule", "beta_end", 1, "< 1"),
+    ("model", "latent_channels", 0, ">= 1"),
+    ("model", "base_width", 32.0, "an integer"),
+    ("model", "depth", None, "an integer"),
+    ("model", "cond_dim", -4, ">= 1"),
+    ("model", "time_dim", [32], "an integer"),
+    ("model", "groups", "8", "an integer"),
+    ("lora", "rank", 4.5, "an integer"),
+    ("lora", "alpha", 0, "> 0"),
+    ("lora", "blocks", "mid", "a list of strings"),
+    ("lora", "init_std", 0, "> 0"),
+    ("train", "steps", 0, ">= 1"),
+    ("train", "batch_size", "2", "an integer"),
+    ("train", "lr", "fast", "a number"),
+    ("train", "optimizer", "rmsprop", "one of ['adam', 'sgd']"),
+    ("train", "crop_size", 0, ">= 1"),
+    ("train", "distill_weight", -1, ">= 0"),
+    ("train", "vae_weight", -0.5, ">= 0"),
+    ("train", "distill_loss", "l1", "one of ['huber', 'mse']"),
+    ("train", "huber_delta", 0, "> 0"),
+    ("train", "use_adapters", 1, "a boolean"),
+    ("train", "use_distill", "no", "a boolean"),
+    ("train", "use_vae_tuning", None, "a boolean"),
+    ("train", "prompt_style", "plain", "one of ['label_only', 'color_label']"),
+    ("train", "pretrain_vae_steps", 1.5, "an integer"),
+    ("train", "pretrain_steps", False, "an integer"),
+    ("train", "pretrain_lr", -1, "> 0"),
+    ("train", "seed", -3, ">= 0"),
+    ("eval", "ddim_steps", 0, ">= 1"),
+    ("eval", "samples", "3", "an integer"),
+    ("eval", "probe_seed", -1, ">= 0"),
+    ("eval", "probe_train_count", 60.0, "an integer"),
+    ("eval", "probe_steps", 0, ">= 1"),
+    ("eval", "probe_lr", -1, "> 0"),
+    ("eval", "seed", -1, ">= 0"),
+]
+_VERB_FOR = {"data": "gen-data", "schedule": "pretrain-teacher", "model": "pretrain-teacher",
+             "lora": "train", "train": "train", "eval": "eval"}
+
+
+def test_bad_value_table_covers_every_key():
+    keys = [(section, key) for section, body in RunConfig().to_dict().items() for key in body]
+    assert [(section, key) for section, key, _, _ in BAD_VALUES] == keys
+
+
+@pytest.mark.parametrize("section, key, value, rule", BAD_VALUES, ids=[f"{s}.{k}" for s, k, _, _ in BAD_VALUES])
+def test_every_key_refuses_a_bad_value_by_name(workdir, capsys, tmp_path, section, key, value, rule):
+    root, _ = workdir
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG.get(section, {}), key: value}}))
+    verb = _VERB_FOR[section]
+    source = {"eval": ["--checkpoint", str(root / "student.soek"), "--data", str(root / "ds")],
+              "train": ["--teacher", str(root / "teacher.soek"), "--data", str(root / "ds")],
+              "pretrain-teacher": ["--data", str(root / "ds")]}.get(verb, [])
+    rc = main([verb, *source, "--config", str(config), "--out", str(tmp_path / "out")])
+    out_text, err = capsys.readouterr()
+    assert rc == 1 and out_text == ""
+    assert err == f"error: {section}.{key} must be {rule}, got {value!r}\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def _eval_config(section, key, value):
+    def make(root, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG.get(section, {}), key: value}}))
+        return ["--config", str(config), "--data", str(root / "ds")]
+    return make
+
+
+def _eval_val_set_at_128(root, tmp_path):
+    return ["--data", str(write_dataset(build_split(3, "val-small", 2, image_side=128), tmp_path / "ds"))]
+
+
+@pytest.mark.parametrize("make, message", [
+    (_eval_config("data", "image_side", 128), "and run config differ at data.image_side"),
+    (_eval_config("model", "base_width", 16), "and run config differ at model"),
+    (_eval_val_set_at_128, "image size mismatch: sample val-small-00000 is 128x128, data.image_side is 64"),
+], ids=["config-image-side", "config-base-width", "val-set-image-side"])
+def test_eval_refuses_what_its_checkpoint_did_not_train_on(workdir, capsys, tmp_path, make, message):
+    root, _ = workdir
+    inputs = make(root, tmp_path)
+    out = tmp_path / "eval"
+    rc = main(["eval", "--checkpoint", str(root / "student.soek"), *inputs, "--out", str(out)])
+    out_text, err = capsys.readouterr()
+    assert rc == 1 and out_text == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], err
+    assert not out.exists()
+

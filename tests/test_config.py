@@ -1,10 +1,11 @@
 """Run-config parsing, defaults, validation, round trips."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from soekit.config import ConfigError, RunConfig
+from soekit.config import _SECTIONS, ConfigError, RunConfig
 
 
 def test_defaults_are_complete():
@@ -84,3 +85,29 @@ def test_config_fields_and_image_side_rule():
         RunConfig.from_dict({"data": {"image_side": side}, "train": {"crop_size": side // 2}}).validate()
     with pytest.raises(ConfigError, match=r"data\.image_side 80 not divisible by 32"):
         RunConfig.from_dict({"data": {"image_side": 80}, "model": {"depth": 3}}).validate()
+
+
+def test_nan_passes_every_bound_and_infinity_all_but_upper_ones():
+    # non-finite numbers are left to the first step's non-finite guard, unless a bound excludes them
+    floats = [(name, f) for name, cls in _SECTIONS.items() for f in fields(cls) if f.type is float]
+    assert len(floats) == 10
+    for name, f in floats:
+        RunConfig.from_dict({name: {f.name: float("nan")}}).validate()
+        if "below" in f.metadata:
+            with pytest.raises(ConfigError, match=rf"{name}\.{f.name} must be < 1, got inf"):
+                RunConfig.from_dict({name: {f.name: float("inf")}}).validate()
+        else:
+            RunConfig.from_dict({name: {f.name: float("inf")}}).validate()
+
+
+def test_type_rules_keep_ints_floats_bools_and_lists_apart():
+    RunConfig.from_dict({"train": {"lr": 1, "distill_weight": 0, "use_distill": False}}).validate()
+    for section, key, value, rule in [("train", "crop_size", True, "an integer"),
+                                      ("train", "distill_weight", False, "a number"),
+                                      ("train", "use_adapters", 0, "a boolean"),
+                                      ("train", "optimizer", 1, "a string"),
+                                      ("lora", "blocks", ["mid", 3], "a list of strings")]:
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_dict({section: {key: value}}).validate()
+        assert str(exc.value) == f"{section}.{key} must be {rule}, got {value!r}"
+

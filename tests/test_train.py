@@ -9,7 +9,7 @@ from helpers import set_adapter_b
 from soekit import tensor as T
 from soekit import train
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from soekit.config import LoraSection, ModelSection, RunConfig
+from soekit.config import ConfigError, LoraSection, ModelSection, RunConfig
 from soekit.data import build_split
 from soekit.lora import _linears_by_name, attach
 from soekit.nets import ConditionEmbedder, MiniUnet
@@ -334,9 +334,8 @@ def test_trainer_rejects_schedule_mismatch(teacher_bundle):
 
 
 def test_nonpositive_huber_delta_fails_on_first_step(teacher_bundle):
-    tr = Trainer(tiny_cfg(huber_delta=0, use_distill=False), build_split(2, "train-small", 4), teacher_bundle)
-    with pytest.raises(ValueError, match="delta"):
-        tr.train_step(0)
+    with pytest.raises(ConfigError, match=r"train\.huber_delta must be > 0"):
+        Trainer(tiny_cfg(huber_delta=0, use_distill=False), build_split(2, "train-small", 4), teacher_bundle)
 
 
 def test_vae_tuning_flag_moves_vae(teacher_bundle):
