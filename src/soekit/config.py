@@ -181,7 +181,8 @@ class RunConfig:
         reaches the first step's non-finite guard. Then the cross-field rules:
         the image side must survive the VAE and every U-Net downsample evenly
         and leave each data split at least one legal object side, the crop
-        size must fit it, and model.groups must divide model.base_width.
+        size must fit it, model.groups must divide model.base_width, and the
+        noise schedule's betas must not fall.
         """
         for name, section_cls in _SECTIONS.items():
             for f in fields(section_cls):
@@ -209,4 +210,7 @@ class RunConfig:
         if self.model.base_width % self.model.groups:
             raise ConfigError(f"model.base_width {self.model.base_width} must be divisible by "
                               f"model.groups {self.model.groups}")
+        if self.schedule.beta_start > self.schedule.beta_end:
+            raise ConfigError(f"schedule.beta_start {self.schedule.beta_start} must be <= "
+                              f"schedule.beta_end {self.schedule.beta_end}")
         return self

@@ -4,14 +4,14 @@ An adapter holds the factor pair (A, B) of a rank-r update dW = B A for a
 base weight W0 of shape (j, k) (row-vector convention, j in, k out): B is
 (j, r) and zero-initialised, A is (r, k) and Gaussian-initialised, so the
 update is exactly zero until training moves B. Training applies the update
-factorised -- x B A --; inference materialises it once, merging it into W0.
+factorised -- x B A --; inference materialises it once, merging it into W0
+on a per-call copy of the U-Net (`merge`).
 
 Selectable groups mirror a depth-4 reference net's ablation axes
 ("mid", "down2_up2", "down1_up1", "down0_up3") mapped onto the mini net's
 levels; convolutions are never adapted.
 """
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,31 +90,34 @@ def _linears_by_name(model: MiniUnet) -> dict:
     return out
 
 
-def merge(base: MiniUnet, adapter_set: LoraAdapterSet) -> MiniUnet:
-    """Inference copy of base with W0 + alpha B A folded into each target; adapters dropped.
+def merge(base: MiniUnet, adapter_set: LoraAdapterSet = None, cond: Tensor = None) -> MiniUnet:
+    """Inference copy of base for one condition: the one way to make such a copy.
 
-    `train.edit_batch` runs inference on such a copy, made once per call, so
-    each adapted Linear does one matmul instead of three. Only the merged
-    weights are new Tensors; every other parameter Tensor is shared with
-    `base`, which is left unchanged, so the copy is for inference, not for
-    training. The copy is marked and cannot be merged again; merging
-    adapters into a model they were not attached to is rejected.
+    W0 + alpha B A is folded into each target of adapter_set, if given, so
+    each adapted Linear does one matmul instead of three; then
+    `MiniUnet.prepare` makes each conv's kernel rows and, for cond, each
+    attention block's K and V, so that the calls of a DDIM loop redo none of
+    that. Only the merged weights are new Tensors; every other parameter
+    Tensor is shared with `base`, which is left unchanged and on whose
+    modules and Tensors nothing is set. The copy is for inference within one
+    call, not for training: the prepared rows do not follow later writes to
+    the kernels it shares (`train.edit_batch` makes a copy per call). The
+    copy is marked and cannot be merged again; merging adapters into a model
+    they were not attached to is rejected.
     """
-    if adapter_set.base is not base:
+    if adapter_set is not None and adapter_set.base is not base:
         raise ValueError("adapter/base mismatch: adapters were attached to a different model")
     if getattr(base, "merged", False):
-        raise ValueError("model already carries merged adapters; refusing a second merge")
-    # copy the module tree only: parameter Tensors are shared and adapters become None
-    memo = {id(p): p for p in base.params().values()}
-    memo.update({id(ad): None for ad in adapter_set.adapters.values()})
-    merged = copy.deepcopy(base, memo)
+        raise ValueError("model is already a merged inference copy; refusing a second merge")
+    merged = base.copy_tree()
     linears = _linears_by_name(merged)
-    for target, ad in adapter_set.adapters.items():
+    for target, ad in (adapter_set.adapters if adapter_set is not None else {}).items():
         if target not in linears:
             raise ValueError(f"adapter target {target!r} not present in model")
         lin = linears[target]
         if lin.w.shape != (ad.b.shape[0], ad.a.shape[1]):
             raise ValueError(f"adapter/base mismatch on {target!r}: {lin.w.shape}")
-        lin.w = Tensor(lin.w.data + ad.dense_update())
+        lin.w, lin.adapter = Tensor(lin.w.data + ad.dense_update()), None
     merged.merged = True
+    merged.prepare(cond)
     return merged

@@ -40,6 +40,25 @@ class Module:
                         out.update(item.params(f"{name}.{i}"))
         return out
 
+    def modules(self):
+        """This module, then every module under it, depth first."""
+        yield self
+        for val in vars(self).values():
+            for item in val if isinstance(val, (list, tuple)) else (val,):
+                if isinstance(item, Module):
+                    yield from item.modules()
+
+    def copy_tree(self):
+        """A copy of this module and of every module under it; all else, parameter Tensors included, is shared."""
+        new = object.__new__(type(self))
+        for key, val in vars(self).items():
+            if isinstance(val, Module):
+                val = val.copy_tree()
+            elif isinstance(val, (list, tuple)):
+                val = type(val)(item.copy_tree() if isinstance(item, Module) else item for item in val)
+            setattr(new, key, val)
+        return new
+
     def set_trainable(self, flag: bool):
         for p in self.params().values():
             p.requires_grad = flag
@@ -78,9 +97,10 @@ class Conv2d(Module):
         self.b = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
         self.stride = stride
         self.padding = padding
+        self.rows = None  # w's kernel rows, set only by MiniUnet.prepare
 
     def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w, stride=self.stride, padding=self.padding, bias=self.b)
+        return T.conv2d(x, self.w, stride=self.stride, padding=self.padding, bias=self.b, rows=self.rows)
 
 
 class ConvTranspose2d(Module):
@@ -150,7 +170,7 @@ def sinusoidal_time_embedding(ts, dim: int) -> np.ndarray:
 
 
 class ResBlock(Module):
-    """Norm -> silu -> conv, plus a learned projection of the time embedding."""
+    """Norm -> silu -> conv, plus a learned projection of the activated time embedding."""
 
     def __init__(self, rng, c_in: int, c_out: int, time_dim: int, groups: int):
         self.norm = GroupNorm(c_in, groups)
@@ -158,12 +178,18 @@ class ResBlock(Module):
         self.time_proj = Linear(rng, time_dim, c_out)
         self.skip = Conv2d(rng, c_in, c_out, 1, 1, 0) if c_in != c_out else None
 
-    def forward(self, x: Tensor, t_emb: Tensor) -> Tensor:
+    def forward(self, x: Tensor, t_act: Tensor) -> Tensor:
+        """t_act is silu of the time embedding, computed once per U-Net forward."""
         h = self.conv.forward(T.silu(self.norm.forward(x)))
-        tb = self.time_proj.forward(T.silu(t_emb))
+        tb = self.time_proj.forward(t_act)
         h = T.add(h, T.reshape(tb, (tb.shape[0], -1, 1, 1)))
         res = x if self.skip is None else self.skip.forward(x)
         return T.add(h, res)
+
+
+def _fingerprint(t: Tensor) -> tuple:
+    """Shape, dtype and bytes: equal exactly when an op sees the same input."""
+    return t.shape, t.dtype, t.data.tobytes()
 
 
 class AttnBlock(Module):
@@ -176,13 +202,19 @@ class AttnBlock(Module):
         self.wv = Linear(rng, cond_dim, channels)
         self.wo = Linear(rng, channels, channels)
         self.channels = channels
+        self.kv = None  # (condition fingerprint, K, V), set only by MiniUnet.prepare
+
+    def keys_values(self, cond: Tensor) -> tuple:
+        """K and V of cond: the prepared pair if it was made for these very bytes, else made afresh."""
+        if self.kv is not None and self.kv[0] == _fingerprint(cond):
+            return self.kv[1:]
+        return self.wk.forward(cond), self.wv.forward(cond)
 
     def forward(self, x: Tensor, cond: Tensor) -> Tensor:
         b, c, h, w = x.shape
         flat = T.transpose(T.reshape(self.norm.forward(x), (b, c, h * w)), (0, 2, 1))
         q = self.wq.forward(flat)
-        k = self.wk.forward(cond)
-        v = self.wv.forward(cond)
+        k, v = self.keys_values(cond)
         att = self.wo.forward(T.cross_attention(q, k, v))
         att = T.reshape(T.transpose(att, (0, 2, 1)), (b, c, h, w))
         return T.add(x, att)
@@ -195,8 +227,8 @@ class UnetBlock(Module):
         self.res = ResBlock(rng, c_in, c_out, cfg.time_dim, cfg.groups)
         self.attn = AttnBlock(rng, c_out, cfg.cond_dim, cfg.groups)
 
-    def forward(self, x: Tensor, t_emb: Tensor, cond: Tensor) -> Tensor:
-        return self.attn.forward(self.res.forward(x, t_emb), cond)
+    def forward(self, x: Tensor, t_act: Tensor, cond: Tensor) -> Tensor:
+        return self.attn.forward(self.res.forward(x, t_act), cond)
 
     def adaptable_linears(self, prefix: str) -> dict:
         return {
@@ -256,20 +288,37 @@ class MiniUnet(Module):
         if ml.shape[2:] != z_t.shape[2:]:
             raise ShapeError("unet", f"latent mask {ml.shape} does not match latent {z_t.shape}")
         ts = np.broadcast_to(np.atleast_1d(np.asarray(t, dtype=np.int64)), (b,))
-        t_emb = Tensor(sinusoidal_time_embedding(ts, self.cfg.time_dim))
+        t_act = T.silu(Tensor(sinusoidal_time_embedding(ts, self.cfg.time_dim)))
 
         h = self.in_conv.forward(T.concat([z_t, ml], axis=1))
         skips = []
         for i in range(self.cfg.depth):
-            h = self.down[i].forward(h, t_emb, cond)
+            h = self.down[i].forward(h, t_act, cond)
             skips.append(h)
             h = self.downsample[i].forward(h)
-        h = self.mid.forward(h, t_emb, cond)
+        h = self.mid.forward(h, t_act, cond)
         for j in range(self.cfg.depth):
             h = self.upsample[j].forward(h)
             h = T.concat([h, skips[self.cfg.depth - 1 - j]], axis=1)
-            h = self.up[j].forward(h, t_emb, cond)
+            h = self.up[j].forward(h, t_act, cond)
         return self.out_conv.forward(T.silu(self.out_norm.forward(h)))
+
+    def prepare(self, cond: Tensor = None):
+        """Make once what every forward would make again: each conv's kernel rows and, for cond, each
+        attention block's K and V.
+
+        Only for an inference copy made by `lora.merge`, which calls this. Prepared
+        rows are a snapshot of kernels this copy shares with the net it was made
+        from, so the copy lives no longer than one batch of calls in which nothing
+        writes them. A forward with another condition computes K and V afresh.
+        """
+        if not getattr(self, "merged", False):
+            raise ValueError("prepare: only an inference copy made by lora.merge may be prepared")
+        for module in self.modules():
+            if isinstance(module, Conv2d):
+                module.rows = T.kernel_rows(module.w.data)
+            elif isinstance(module, AttnBlock) and cond is not None:
+                module.kv = (_fingerprint(cond), *module.keys_values(cond))
 
     def block_map(self) -> dict:
         """Selectable adapter groups mapped onto this net's levels.

@@ -39,6 +39,13 @@ float64, so every result is bit-equal to a direct-summation oracle whichever
 path, summation order or BLAS blocking produced it. Both ops take an
 optional bias, added after that rounding.
 
+The kernel operand of that GEMM is the kernel's rows: the kernel relaid as
+float64 (KH, O, KW*I) by ``kernel_rows``. conv2d makes them from ``w`` on
+every call unless it is handed them as ``rows``, so a caller that runs one
+unchanging kernel many times can make them once. Prepared rows are a
+snapshot: they go stale when the kernel is written, so only a caller that
+owns the kernel for their whole life may keep them.
+
 resize_nearest and resize_bilinear resample a (B, C, H, W) map at half-pixel
 centres, either whole or from one (x0, y0, x1, y1) box per sample, so a batch
 of crop-and-resizes is one gather per tap.
@@ -399,8 +406,11 @@ def _windows(a: np.ndarray, kh: int, kw: int, stride: int, pad, out_hw) -> list:
     return [rows[:, ky % stride, ky // stride * n : (ky // stride + ho) * n] for ky in range(kh)]
 
 
-def _kernel_rows(k: np.ndarray) -> np.ndarray:
-    """An (O, I, KH, KW) kernel as float64 (KH, O, KW*I), one GEMM operand per kernel row."""
+def kernel_rows(k: np.ndarray) -> np.ndarray:
+    """An (O, I, KH, KW) kernel array as float64 (KH, O, KW*I), one GEMM operand per kernel row.
+
+    What conv2d takes as ``rows``; the relayout is exact, since every float32 is a float64.
+    """
     o, i, kh, kw = k.shape
     return np.ascontiguousarray(k.transpose(2, 0, 3, 1), np.float64).reshape(kh, o, kw * i)
 
@@ -448,11 +458,16 @@ def _channel_sum(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=(0, 2, 3))
 
 
-def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor = None,
+           rows: np.ndarray = None) -> Tensor:
     """2-D convolution (cross-correlation), NCHW input, (CO, CI, KH, KW) kernel, optional (CO,) bias.
 
     The output is the correlation core: one float64 GEMM per kernel row over
-    the input's windows (``_windows``), accumulated in place. Its weight
+    the input's windows (``_windows``), accumulated in place. The kernel
+    side of those GEMMs is ``rows`` when given, else ``kernel_rows(w.data)``
+    made afresh; given rows must be ``kernel_rows(w.data)`` of the kernel as
+    it is now. Only their shape is checked (a ShapeError if it is not
+    (KH, CO, KW*CI)), and the gradients always read ``w``. Its weight
     gradient reads the same windows, transposed. At stride 1 the input
     gradient is the core again: the output gradient at pads (kh-1-p, kw-1-p),
     correlated with the flipped, channel-transposed kernel. At stride 2 the
@@ -478,8 +493,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (wd + 2 * padding - kw) // stride + 1
 
+    if rows is None:
+        rows = kernel_rows(w.data)
+    elif rows.shape != (kh, co, kw * ci):
+        raise ShapeError("conv2d", f"rows must be {(kh, co, kw * ci)} for kernel {w.shape}, got {rows.shape}")
+
     wins = _windows(x.data, kh, kw, stride, (padding, padding), (ho, wo))
-    out = _nchw(_correlate(_kernel_rows(w.data), wins), b, (ho, wo), x.dtype)
+    out = _nchw(_correlate(rows, wins), b, (ho, wo), x.dtype)
     extra = _add_bias("conv2d", out, bias)
 
     # only the weight gradient may name `wins`: _make drops that function for
@@ -487,7 +507,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
     def x_grad(g):
         if stride == 1:
             gwins = _windows(g, kh, kw, 1, (kh - 1 - padding, kw - 1 - padding), (h, wd))
-            return _nchw(_correlate(_kernel_rows(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), gwins),
+            return _nchw(_correlate(kernel_rows(w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), gwins),
                          b, (h, wd), x.dtype)
         cols = (w.data.astype(np.float64).reshape(co, -1).T @ _chbw(g)).reshape(ci, kh, kw, ho, b, wo)
         gxp = np.zeros((ci, h + 2 * padding, b, wd + 2 * padding))

@@ -14,7 +14,8 @@ step's own latent: one encode per view). Teacher views are built only when
 distilling.
 
 Every gradient step, adapter or pretraining, ends in `_update`: the one place
-that runs backward and the optimizer, and that refuses a non-finite loss.
+that runs backward and the optimizer, and that refuses a non-finite loss or
+global gradient norm.
 
 Teacher, student and every loaded checkpoint share one architecture, so
 `Bundle.build` makes all of their nets, from the run config's `ModelSection`.
@@ -22,11 +23,12 @@ Teacher, student and every loaded checkpoint share one architecture, so
 Also hosts teacher pretraining (VAE phase, then denoiser phase, on
 generic-sized objects) and mask-conditioned DDIM editing with latent and
 pixel compositing: `edit_batch` edits a batch of images, one sample per
-noise stream, on a merged copy of the adapted U-Net, and `edit` is its
-batch of one.
+noise stream, on a per-call inference copy of the U-Net (adapters merged
+in, the DDIM loop's constants made once), and `edit` is its batch of one.
 """
 
 import copy
+import math
 import time
 from dataclasses import dataclass
 from operator import attrgetter
@@ -297,15 +299,31 @@ def _predict(unet: MiniUnet, z: Tensor, eps: Tensor, ts, m: Tensor, cond: Tensor
     return z_t, m_lat, unet.forward(z_t, ts, cond, m_lat)
 
 
+def _grad_norm(params) -> float:
+    """Global L2 norm of the gradients of params (Tensors), those without one skipped.
+
+    One flat dot product per gradient, in its own dtype, summed as a Python
+    float. A sum of squares that overflows gives inf, so a gradient too large
+    to square counts as non-finite, as a NaN or infinite one does.
+    """
+    grads = [p.grad.reshape(-1) for p in params if p.grad is not None]
+    with np.errstate(over="ignore"):  # an overflow is the answer here, not a warning
+        return math.sqrt(sum(float(np.dot(g, g)) for g in grads))
+
+
 def _update(optimizer, loss_csv, step: int, t0: float, denoise=None, distill=None, vae=None,
             distill_weight: float = 1.0, vae_weight: float = 1.0) -> LossReport:
-    """Weight the parts and step; a non-finite loss raises before backward and logs no row."""
+    """Weight the parts and step; a non-finite loss (checked before backward) or global gradient norm
+    (before the optimizer) raises and logs no row."""
     loss = total_loss(denoise, distill, vae, distill_weight, vae_weight)
     values = [0.0 if part is None else float(part.item()) for part in (denoise, distill, vae, loss)]
     for column, value in zip(("L_denoise", "L_distill", "L_vae", "L_total"), values):
         if not np.isfinite(value):
             raise ConfigurationError(f"step {step}: {column} is {value}; no update applied")
     T.backward(loss)
+    norm = _grad_norm(optimizer.params.values())
+    if not math.isfinite(norm):
+        raise ConfigurationError(f"step {step}: gradient norm is {norm}; no update applied")
     optimizer.step()
     report = LossReport(step, *values, (time.perf_counter() - t0) * 1000.0)
     if loss_csv:
@@ -468,9 +486,13 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
     Sample i draws its noise from stream_rng(seeds[i], "eval") in the same
     order at any batch size, and every op is per sample, so each output is
     bit-equal to `edit` on that sample alone. Encoding, conditioning and the
-    U-Net calls run once per batch, on a copy of bundle.unet with the
-    adapters merged in; decoding runs per sample, because the memory-bound
-    decoder is slower per sample, and far larger, at batch 8.
+    U-Net calls run once per batch, on this call's own inference copy of
+    bundle.unet (`lora.merge`): the adapters, if any, merged in, and each
+    conv's kernel rows and each attention block's K and V for this call's
+    condition made once rather than on every DDIM step. The copy goes with
+    the call, so a write to bundle's parameters between calls is seen by the
+    next one. Decoding runs per sample, because the memory-bound decoder is
+    slower per sample, and far larger, at batch 8.
     """
     n = len(images)
     if not n or any(len(v) != n for v in (bboxes, labels, colors, seeds)):
@@ -498,12 +520,12 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
         if not row.any():
             raise ValueError(f"bbox {bbox} covers no latent sample; it would be left unedited")
     sched = bundle.sched
-    unet = merge(bundle.unet, bundle.adapters) if bundle.adapters is not None else bundle.unet
     x = Tensor(np.stack([image.transpose(2, 0, 1) for image in images]))
 
     z0 = bundle.vae.encode(x).detach()
     rngs = [stream_rng(seed, "eval") for seed in seeds]
     cond = bundle.cond.embed([LABELS.index(v) for v in labels], [COLOR_NAMES.index(v) for v in colors], style)
+    unet = merge(bundle.unet, bundle.adapters, cond)
 
     def draw():
         return Tensor(np.concatenate([r.standard_normal((1, *z0.shape[1:])).astype(np.float32) for r in rngs]))

@@ -403,8 +403,9 @@ def _edit_with_stored_latent_factor(root, tmp_path):
     (_gen_data_with("eval", "batch_size", 8), "section 'eval': ['batch_size']"),
     (_edit_with_stored_latent_factor, "lf.soek: bad config in teacher checkpoint"),
     (_gen_data_with("model", "groups", 3), "model.base_width 32 must be divisible by model.groups 3"),
+    (_gen_data_with("schedule", "beta_start", 0.5), "schedule.beta_start 0.5 must be <= schedule.beta_end 0.02"),
 ], ids=["side-32", "side-40", "side-72", "side-48", "side-64", "latent-factor", "unmasked-vae-loss",
-        "eval-batch-size", "stored-latent-factor", "groups-not-dividing-base-width"])
+        "eval-batch-size", "stored-latent-factor", "groups-not-dividing-base-width", "beta-start-above-beta-end"])
 def test_image_side_and_removed_keys_by_name(workdir, capsys, tmp_path, make, named):
     root, _ = workdir
     argv, out = make(root, tmp_path)

@@ -5,10 +5,11 @@ import copy
 import numpy as np
 import pytest
 
+from helpers import set_adapter_b
 from soekit import tensor as T
 from soekit.config import LoraSection, ModelSection
 from soekit.lora import LoraAdapter, _linears_by_name, attach, merge
-from soekit.nets import ConditionEmbedder, Linear, MiniUnet
+from soekit.nets import AttnBlock, ConditionEmbedder, Conv2d, Linear, MiniUnet
 from soekit.optim import Adam
 from soekit.rng import stream_rng
 from soekit.tensor import Tensor, backward
@@ -181,6 +182,62 @@ def test_double_merge_rejected():
     adapters.base = merged
     with pytest.raises(ValueError, match="second merge"):
         merge(merged, adapters)
+
+
+def _batch_inputs(emb, batch, seed=0):
+    rng = np.random.default_rng(seed)
+    z = Tensor(rng.standard_normal((batch, 4, 8, 8)).astype(np.float32))
+    m = np.zeros((batch, 1, 32, 32), np.float32)
+    m[:, :, 6:14, 10:20] = 1.0
+    cond = emb.embed([i % 5 for i in range(batch)], [(3 * i) % 8 for i in range(batch)], "color_label")
+    return z, Tensor(m), cond
+
+
+@pytest.mark.parametrize("adapted", [False, True], ids=["no-adapters", "adapters"])
+@pytest.mark.parametrize("batch", [1, 8])
+def test_prepared_copy_forward_is_byte_equal_to_unprepared(monkeypatch, batch, adapted):
+    unet, base_copy, adapters, emb = fresh_setup(seed=27)
+    set_adapter_b(adapters, seed=9)
+    base, adapter_set = (unet, adapters) if adapted else (base_copy, None)
+    z, m, cond = _batch_inputs(emb, batch)
+    prepared = merge(base, adapter_set, cond)
+    monkeypatch.setattr(MiniUnet, "prepare", lambda self, cond=None: None)
+    plain = merge(base, adapter_set, cond)
+    convs = [mod for mod in prepared.modules() if isinstance(mod, Conv2d)]
+    attns = [mod for mod in prepared.modules() if isinstance(mod, AttnBlock)]
+    assert len(convs) == 11 and all(mod.rows is not None for mod in convs)
+    assert len(attns) == 5 and all(mod.kv is not None for mod in attns)
+    assert all(getattr(mod, "rows", None) is None and getattr(mod, "kv", None) is None for mod in plain.modules())
+    ml = base.latent_mask(m)
+    for t in (1, 333, 999):
+        assert prepared.forward(z, t, cond, ml).data.tobytes() == plain.forward(z, t, cond, ml).data.tobytes()
+
+
+def test_prepared_copy_computes_k_and_v_afresh_for_another_condition(monkeypatch):
+    unet, _, adapters, emb = fresh_setup(seed=28)
+    set_adapter_b(adapters, seed=10)
+    z, m, cond = _batch_inputs(emb, 2)
+    ml = unet.latent_mask(m)
+    other = emb.embed([4, 4], [7, 7], "color_label")
+    prepared = merge(unet, adapters, cond)
+    monkeypatch.setattr(MiniUnet, "prepare", lambda self, cond=None: None)
+    plain = merge(unet, adapters)
+
+    def both(c):
+        return prepared.forward(z, 50, c, ml).data.tobytes(), plain.forward(z, 50, c, ml).data.tobytes()
+
+    assert both(cond)[0] != both(other)[0]
+    for c in (other, Tensor(cond.data[::-1].copy())):  # another condition; the same rows in another order
+        assert len(set(both(c))) == 1
+    cond.data *= 2.0  # the prepared condition itself, written in place
+    assert len(set(both(cond))) == 1
+
+
+def test_prepare_refuses_a_net_not_made_by_merge():
+    unet, _, _, emb = fresh_setup(seed=29)
+    with pytest.raises(ValueError, match="only an inference copy made by lora.merge"):
+        unet.prepare(emb.embed([0], [0], "color_label"))
+    assert all(getattr(mod, "rows", None) is None and getattr(mod, "kv", None) is None for mod in unet.modules())
 
 
 def test_merge_on_foreign_base_rejected():

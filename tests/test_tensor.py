@@ -110,6 +110,21 @@ def test_conv2d_grads_exact_vs_direct_summation(stride, padding):
         assert gw.tobytes() == expect_gw.tobytes()
 
 
+@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1)])
+def test_conv2d_with_prepared_rows_is_conv2d(stride, padding):
+    for x, w in conv_sweep(padding):
+        plain = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding).data
+        prepared = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding, rows=T.kernel_rows(w)).data
+        assert prepared.tobytes() == plain.tobytes() == conv2d_direct(x, w, stride, padding).tobytes()
+
+
+def test_conv2d_refuses_rows_of_another_kernel_shape():
+    x, w = Tensor(r(1, 3, 5, 5)), Tensor(r(4, 3, 3, 3))
+    for other in (r(2, 3, 3, 3), r(4, 3, 1, 1), r(4, 3, 3, 1), r(4, 3, 3, 3).transpose(1, 0, 2, 3)):
+        with pytest.raises(ShapeError, match=r"conv2d: rows must be \(3, 4, 9\) for kernel \(4, 3, 3, 3\)"):
+            T.conv2d(x, w, padding=1, rows=T.kernel_rows(other))
+
+
 def test_conv2d_transpose_exact_vs_direct_summation():
     # the sweep's inputs and channel counts, each with a (CI, CO, 2, 2) kernel
     rng = np.random.default_rng(8)
@@ -129,9 +144,9 @@ def convs_of_default_nets(batch: int) -> set:
     cfg, image_side, seen = ModelSection(), DataSection().image_side, set()
     conv2d, conv2d_transpose = T.conv2d, T.conv2d_transpose
 
-    def spy(x, w, stride=1, padding=0, bias=None):
+    def spy(x, w, stride=1, padding=0, bias=None, rows=None):
         seen.add(("conv2d", x.shape, w.shape, stride, padding))
-        return conv2d(x, w, stride=stride, padding=padding, bias=bias)
+        return conv2d(x, w, stride=stride, padding=padding, bias=bias, rows=rows)
 
     def spy_transpose(x, w, bias=None):
         seen.add(("conv2d_transpose", x.shape, w.shape, 2, 0))

@@ -373,6 +373,27 @@ def test_loss_csv_written(teacher_bundle, tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("value, shown", [(np.nan, "nan"), (1e30, "inf")], ids=["nan", "square-overflows"])
+def test_non_finite_gradient_norm_stops_before_update(teacher_bundle, tmp_path, monkeypatch, value, shown):
+    # every loss part is finite; one planted gradient is not, or squares past float32: no update, no row
+    csv = tmp_path / "loss.csv"
+    tr = Trainer(tiny_cfg(), build_split(4, "train-small", 8), teacher_bundle, loss_csv=csv)
+    params = tr.optimizer.params
+    before = {k: p.data.copy() for k, p in params.items()}
+    backward = T.backward
+
+    def planted(loss):
+        backward(loss)
+        params["lora.mid.attn.wq.B"].grad.fill(value)
+
+    monkeypatch.setattr(T, "backward", planted)
+    with pytest.raises(ConfigurationError, match=rf"^step 0: gradient norm is {shown}; no update applied$"):
+        tr.train_step(0)
+    assert all(np.array_equal(before[k], p.data) for k, p in params.items())
+    assert tr.optimizer.step_count == 0
+    assert csv.read_text().splitlines() == [train.LOSS_CSV_HEADER]
+
+
 def test_no_teacher_views_without_distillation(teacher_bundle, monkeypatch):
     small = build_split(4, "train-small", 8)
     with_views = Trainer(tiny_cfg(use_distill=True), small, teacher_bundle).train_step(0)
@@ -590,6 +611,28 @@ def test_edit_leaves_bundle_untouched(student_bundle):
     assert all(linears[name].adapter is ad for name, ad in student_bundle.adapters.adapters.items())
     assert not hasattr(student_bundle.unet, "merged")
     assert {k: p.data.tobytes() for k, p in student_bundle.params().items()} == before
+    # kernel rows and K/V were prepared on the call's own copy, not on the bundle's modules
+    assert all(getattr(mod, "rows", None) is None and getattr(mod, "kv", None) is None
+               for mod in student_bundle.unet.modules())
+
+
+@pytest.mark.parametrize("which", ["teacher_bundle", "student_bundle"])
+def test_edit_batch_makes_kernel_rows_once_per_call(request, monkeypatch, which):
+    # the count may not grow with the DDIM step count, with adapters or without
+    bundle, calls, kernel_rows = request.getfixturevalue(which), [], T.kernel_rows
+
+    def counted(k):
+        calls.append(k.shape)
+        return kernel_rows(k)
+
+    monkeypatch.setattr(T, "kernel_rows", counted)
+    val = build_split(6, "val-small", 2)
+    counts = []
+    for steps in (2, 10):
+        calls.clear()
+        edit_batch(*_edit_args(val), "color_label", bundle, steps=steps, seeds=[0, 1])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_edit_output_depends_on_adapters(teacher_bundle):
