@@ -53,6 +53,8 @@ def _echo_config(cfg: RunConfig, out_dir):
 def cmd_gen_data(args) -> int:
     if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    if (Path(args.out) / "index.jsonl").exists():
+        raise ValueError(f"{args.out} already holds a dataset (index.jsonl); choose another --out")
     cfg = _load_config(args.config).validate()
     seed = _resolve_seed(args.seed, cfg.data.seed)
     cfg.data.seed = seed

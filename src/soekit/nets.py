@@ -75,7 +75,8 @@ class Linear(Module):
     """Dense layer, row-vector convention: y = x @ w + b, w is (in, out).
 
     An attached low-rank adapter contributes alpha * ((x @ B) @ A) without
-    ever materialising the dense update.
+    ever materialising the dense update; `MiniUnet.inference_copy` folds it
+    into w instead.
     """
 
     def __init__(self, rng, n_in: int, n_out: int):
@@ -97,7 +98,7 @@ class Conv2d(Module):
         self.b = Tensor(np.zeros(c_out, np.float32), requires_grad=True)
         self.stride = stride
         self.padding = padding
-        self.rows = None  # w's kernel rows, set only by MiniUnet.prepare
+        self.rows = None  # w's kernel rows, set only on a MiniUnet.inference_copy
 
     def forward(self, x: Tensor) -> Tensor:
         return T.conv2d(x, self.w, stride=self.stride, padding=self.padding, bias=self.b, rows=self.rows)
@@ -202,7 +203,7 @@ class AttnBlock(Module):
         self.wv = Linear(rng, cond_dim, channels)
         self.wo = Linear(rng, channels, channels)
         self.channels = channels
-        self.kv = None  # (condition fingerprint, K, V), set only by MiniUnet.prepare
+        self.kv = None  # (condition fingerprint, K, V), set only on a MiniUnet.inference_copy
 
     def keys_values(self, cond: Tensor) -> tuple:
         """K and V of cond: the prepared pair if it was made for these very bytes, else made afresh."""
@@ -303,22 +304,29 @@ class MiniUnet(Module):
             h = self.up[j].forward(h, t_act, cond)
         return self.out_conv.forward(T.silu(self.out_norm.forward(h)))
 
-    def prepare(self, cond: Tensor = None):
-        """Make once what every forward would make again: each conv's kernel rows and, for cond, each
-        attention block's K and V.
+    def inference_copy(self, cond: Tensor) -> "MiniUnet":
+        """A copy of this net for the forwards of one inference pass under cond.
 
-        Only for an inference copy made by `lora.merge`, which calls this. Prepared
-        rows are a snapshot of kernels this copy shares with the net it was made
-        from, so the copy lives no longer than one batch of calls in which nothing
-        writes them. A forward with another condition computes K and V afresh.
+        Each adapter is folded into the Linear it sits on (W0 + alpha B A: one
+        matmul instead of three) and cleared on the copy; then each conv's kernel
+        rows and, from the folded weights, each attention block's K and V for
+        cond are made once. Only the folded weights are new Tensors; every other
+        parameter Tensor is shared with this net, which is left unchanged. The
+        rows are a snapshot of kernels the copy shares, so the copy lives no
+        longer than one batch of calls in which nothing writes them. A forward
+        with another condition computes K and V afresh.
         """
-        if not getattr(self, "merged", False):
-            raise ValueError("prepare: only an inference copy made by lora.merge may be prepared")
-        for module in self.modules():
+        net = self.copy_tree()
+        modules = list(net.modules())
+        for module in modules:
+            if isinstance(module, Linear) and module.adapter is not None:
+                module.w, module.adapter = Tensor(module.w.data + module.adapter.dense_update()), None
+        for module in modules:
             if isinstance(module, Conv2d):
                 module.rows = T.kernel_rows(module.w.data)
-            elif isinstance(module, AttnBlock) and cond is not None:
+            elif isinstance(module, AttnBlock):
                 module.kv = (_fingerprint(cond), *module.keys_values(cond))
+        return net
 
     def block_map(self) -> dict:
         """Selectable adapter groups mapped onto this net's levels.

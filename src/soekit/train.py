@@ -23,8 +23,8 @@ Teacher, student and every loaded checkpoint share one architecture, so
 Also hosts teacher pretraining (VAE phase, then denoiser phase, on
 generic-sized objects) and mask-conditioned DDIM editing with latent and
 pixel compositing: `edit_batch` edits a batch of images, one sample per
-noise stream, on a per-call inference copy of the U-Net (adapters merged
-in, the DDIM loop's constants made once), and `edit` is its batch of one.
+noise stream, on a per-call `MiniUnet.inference_copy` (adapters folded in,
+the DDIM loop's constants made once), and `edit` is its batch of one.
 """
 
 import copy
@@ -40,7 +40,7 @@ from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
 from soekit.config import DISTILL_LOSSES, ConfigError, ModelSection, RunConfig
 from soekit.data import COLOR_NAMES, LABELS, check_bbox, check_image_side, curation_filter
-from soekit.lora import LoraAdapterSet, attach, merge
+from soekit.lora import LoraAdapterSet, attach
 from soekit.nets import ConditionEmbedder, MiniUnet, Vae
 from soekit.optim import OPTIMIZERS
 from soekit.rng import stream_rng
@@ -226,9 +226,13 @@ def load_bundle(path) -> Bundle:
     step_count = blob.get("optimizer_step_count", 0)
     if type(step_count) is not int:
         raise CheckpointError(f"{path}: optimizer_step_count must be an integer, got {step_count!r}")
+    flags = {key: blob.get(key, False) for key in ("has_adapters", "frozen")}
+    for key, value in flags.items():
+        if type(value) is not bool:
+            raise CheckpointError(f"{path}: {key} must be true or false, got {value!r}")
     try:
-        bundle = Bundle.build(cfg, cfg.train.seed, adapters=bool(blob.get("has_adapters")),
-                              frozen=bool(blob.get("frozen", False)), role=role, step_count=step_count)
+        bundle = Bundle.build(cfg, cfg.train.seed, adapters=flags["has_adapters"], frozen=flags["frozen"],
+                              role=role, step_count=step_count)
     except ValueError as e:  # a config that validates but that the nets refuse
         raise CheckpointError(f"{path}: {role} checkpoint config refused by the model ({e})") from None
     params = bundle.params()
@@ -362,10 +366,11 @@ class Trainer:
         self.teacher_unet = teacher.unet
         self.teacher_unet.set_trainable(False)
 
+        # only the VAE can train, so only it is copied; the student's base Tensors are the teacher's
         self.vae = copy.deepcopy(teacher.vae)
-        self.cond = copy.deepcopy(teacher.cond)
+        self.cond = teacher.cond
         self.cond.set_trainable(False)
-        self.student = copy.deepcopy(teacher.unet)
+        self.student = teacher.unet.copy_tree()
         self.adapters = None
         trainables = {}
         if tc.use_adapters:
@@ -480,14 +485,16 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
     The masked latent region starts from pure noise at t = T; every DDIM step
     re-composites the known region (original latent re-noised to the current
     level), and each decoded result is composited with its input in pixel
-    space so content outside the mask is restored exactly. A bbox between
-    latent samples is rejected: nothing inside it would be regenerated.
+    space so content outside the mask is restored exactly. Images must be
+    data.image_side square, the side the checkpoint was made for. A bbox
+    between latent samples is rejected: nothing inside it would be
+    regenerated.
 
     Sample i draws its noise from stream_rng(seeds[i], "eval") in the same
     order at any batch size, and every op is per sample, so each output is
     bit-equal to `edit` on that sample alone. Encoding, conditioning and the
-    U-Net calls run once per batch, on this call's own inference copy of
-    bundle.unet (`lora.merge`): the adapters, if any, merged in, and each
+    U-Net calls run once per batch, on this call's own
+    `bundle.unet.inference_copy`: the adapters, if any, folded in, and each
     conv's kernel rows and each attention block's K and V for this call's
     condition made once rather than on every DDIM step. The copy goes with
     the call, so a write to bundle's parameters between calls is seen by the
@@ -505,6 +512,9 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
         if image.shape != shape:
             raise ValueError(f"edit_batch: images differ in shape, {image.shape} vs {shape}")
     h, w = shape[:2]
+    side = bundle.cfg.data.image_side
+    if h != side or w != side:
+        raise ValueError(f"image size mismatch: image is {w}x{h}, data.image_side is {side}")
     masks = np.zeros((n, 1, h, w), np.float32)
     for mask, bbox, label, color in zip(masks, bboxes, labels, colors):
         x0, y0, bw, bh = check_bbox(bbox, w, h)
@@ -525,7 +535,7 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
     z0 = bundle.vae.encode(x).detach()
     rngs = [stream_rng(seed, "eval") for seed in seeds]
     cond = bundle.cond.embed([LABELS.index(v) for v in labels], [COLOR_NAMES.index(v) for v in colors], style)
-    unet = merge(bundle.unet, bundle.adapters, cond)
+    unet = bundle.unet.inference_copy(cond)
 
     def draw():
         return Tensor(np.concatenate([r.standard_normal((1, *z0.shape[1:])).astype(np.float32) for r in rngs]))

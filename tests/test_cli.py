@@ -8,7 +8,7 @@ import pytest
 from soekit.checkpoint import load_checkpoint, save_checkpoint
 from soekit.cli import main
 from soekit.config import RunConfig
-from soekit.data import build_split, read_dataset, read_ppm, write_dataset
+from soekit.data import build_split, read_dataset, read_ppm, write_dataset, write_ppm
 from soekit.metrics import ProbeClassifier, save_probe
 from soekit.train import load_bundle
 
@@ -114,7 +114,6 @@ def test_pipeline_pretrain_train_eval_edit(workdir, capsys):
 
     sample = read_dataset(root / "ds", split="val-small")[0]
     img_path = root / "in.ppm"
-    from soekit.data import write_ppm
 
     write_ppm(img_path, sample.image)
     bbox = ",".join(map(str, sample.bbox))
@@ -350,6 +349,33 @@ def test_edit_rejects_malformed_ppm_header_in_one_line(workdir, capsys, tmp_path
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: malformed PPM header")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("side", [52, 128])
+def test_edit_refuses_an_image_at_another_side_in_one_line(workdir, capsys, tmp_path, side):
+    root, _ = workdir
+    image = tmp_path / "in.ppm"
+    write_ppm(image, np.zeros((side, side, 3), np.float32))
+    out = tmp_path / "x.ppm"
+    rc = main(["edit", "--checkpoint", str(root / "teacher.soek"), "--image", str(image), "--bbox", "8,8,8,8",
+               "--label", "circle", "--color", "red", "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: image size mismatch: image is {side}x{side}, data.image_side is 64"]
+    assert not out.exists()
+
+
+def test_gen_data_refuses_a_directory_that_holds_a_dataset(workdir, capsys, tmp_path):
+    _, cfg = workdir
+    out = tmp_path / "ds"
+    assert main(["gen-data", "--config", cfg, "--out", str(out), "--split", "train-generic"]) == 0
+    index = (out / "index.jsonl").read_bytes()
+    capsys.readouterr()
+    rc = main(["gen-data", "--config", cfg, "--out", str(out), "--split", "val-small"])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {out} already holds a dataset")
+    assert (out / "index.jsonl").read_bytes() == index
 
 
 @pytest.mark.parametrize(

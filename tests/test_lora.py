@@ -1,4 +1,4 @@
-"""Adapter construction, factorised math, merging, trainability partition."""
+"""Adapter construction, factorised math, folding into an inference copy, trainability partition."""
 
 import copy
 
@@ -8,7 +8,7 @@ import pytest
 from helpers import set_adapter_b
 from soekit import tensor as T
 from soekit.config import LoraSection, ModelSection
-from soekit.lora import LoraAdapter, _linears_by_name, attach, merge
+from soekit.lora import LoraAdapter, attach
 from soekit.nets import AttnBlock, ConditionEmbedder, Conv2d, Linear, MiniUnet
 from soekit.optim import Adam
 from soekit.rng import stream_rng
@@ -132,11 +132,16 @@ def test_zero_init_student_output_bit_identical_to_base():
     assert student.data.tobytes() == base.data.tobytes()
 
 
+def _linear_adapters(net):
+    """The adapter of every Linear of net that holds one."""
+    return [mod.adapter for mod in net.modules() if isinstance(mod, Linear) and mod.adapter is not None]
+
+
 def test_merge_of_fresh_adapters_is_bit_identical_to_base():
-    unet, _, adapters, _ = fresh_setup(seed=12)
-    merged = merge(unet, adapters)
+    unet, _, _, emb = fresh_setup(seed=12)
+    copied = unet.inference_copy(emb.embed([0], [0], "color_label"))
     for name, p in unet.params().items():
-        assert merged.params()[name].data.tobytes() == p.data.tobytes()
+        assert copied.params()[name].data.tobytes() == p.data.tobytes()
 
 
 def test_merged_and_factorized_forward_agree():
@@ -145,7 +150,7 @@ def test_merged_and_factorized_forward_agree():
     for ad in adapters.adapters.values():
         ad.b.data = (gen.standard_normal(ad.b.shape) * 0.05).astype(np.float32)
         ad.a.data = (gen.standard_normal(ad.a.shape) * 0.05).astype(np.float32)
-    merged = merge(unet, adapters)
+    folded = unet.inference_copy(emb.embed([0], [0], "color_label"))
     for trial in range(10):
         rng = np.random.default_rng(100 + trial)
         z = Tensor(rng.standard_normal((1, 4, 8, 8)).astype(np.float32))
@@ -154,34 +159,42 @@ def test_merged_and_factorized_forward_agree():
         cond = emb.embed([trial % 5], [trial % 8], "color_label")
         t = 1 + (trial * 97) % 999
         a = unet.forward(z, t, cond, unet.latent_mask(Tensor(m))).data
-        b = merged.forward(z, t, cond, merged.latent_mask(Tensor(m))).data
+        b = folded.forward(z, t, cond, folded.latent_mask(Tensor(m))).data
         assert np.abs(a - b).max() < 1e-5
         assert np.argmax(a) == np.argmax(b)
 
 
 def test_merge_leaves_base_and_adapters_untouched():
-    unet, _, adapters, _ = fresh_setup(seed=16)
+    unet, _, adapters, emb = fresh_setup(seed=16)
     gen = np.random.default_rng(8)
     for ad in adapters.adapters.values():
         ad.b.data = (gen.standard_normal(ad.b.shape) * 0.05).astype(np.float32)
     before = {k: p.data.tobytes() for k, p in {**unet.params(), **adapters.params()}.items()}
-    merged = merge(unet, adapters)
+    folded = unet.inference_copy(emb.embed([0], [0], "color_label"))
+    # nothing prepared lands on the source net's modules
+    assert all(getattr(mod, "rows", None) is None and getattr(mod, "kv", None) is None for mod in unet.modules())
     assert {k: p.data.tobytes() for k, p in {**unet.params(), **adapters.params()}.items()} == before
-    base_linears, merged_linears = _linears_by_name(unet), _linears_by_name(merged)
-    for target, ad in adapters.adapters.items():
-        assert base_linears[target].adapter is ad and merged_linears[target].adapter is None
-        assert not np.array_equal(merged_linears[target].w.data, base_linears[target].w.data)
-    assert not hasattr(unet, "merged")
+    base_adapters = _linear_adapters(unet)
+    assert len(base_adapters) == len(adapters.adapters)
+    assert {id(ad) for ad in base_adapters} == {id(ad) for ad in adapters.adapters.values()}
+    assert not _linear_adapters(folded)
+    folded_params, base_params = folded.params(), unet.params()
+    for target in adapters.adapters:
+        assert not np.array_equal(folded_params[f"{target}.w"].data, base_params[f"{target}.w"].data)
 
 
-def test_double_merge_rejected():
-    unet, _, adapters, _ = fresh_setup(seed=18)
-    merged = merge(unet, adapters)
-    with pytest.raises(ValueError, match="mismatch"):
-        merge(merged, adapters)  # adapters belong to `unet`, not the merged copy
-    adapters.base = merged
-    with pytest.raises(ValueError, match="second merge"):
-        merge(merged, adapters)
+@pytest.mark.parametrize("batch", [1, 8])
+def test_copy_of_an_inference_copy_forwards_byte_equal(batch):
+    # a copy of a copy has no adapters left, so nothing is folded a second time
+    unet, _, adapters, emb = fresh_setup(seed=18)
+    set_adapter_b(adapters, seed=11)
+    z, m, cond = _batch_inputs(emb, batch)
+    first = unet.inference_copy(cond)
+    second = first.inference_copy(cond)
+    assert not _linear_adapters(first) and not _linear_adapters(second)
+    ml = unet.latent_mask(m)
+    for t in (1, 500):
+        assert second.forward(z, t, cond, ml).data.tobytes() == first.forward(z, t, cond, ml).data.tobytes()
 
 
 def _batch_inputs(emb, batch, seed=0):
@@ -193,16 +206,26 @@ def _batch_inputs(emb, batch, seed=0):
     return z, Tensor(m), cond
 
 
+def _unprepared_copy(net, cond):
+    """An inference copy with every kernel's rows and every K, V set back to None: each forward makes them."""
+    plain = net.inference_copy(cond)
+    for mod in plain.modules():
+        if isinstance(mod, Conv2d):
+            mod.rows = None
+        elif isinstance(mod, AttnBlock):
+            mod.kv = None
+    return plain
+
+
 @pytest.mark.parametrize("adapted", [False, True], ids=["no-adapters", "adapters"])
 @pytest.mark.parametrize("batch", [1, 8])
-def test_prepared_copy_forward_is_byte_equal_to_unprepared(monkeypatch, batch, adapted):
+def test_prepared_copy_forward_is_byte_equal_to_unprepared(batch, adapted):
     unet, base_copy, adapters, emb = fresh_setup(seed=27)
     set_adapter_b(adapters, seed=9)
-    base, adapter_set = (unet, adapters) if adapted else (base_copy, None)
+    base = unet if adapted else base_copy
     z, m, cond = _batch_inputs(emb, batch)
-    prepared = merge(base, adapter_set, cond)
-    monkeypatch.setattr(MiniUnet, "prepare", lambda self, cond=None: None)
-    plain = merge(base, adapter_set, cond)
+    prepared = base.inference_copy(cond)
+    plain = _unprepared_copy(base, cond)
     convs = [mod for mod in prepared.modules() if isinstance(mod, Conv2d)]
     attns = [mod for mod in prepared.modules() if isinstance(mod, AttnBlock)]
     assert len(convs) == 11 and all(mod.rows is not None for mod in convs)
@@ -213,15 +236,14 @@ def test_prepared_copy_forward_is_byte_equal_to_unprepared(monkeypatch, batch, a
         assert prepared.forward(z, t, cond, ml).data.tobytes() == plain.forward(z, t, cond, ml).data.tobytes()
 
 
-def test_prepared_copy_computes_k_and_v_afresh_for_another_condition(monkeypatch):
+def test_prepared_copy_computes_k_and_v_afresh_for_another_condition():
     unet, _, adapters, emb = fresh_setup(seed=28)
     set_adapter_b(adapters, seed=10)
     z, m, cond = _batch_inputs(emb, 2)
     ml = unet.latent_mask(m)
     other = emb.embed([4, 4], [7, 7], "color_label")
-    prepared = merge(unet, adapters, cond)
-    monkeypatch.setattr(MiniUnet, "prepare", lambda self, cond=None: None)
-    plain = merge(unet, adapters)
+    prepared = unet.inference_copy(cond)
+    plain = _unprepared_copy(unet, cond)
 
     def both(c):
         return prepared.forward(z, 50, c, ml).data.tobytes(), plain.forward(z, 50, c, ml).data.tobytes()
@@ -231,20 +253,6 @@ def test_prepared_copy_computes_k_and_v_afresh_for_another_condition(monkeypatch
         assert len(set(both(c))) == 1
     cond.data *= 2.0  # the prepared condition itself, written in place
     assert len(set(both(cond))) == 1
-
-
-def test_prepare_refuses_a_net_not_made_by_merge():
-    unet, _, _, emb = fresh_setup(seed=29)
-    with pytest.raises(ValueError, match="only an inference copy made by lora.merge"):
-        unet.prepare(emb.embed([0], [0], "color_label"))
-    assert all(getattr(mod, "rows", None) is None and getattr(mod, "kv", None) is None for mod in unet.modules())
-
-
-def test_merge_on_foreign_base_rejected():
-    unet, _, adapters, _ = fresh_setup(seed=21)
-    other = MiniUnet(CFG, seed=99)
-    with pytest.raises(ValueError, match="mismatch"):
-        merge(other, adapters)
 
 
 def test_training_step_moves_adapters_but_not_base():

@@ -11,8 +11,8 @@ from soekit import train
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import ConfigError, LoraSection, ModelSection, RunConfig
 from soekit.data import build_split
-from soekit.lora import _linears_by_name, attach
-from soekit.nets import ConditionEmbedder, MiniUnet
+from soekit.lora import attach
+from soekit.nets import ConditionEmbedder, Linear, MiniUnet
 from soekit.schedule import add_noise, make_schedule, predict_z0
 from soekit.tensor import Tensor, backward, topo_order
 from soekit.train import (
@@ -298,14 +298,21 @@ def test_train_step_freezes_teacher_and_untouched_vae(teacher_bundle):
     cfg = tiny_cfg(use_vae_tuning=False)
     small = build_split(2, "train-small", 8)
     tr = Trainer(cfg, small, teacher_bundle)
-    teacher_bytes = {k: p.data.tobytes() for k, p in teacher_bundle.unet.params().items()}
+    # the student's base Tensors and the condition embedder are the teacher's own objects
+    teacher_params = teacher_bundle.unet.params()
+    assert all(p is teacher_params[k] for k, p in tr.student.params().items())
+    assert tr.cond is teacher_bundle.cond
+    teacher_bytes = {k: p.data.tobytes() for k, p in teacher_params.items()}
+    cond_bytes = {k: p.data.tobytes() for k, p in tr.cond.params().items()}
     vae_bytes = {k: p.data.tobytes() for k, p in tr.vae.params().items()}
     base_bytes = {k: p.data.tobytes() for k, p in tr.student.params().items()}
     report = tr.train_step(0)
     assert report.total > 0
     assert all(teacher_bundle.unet.params()[k].data.tobytes() == v for k, v in teacher_bytes.items())
+    assert all(teacher_bundle.cond.params()[k].data.tobytes() == v for k, v in cond_bytes.items())
     assert all(tr.vae.params()[k].data.tobytes() == v for k, v in vae_bytes.items())
     assert all(tr.student.params()[k].data.tobytes() == v for k, v in base_bytes.items())
+    assert all(p is teacher_params[k] for k, p in tr.student.params().items())
     changed = [k for k, p in tr.adapters.params().items() if np.abs(p.data).sum() > 0 or p.data.any()]
     assert changed
 
@@ -495,16 +502,18 @@ def test_student_checkpoint_roundtrip_byte_identical(student_file, tmp_path):
 
 
 @pytest.mark.parametrize("change, message", [
-    (lambda a: a.update({"lora.mid.attn.wq.A": a["lora.mid.attn.wq.A"][:, :-1]}),
+    (lambda a, b: a.update({"lora.mid.attn.wq.A": a["lora.mid.attn.wq.A"][:, :-1]}),
      r"array 'lora.mid.attn.wq.A' has shape"),
-    (lambda a: a.update({"unet.bogus": np.zeros(3, np.float32)}), "unexpected array 'unet.bogus'"),
-    (lambda a: a.update({"adam.lora.mid.attn.wq.A.m": np.zeros((4, 32), np.float32)}),
+    (lambda a, b: a.update({"unet.bogus": np.zeros(3, np.float32)}), "unexpected array 'unet.bogus'"),
+    (lambda a, b: a.update({"adam.lora.mid.attn.wq.A.m": np.zeros((4, 32), np.float32)}),
      "unexpected array 'adam.lora.mid.attn.wq.A.m'"),  # a student file that still holds Adam moments
-    (lambda a: a.pop("lora.mid.attn.wq.B"), "missing array 'lora.mid.attn.wq.B'"),
+    (lambda a, b: a.pop("lora.mid.attn.wq.B"), "missing array 'lora.mid.attn.wq.B'"),
+    (lambda a, b: b.update({"frozen": "no"}), "frozen must be true or false, got 'no'"),
+    (lambda a, b: b.update({"has_adapters": "no"}), "has_adapters must be true or false, got 'no'"),
 ])
 def test_load_bundle_is_strict(student_file, change, message):
     arrays, blob = load_checkpoint(student_file)
-    change(arrays)
+    change(arrays, blob)
     save_checkpoint(student_file, arrays, blob)
     with pytest.raises(CheckpointError, match=f"{student_file}: {message}"):
         load_bundle(student_file)
@@ -567,7 +576,7 @@ def test_edit_of_four_pixel_bbox_changes_the_box(teacher_bundle):
 
 @pytest.fixture(scope="module")
 def student_bundle(teacher_bundle):
-    """An adapted student whose B factors are nonzero, so merging changes weights."""
+    """An adapted student whose B factors are nonzero, so folding them changes weights."""
     bundle = Trainer(tiny_cfg(), build_split(4, "train-small", 4), teacher_bundle).bundle()
     set_adapter_b(bundle.adapters, seed=3)
     return bundle
@@ -598,6 +607,9 @@ def test_edit_batch_input_checks(student_bundle):
     with pytest.raises(ValueError, match="images differ in shape"):
         edit_batch([images[0], images[1][:32]], bboxes, labels, colors, "color_label", student_bundle,
                    steps=1, seeds=[0, 1])
+    with pytest.raises(ValueError, match="image size mismatch: image is 32x32, data.image_side is 64"):
+        edit_batch([image[:32, :32] for image in images], [(0, 0, 8, 8)] * 2, labels, colors, "color_label",
+                   student_bundle, steps=1, seeds=[0, 1])
     with pytest.raises(ValueError, match=r"bbox \(3, 3, 3, 3\) covers no latent sample"):
         edit_batch(images, [bboxes[0], (3, 3, 3, 3)], labels, colors, "color_label", student_bundle,
                    steps=1, seeds=[0, 1])
@@ -607,9 +619,10 @@ def test_edit_leaves_bundle_untouched(student_bundle):
     s = build_split(6, "val-small", 1)[0]
     before = {k: p.data.tobytes() for k, p in student_bundle.params().items()}
     edit(s.image, s.bbox, s.label, s.color, "color_label", student_bundle, steps=2, seed=0)
-    linears = _linears_by_name(student_bundle.unet)
-    assert all(linears[name].adapter is ad for name, ad in student_bundle.adapters.adapters.items())
-    assert not hasattr(student_bundle.unet, "merged")
+    adapted = [mod.adapter for mod in student_bundle.unet.modules()
+               if isinstance(mod, Linear) and mod.adapter is not None]
+    assert len(adapted) == len(student_bundle.adapters.adapters)
+    assert {id(ad) for ad in adapted} == {id(ad) for ad in student_bundle.adapters.adapters.values()}
     assert {k: p.data.tobytes() for k, p in student_bundle.params().items()} == before
     # kernel rows and K/V were prepared on the call's own copy, not on the bundle's modules
     assert all(getattr(mod, "rows", None) is None and getattr(mod, "kv", None) is None
