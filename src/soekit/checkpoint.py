@@ -9,8 +9,9 @@ Layout (all integers little-endian):
 Arrays are written in insertion order and the JSON blob canonically
 (sorted keys, compact separators), so save -> load -> save is byte-identical.
 
-Writes are atomic: the file is written to `<name>.tmp` and moved over the
-target with `os.replace`, so a failed save leaves any earlier file intact.
+Writes are atomic: `write_atomic` writes the file to `<name>.tmp` and moves
+it over the target with `os.replace`, so a failed save leaves any earlier
+file intact. Every whole-file artifact of a run goes through it.
 A save refuses a non-float32 array or one holding NaN or inf, and names it.
 Reads are strict: a truncated or corrupt file, or a config blob that is not
 a JSON object, raises a `CheckpointError` naming it, and `restore` copies
@@ -57,9 +58,14 @@ def save_checkpoint(path, arrays: dict, config: dict) -> Path:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
     chunks.append(struct.pack("<I", len(blob)))
     chunks.append(blob)
-    tmp = path.with_name(path.name + ".tmp")
+    return write_atomic(path, b"".join(chunks))
+
+
+def write_atomic(path, payload) -> Path:
+    """Write bytes, or text as UTF-8, to `<name>.tmp` and move it over path with `os.replace`."""
+    path, tmp = Path(path), Path(f"{path}.tmp")
     try:
-        tmp.write_bytes(b"".join(chunks))
+        tmp.write_bytes(payload.encode() if isinstance(payload, str) else payload)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -15,6 +15,7 @@ import os
 import sys
 from pathlib import Path
 
+from soekit.checkpoint import write_atomic
 from soekit.config import ConfigError, RunConfig
 from soekit.data import (PROMPT_STYLES, SPLITS, build_split, check_image_side, read_dataset, read_ppm, write_dataset,
                          write_ppm)
@@ -143,7 +144,7 @@ def cmd_eval(args) -> int:
     probe = _probe_for(cfg, out_dir)
     report = evaluate(bundle, val, args.style, seed=seed, probe=probe,
                       ddim_steps=cfg.eval.ddim_steps, max_samples=cfg.eval.samples)
-    (out_dir / "metrics.csv").write_text(report.csv_text())
+    write_atomic(out_dir / "metrics.csv", report.csv_text())
     _echo_config(cfg, out_dir)
     print((out_dir / "metrics.csv").read_text().strip())
     return 0

@@ -18,6 +18,7 @@ import operator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from soekit.checkpoint import write_atomic
 from soekit.data import PROMPT_STYLES, SPLITS, split_sides
 from soekit.optim import OPTIMIZERS
 
@@ -168,9 +169,7 @@ class RunConfig:
 
     def save(self, path):
         Path(path).parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def validate(self):
         """Coherence checks; raises ConfigError on violation.

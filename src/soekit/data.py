@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from soekit import tensor as T
+from soekit.checkpoint import write_atomic
 from soekit.rng import stream_rng
 
 LABELS = ("circle", "square", "triangle", "cross", "ring")
@@ -219,9 +220,7 @@ def write_ppm(path, image: np.ndarray):
     """Binary P6, maxval 255."""
     h, w = image.shape[:2]
     data = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n255\n".encode())
-        fh.write(data.tobytes())
+    write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + data.tobytes())
 
 
 # one P6 header token: whitespace and "#" comment lines before it, one whitespace byte after it
@@ -252,27 +251,17 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_dataset(samples, out_dir) -> Path:
+    """Every sample's image, then the index: a dataset whose write stopped early has no index."""
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
-    with open(out / "index.jsonl", "w") as fh:
-        for s in samples:
-            rel = f"images/{s.id}.ppm"
-            write_ppm(out / rel, s.image)
-            fh.write(
-                json.dumps(
-                    {
-                        "id": s.id,
-                        "image": rel,
-                        "bbox": list(s.bbox),
-                        "label": s.label,
-                        "color": s.color,
-                        "split": s.split,
-                        "captions": s.captions,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    lines = []
+    for s in samples:
+        rel = f"images/{s.id}.ppm"
+        write_ppm(out / rel, s.image)
+        rec = {"id": s.id, "image": rel, "bbox": list(s.bbox), "label": s.label, "color": s.color,
+               "split": s.split, "captions": s.captions}
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    write_atomic(out / "index.jsonl", "".join(lines))
     return out
 
 

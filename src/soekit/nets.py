@@ -85,10 +85,9 @@ class Linear(Module):
         self.adapter = None  # set by soekit.lora.attach
 
     def forward(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.w)
-        if self.adapter is not None:
-            y = T.add(y, self.adapter.delta(x))
-        return T.add(y, self.b)
+        if self.adapter is None:
+            return T.matmul(x, self.w, bias=self.b)
+        return T.add(T.add(T.matmul(x, self.w), self.adapter.delta(x)), self.b)
 
 
 class Conv2d(Module):
@@ -100,8 +99,9 @@ class Conv2d(Module):
         self.padding = padding
         self.rows = None  # w's kernel rows, set only on a MiniUnet.inference_copy
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.conv2d(x, self.w, stride=self.stride, padding=self.padding, bias=self.b, rows=self.rows)
+    def forward(self, x: Tensor, shift: Tensor = None, residual: Tensor = None) -> Tensor:
+        return T.conv2d(x, self.w, stride=self.stride, padding=self.padding, bias=self.b, rows=self.rows,
+                        shift=shift, residual=residual)
 
 
 class ConvTranspose2d(Module):
@@ -123,8 +123,8 @@ class GroupNorm(Module):
         self.beta = Tensor(np.zeros(channels, np.float32), requires_grad=True)
         self.groups = groups
 
-    def forward(self, x: Tensor) -> Tensor:
-        return T.group_norm(x, self.gamma, self.beta, self.groups)
+    def forward(self, x: Tensor, silu: bool = False) -> Tensor:
+        return T.group_norm(x, self.gamma, self.beta, self.groups, silu=silu)
 
 
 # -- condition embedder ----------------------------------------------------------
@@ -171,7 +171,7 @@ def sinusoidal_time_embedding(ts, dim: int) -> np.ndarray:
 
 
 class ResBlock(Module):
-    """Norm -> silu -> conv, plus a learned projection of the activated time embedding."""
+    """Norm+silu -> conv, whose epilogue adds a learned projection of the activated time embedding and the skip."""
 
     def __init__(self, rng, c_in: int, c_out: int, time_dim: int, groups: int):
         self.norm = GroupNorm(c_in, groups)
@@ -181,11 +181,8 @@ class ResBlock(Module):
 
     def forward(self, x: Tensor, t_act: Tensor) -> Tensor:
         """t_act is silu of the time embedding, computed once per U-Net forward."""
-        h = self.conv.forward(T.silu(self.norm.forward(x)))
-        tb = self.time_proj.forward(t_act)
-        h = T.add(h, T.reshape(tb, (tb.shape[0], -1, 1, 1)))
         res = x if self.skip is None else self.skip.forward(x)
-        return T.add(h, res)
+        return self.conv.forward(self.norm.forward(x, silu=True), shift=self.time_proj.forward(t_act), residual=res)
 
 
 def _fingerprint(t: Tensor) -> tuple:
@@ -212,13 +209,9 @@ class AttnBlock(Module):
         return self.wk.forward(cond), self.wv.forward(cond)
 
     def forward(self, x: Tensor, cond: Tensor) -> Tensor:
-        b, c, h, w = x.shape
-        flat = T.transpose(T.reshape(self.norm.forward(x), (b, c, h * w)), (0, 2, 1))
-        q = self.wq.forward(flat)
+        q = self.wq.forward(T.tokens(self.norm.forward(x)))
         k, v = self.keys_values(cond)
-        att = self.wo.forward(T.cross_attention(q, k, v))
-        att = T.reshape(T.transpose(att, (0, 2, 1)), (b, c, h, w))
-        return T.add(x, att)
+        return T.untokens(self.wo.forward(T.cross_attention(q, k, v)), x)
 
 
 class UnetBlock(Module):
@@ -302,7 +295,7 @@ class MiniUnet(Module):
             h = self.upsample[j].forward(h)
             h = T.concat([h, skips[self.cfg.depth - 1 - j]], axis=1)
             h = self.up[j].forward(h, t_act, cond)
-        return self.out_conv.forward(T.silu(self.out_norm.forward(h)))
+        return self.out_conv.forward(self.out_norm.forward(h, silu=True))
 
     def inference_copy(self, cond: Tensor) -> "MiniUnet":
         """A copy of this net for the forwards of one inference pass under cond.

@@ -36,8 +36,17 @@ its output is one GEMM and a depth-to-space reshape, and its gradients are
 the inverse reshape and one GEMM per operand. Each contraction runs in
 float64 and rounds once to the storage dtype: float32 products are exact in
 float64, so every result is bit-equal to a direct-summation oracle whichever
-path, summation order or BLAS blocking produced it. Both ops take an
-optional bias, added after that rounding.
+path, summation order or BLAS blocking produced it.
+
+Fused ops run the small ops around the U-Net's large ones with the
+expressions and rounding order of the ops they replace, so outputs and
+gradients keep their bytes: conv2d's epilogue adds a (CO,) bias, a (B, CO)
+``shift`` and a ``residual``, in that order; matmul takes a bias; group_norm
+may end in SiLU; ``tokens``/``untokens`` lay a map out as attention tokens and
+back onto a residual; cross_attention is one op. Their parents keep the order
+the replaced ops reached them in (untokens: residual, then tokens), because
+backward's depth-first order follows it, and sets the order in which a tensor
+feeding several ops, the condition embedding among them, sums its gradients.
 
 The kernel operand of that GEMM is the kernel's rows: the kernel relaid as
 float64 (KH, O, KW*I) by ``kernel_rows``. conv2d makes them from ``w`` on
@@ -53,7 +62,8 @@ of crop-and-resizes is one gather per tap.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -117,14 +127,15 @@ class Tensor:
 # -- graph machinery ----------------------------------------------------------
 
 
-def _make(data, parents, grads, op: str) -> Tensor:
+def _make(data, parents, grads, op: str, pre=None) -> Tensor:
     """Wrap an op's output and record the parents that require gradients.
 
     ``grads`` holds one function per parent, mapping the output gradient to
     that parent's gradient. Only the pairs whose parent requires a gradient
     are kept: those parents become ``_parents``, and ``_backward_fn`` runs
     their functions and adds each result into the parent's ``grad``. The
-    other functions are dropped unrun, with whatever only they hold.
+    other functions are dropped unrun, with whatever only they hold. ``pre``,
+    if given, maps the output gradient once to what every function takes.
     """
     out = Tensor(data, requires_grad=False, dtype=data.dtype)
     # plain loops: most calls outside training take the early return, and a
@@ -141,6 +152,8 @@ def _make(data, parents, grads, op: str) -> Tensor:
             fns.append(fn)
 
     def backward_fn(g):
+        if pre is not None:
+            g = pre(g)
         for p, fn in zip(kept, fns):
             gp = fn(g)
             if p.grad is None:
@@ -264,10 +277,15 @@ def sigmoid(a: Tensor) -> Tensor:
     return _make(out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
 
 
+def _silu(x: np.ndarray) -> tuple:
+    """silu(x) and the map from its output gradient to x's: the silu op's, and group_norm's when it ends in SiLU."""
+    s = _stable_sigmoid(x)
+    return x * s, lambda g: g * (s * (1.0 + x * (1.0 - s)))
+
+
 def silu(a: Tensor) -> Tensor:
-    s = _stable_sigmoid(a.data)
-    out = a.data * s
-    return _make(out, (a,), (lambda g: g * (s * (1.0 + a.data * (1.0 - s))),), "silu")
+    out, grad = _silu(a.data)
+    return _make(out, (a,), (grad,), "silu")
 
 
 # -- reductions and reshaping ---------------------------------------------------
@@ -318,14 +336,11 @@ def gather_rows(table: Tensor, ids) -> Tensor:
 
 def concat(tensors, axis: int = 1) -> Tensor:
     """Concatenate along `axis` (channel axis by default)."""
-    shapes = [t.shape for t in tensors]
-    base = list(shapes[0])
-    for s in shapes[1:]:
-        if len(s) != len(base) or any(s[i] != base[i] for i in range(len(base)) if i != axis % len(base)):
-            raise ShapeError("concat", f"incompatible shapes {shapes} along axis {axis}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:
+        raise ShapeError("concat", f"incompatible shapes {[t.shape for t in tensors]} along axis {axis}") from None
+    offsets = list(accumulate([0] + [t.shape[axis] for t in tensors]))
     lead = (slice(None),) * (axis % out.ndim)
     grads = [lambda g, part=lead + (slice(o0, o1),): g[part] for o0, o1 in zip(offsets[:-1], offsets[1:])]
     return _make(out, tuple(tensors), grads, "concat")
@@ -334,7 +349,8 @@ def concat(tensors, axis: int = 1) -> Tensor:
 # -- matmul and attention --------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
+    """a @ b, plus an optional (N,) bias added in place after the product: add(a @ b, bias) as one op."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError("matmul", f"operands must be >= 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -342,15 +358,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
     grads = (lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
              lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-    return _make(out, (a, b), grads, "matmul")
+    if bias is None:
+        return _make(out, (a, b), grads, "matmul")
+    if bias.shape != out.shape[-1:]:
+        raise ShapeError("matmul", f"bias must be {out.shape[-1:]}, got {bias.shape}")
+    out += bias.data
+    return _make(out, (a, b, bias), grads + (lambda g: _unbroadcast(g, bias.shape),), "matmul")
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Over the last axis; each reduction is the ufunc's own, which ndarray.max and .sum reach through Python."""
+    e = np.exp(x - np.maximum.reduce(x, -1, keepdims=True))
+    return e / np.add.reduce(e, -1, keepdims=True)
+
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return out * (g - np.add.reduce(g * out, -1, keepdims=True))
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis; rows sum to one."""
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
-    return _make(out, (a,), (lambda g: out * (g - (g * out).sum(axis=-1, keepdims=True)),), "softmax")
+    out = _softmax(a.data)
+    return _make(out, (a,), (lambda g: _softmax_grad(out, g),), "softmax")
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -363,21 +392,62 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 def cross_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product attention: softmax(q k^T / sqrt(d)) v.
+    """softmax(q k^T / sqrt(d)) v as one op, by the expressions of the matmul, transpose, mul and
+    softmax ops it replaces; backward goes back through v and the softmax once, for both q and k."""
+    if q.ndim != 3 or k.ndim != 3 or v.ndim != 3 or k.shape[::2] != q.shape[::2] or v.shape[:2] != k.shape[:2]:
+        raise ShapeError("cross_attention", f"need (B, Nq, d), (B, Nk, d), (B, Nk, dv); "
+                                            f"got {q.shape}, {k.shape}, {v.shape}")
+    scale = np.asarray(1.0 / np.sqrt(q.shape[-1]), q.dtype)
+    kt = np.ascontiguousarray(k.data.transpose(0, 2, 1))
+    p = _softmax(q.data @ kt * scale)
 
-    q: (B, Nq, d), k: (B, Nk, d), v: (B, Nk, dv). Composed from matmul and
-    softmax so gradients flow through the recorded primitives.
-    """
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError("cross_attention", f"q/k feature dims differ: {q.shape} vs {k.shape}")
-    if k.shape[-2] != v.shape[-2]:
-        raise ShapeError("cross_attention", f"k/v sequence lengths differ: {k.shape} vs {v.shape}")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = mul(matmul(q, transpose(k, (0, 2, 1))), Tensor(scale, dtype=q.dtype))
-    return matmul(softmax(scores), v)
+    def pre(g):  # the output gradient, and that of the unscaled scores q k^T
+        return g, _softmax_grad(p, g @ np.swapaxes(v.data, -1, -2)) * scale
+
+    grads = (lambda gs: gs[1] @ np.swapaxes(kt, -1, -2),
+             lambda gs: (np.swapaxes(q.data, -1, -2) @ gs[1]).transpose(0, 2, 1),
+             lambda gs: np.swapaxes(p, -1, -2) @ gs[0])
+    return _make(p @ v.data, (q, k, v), grads, "cross_attention", pre)
+
+
+def tokens(x: Tensor) -> Tensor:
+    """A (B, C, H, W) map as (B, H*W, C) tokens, one per position."""
+    b, c, h, w = x.shape
+    out = np.ascontiguousarray(x.data.reshape(b, c, h * w).transpose(0, 2, 1))
+    return _make(out, (x,), (lambda g: g.transpose(0, 2, 1).reshape(x.shape),), "tokens")
+
+
+def untokens(att: Tensor, residual: Tensor) -> Tensor:
+    """(B, H*W, C) tokens laid back out as the (B, C, H, W) map of ``residual``, added to it: residual + map."""
+    b, c, h, w = residual.shape
+    if att.shape != (b, h * w, c):
+        raise ShapeError("untokens", f"tokens {att.shape} do not fit map {residual.shape}")
+    out = residual.data + att.data.transpose(0, 2, 1).reshape(b, c, h, w)
+    return _make(out, (residual, att), (lambda g: g, lambda g: g.reshape(b, c, h * w).transpose(0, 2, 1)), "untokens")
 
 
 # -- convolutions ------------------------------------------------------------------
+
+
+@lru_cache(maxsize=256)
+def _window_plan(shape, kh: int, kw: int, stride: int, pad, out_hw) -> tuple:
+    """_windows' shapes, slice copies (buffer index, input index) and views, made once per geometry."""
+    b, c, h, w = shape
+    (py, px), (ho, wo) = pad, out_hw
+    hq = ho + (kh - 1) // stride
+    copies, every = [], slice(None)
+    for s in range(stride):
+        q0, q1 = max(0, -((s - py) // stride)), min(hq, (h - 1 - s + py) // stride + 1)
+        for kx in range(kw):
+            j0, j1 = max(0, -((kx - px) // stride)), min(wo, (w - 1 - kx + px) // stride + 1)
+            if q0 < q1 and j0 < j1:
+                y, x = q0 * stride + s - py, j0 * stride + kx - px
+                copies.append(((kx, every, s, slice(q0, q1), every, slice(j0, j1)),
+                               (every, slice(y, y + stride * (q1 - q0), stride), every,
+                                slice(x, x + stride * (j1 - j0), stride))))
+    n = b * wo
+    views = [(every, ky % stride, slice(ky // stride * n, (ky // stride + ho) * n)) for ky in range(kh)]
+    return (kw, c, stride, hq, b, wo), (kw * c, stride, hq * b * wo), copies, views
 
 
 def _windows(a: np.ndarray, kh: int, kw: int, stride: int, pad, out_hw) -> list:
@@ -389,21 +459,13 @@ def _windows(a: np.ndarray, kh: int, kw: int, stride: int, pad, out_hw) -> list:
     zero (kw, C, stride, hq, B, wo) float64 buffer, filled by one slice copy
     per kernel column and stride phase.
     """
-    b, c, h, w = a.shape
-    (py, px), (ho, wo) = pad, out_hw
-    hq = ho + (kh - 1) // stride
-    buf = np.zeros((kw, c, stride, hq, b, wo))
+    shape, rows_shape, copies, views = _window_plan(a.shape, kh, kw, stride, pad, out_hw)
+    buf = np.zeros(shape)
     src = a.transpose(1, 2, 0, 3)  # (C, H, B, W)
-    for s in range(stride):
-        q0, q1 = max(0, -((s - py) // stride)), min(hq, (h - 1 - s + py) // stride + 1)
-        for kx in range(kw):
-            j0, j1 = max(0, -((kx - px) // stride)), min(wo, (w - 1 - kx + px) // stride + 1)
-            if q0 < q1 and j0 < j1:
-                y, x = q0 * stride + s - py, j0 * stride + kx - px
-                buf[kx, :, s, q0:q1, :, j0:j1] = src[:, y : y + stride * (q1 - q0) : stride, :,
-                                                     x : x + stride * (j1 - j0) : stride]
-    rows, n = buf.reshape(kw * c, stride, hq * b * wo), b * wo
-    return [rows[:, ky % stride, ky // stride * n : (ky // stride + ho) * n] for ky in range(kh)]
+    for dst, part in copies:
+        buf[dst] = src[part]
+    rows = buf.reshape(rows_shape)
+    return [rows[v] for v in views]
 
 
 def kernel_rows(k: np.ndarray) -> np.ndarray:
@@ -443,14 +505,24 @@ def _nchw(m: np.ndarray, b: int, hw, dtype) -> np.ndarray:
     return m.reshape(m.shape[0], hw[0], b, hw[1]).transpose(2, 0, 1, 3).astype(dtype, order="C")
 
 
-def _add_bias(op: str, out: np.ndarray, bias) -> tuple:
-    """Add a (C,) bias to a (B, C, H, W) output in place; the bias as a tuple of extra parents."""
-    if bias is None:
-        return ()
-    if bias.shape != (out.shape[1],):
-        raise ShapeError(op, f"bias must be ({out.shape[1]},), got {bias.shape}")
-    out += bias.data.reshape(1, -1, 1, 1)
-    return (bias,)
+def _epilogue(op: str, out: np.ndarray, bias, shift=None, residual=None) -> tuple:
+    """Add in place to a (B, C, H, W) output, in this order, those given of a (C,) bias, a per-sample
+    (B, C) shift and a residual of its shape; they return as extra parents, with their gradients."""
+    b, c = out.shape[:2]
+    for name, t, shape in (("bias", bias, (c,)), ("shift", shift, (b, c)), ("residual", residual, out.shape)):
+        if t is not None and t.shape != shape:
+            raise ShapeError(op, f"{name} must be {shape}, got {t.shape}")
+    parents, grads = (), ()
+    if bias is not None:
+        out += bias.data.reshape(1, c, 1, 1)
+        parents, grads = (bias,), (_channel_sum,)
+    if shift is not None:
+        out += shift.data.reshape(b, c, 1, 1)
+        parents, grads = parents + (shift,), grads + (lambda g: _unbroadcast(g, (b, c, 1, 1)).reshape(b, c),)
+    if residual is not None:
+        out += residual.data
+        parents, grads = parents + (residual,), grads + (lambda g: g,)
+    return parents, grads
 
 
 def _channel_sum(g: np.ndarray) -> np.ndarray:
@@ -459,7 +531,7 @@ def _channel_sum(g: np.ndarray) -> np.ndarray:
 
 
 def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor = None,
-           rows: np.ndarray = None) -> Tensor:
+           rows: np.ndarray = None, shift: Tensor = None, residual: Tensor = None) -> Tensor:
     """2-D convolution (cross-correlation), NCHW input, (CO, CI, KH, KW) kernel, optional (CO,) bias.
 
     The output is the correlation core: one float64 GEMM per kernel row over
@@ -474,7 +546,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
     output gradient would first need zeros between its samples, so the
     column product w^T g is instead scattered into the input tap by tap.
     Each contracts in float64 and rounds once to the storage dtype, making it
-    bit-equal to direct summation; the bias is added after that rounding.
+    bit-equal to direct summation; the epilogue (``_epilogue``) follows it.
 
     A trainable kernel keeps the forward's window buffer, about kw float64
     copies of the input, until backward; a frozen one keeps no more than the
@@ -500,7 +572,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
 
     wins = _windows(x.data, kh, kw, stride, (padding, padding), (ho, wo))
     out = _nchw(_correlate(rows, wins), b, (ho, wo), x.dtype)
-    extra = _add_bias("conv2d", out, bias)
+    extra, extra_grads = _epilogue("conv2d", out, bias, shift, residual)
 
     # only the weight gradient may name `wins`: _make drops that function for
     # a frozen kernel, and the window buffer goes with it
@@ -516,7 +588,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
                 gxp[:, ky : ky + ho * stride : stride, :, kx : kx + wo * stride : stride] += cols[:, ky, kx]
         return _nchw(gxp[:, padding : padding + h, :, padding : padding + wd], b, (h, wd), x.dtype)
 
-    grads = (x_grad, lambda g: _kernel_grad(_chbw(g), wins, w.shape).astype(w.dtype), _channel_sum)
+    grads = (x_grad, lambda g: _kernel_grad(_chbw(g), wins, w.shape).astype(w.dtype)) + extra_grads
     return _make(out, (x, w) + extra, grads, "conv2d")
 
 
@@ -543,7 +615,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
     xm, wm = _chbw(x.data), w.data.reshape(ci, co * 4)  # each GEMM promotes wm to float64, exactly
     blocks = (wm.T @ xm).reshape(co, 2, 2, hi, b, wi).transpose(4, 0, 3, 1, 5, 2)
     out = blocks.astype(x.dtype, order="C").reshape(b, co, 2 * hi, 2 * wi)
-    extra = _add_bias("conv2d_transpose", out, bias)
+    extra, extra_grads = _epilogue("conv2d_transpose", out, bias)
 
     def gm(g):
         """The output gradient as float64 (CO*4, hi*B*wi): rows (co, ky, kx), columns (i, b, j) as xm's."""
@@ -553,15 +625,23 @@ def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
     # only the weight gradient may name `xm`: _make drops that function for a
     # frozen kernel, and the float64 input copy goes with it
     grads = (lambda g: _nchw(wm @ gm(g), b, (hi, wi), x.dtype),
-             lambda g: (xm @ gm(g).T).reshape(w.shape).astype(w.dtype), _channel_sum)
+             lambda g: (xm @ gm(g).T).reshape(w.shape).astype(w.dtype)) + extra_grads
     return _make(out, (x, w) + extra, grads, "conv2d_transpose")
 
 
 # -- normalisation ------------------------------------------------------------------
 
 
-def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float = 1e-5) -> Tensor:
-    """Group normalisation over (channels/groups, H, W) per sample."""
+def _group_mean(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=2, keepdims=True)`` by numpy's own two steps, without the Python layer around them."""
+    m = np.add.reduce(a, 2, keepdims=True)
+    return np.true_divide(m, np.intp(a.shape[2]), out=m, casting="unsafe")
+
+
+def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float = 1e-5,
+               silu: bool = False) -> Tensor:
+    """Group normalisation over (channels/groups, H, W) per sample, then, if ``silu``, the silu op's
+    expressions: its bytes, with the output gradient taken back through it once for all three inputs."""
     if x.ndim != 4:
         raise ShapeError("group_norm", f"need 4-D input, got {x.shape}")
     b, c, h, w = x.shape
@@ -571,23 +651,26 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
         raise ShapeError("group_norm", f"gamma/beta must be ({c},), got {gamma.shape} and {beta.shape}")
 
     xg = x.data.reshape(b, groups, -1)
-    d = xg - xg.mean(axis=2, keepdims=True)
-    inv = 1.0 / np.sqrt((d * d).sum(axis=2, keepdims=True) / xg.shape[2] + eps)
+    d = xg - _group_mean(xg)
+    inv = 1.0 / np.sqrt(np.add.reduce(d * d, 2, keepdims=True) / xg.shape[2] + eps)
     d *= inv
     xhat = d.reshape(b, c, h, w)
     out = xhat * gamma.data.reshape(1, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)
+    out, pre = out.astype(x.dtype, copy=False), None
+    if silu:
+        out, pre = _silu(out)
 
     def x_grad(g):
         u = (g * gamma.data.reshape(1, c, 1, 1)).reshape(b, groups, -1)
         xh = xhat.reshape(b, groups, -1)
-        mu_u = u.mean(axis=2, keepdims=True)
-        mu_ux = (u * xh).mean(axis=2, keepdims=True)
+        mu_u = _group_mean(u)
+        mu_ux = _group_mean(u * xh)
         gx = inv * (u - mu_u - xh * mu_ux)
         return gx.reshape(b, c, h, w).astype(x.dtype)
 
     grads = (x_grad, lambda g: (g * xhat).sum(axis=(0, 2, 3)), _channel_sum)
-    return _make(out.astype(x.dtype, copy=False), (x, gamma, beta), grads, "group_norm")
+    return _make(out, (x, gamma, beta), grads, "group_norm", pre)
 
 
 # -- resampling ---------------------------------------------------------------------

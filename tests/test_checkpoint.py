@@ -1,12 +1,15 @@
 """Binary checkpoint format: layout, round trips, error handling."""
 
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
+from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint, write_atomic
+from soekit.config import RunConfig
+from soekit.data import build_split, read_dataset, write_dataset, write_ppm
 from soekit.tensor import Tensor
 
 
@@ -102,6 +105,48 @@ def test_failed_save_leaves_existing_file_and_no_tmp(tmp_path, monkeypatch, arra
         save_checkpoint(p, arrays, {"b": 2})
     assert p.read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["g.soek"]
+
+
+def _refuse_replace(src, dst):
+    raise OSError("replace refused")
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: write_atomic(p, "new text"),
+    lambda p: save_checkpoint(p, sample_arrays(), {"a": 1}),
+    lambda p: write_ppm(p, np.zeros((2, 3, 3), np.float32)),
+    lambda p: RunConfig().save(p),
+], ids=["text", "checkpoint", "ppm", "config"])
+def test_a_refused_replace_leaves_the_old_file_and_no_tmp(tmp_path, monkeypatch, write):
+    p = tmp_path / "artifact"
+    p.write_bytes(b"old")
+    monkeypatch.setattr(os, "replace", _refuse_replace)
+    with pytest.raises(OSError, match="replace refused"):
+        write(p)
+    assert p.read_bytes() == b"old"
+    assert [f.name for f in tmp_path.iterdir()] == ["artifact"]
+
+
+def test_dataset_index_is_written_last_and_whole(tmp_path, monkeypatch):
+    replace, moved = os.replace, []
+
+    def refuse_index(src, dst):
+        moved.append(Path(dst).relative_to(tmp_path).as_posix())
+        if moved[-1] == "index.jsonl":
+            raise OSError("replace refused")
+        replace(src, dst)
+
+    samples = build_split(5, "train-small", 3)
+    monkeypatch.setattr(os, "replace", refuse_index)
+    with pytest.raises(OSError, match="replace refused"):
+        write_dataset(samples, tmp_path)
+    # every image went first; a dataset whose index failed has none, so it cannot read as a smaller one
+    assert moved == [f"images/{s.id}.ppm" for s in samples] + ["index.jsonl"]
+    assert not (tmp_path / "index.jsonl").exists() and not list(tmp_path.rglob("*.tmp"))
+    with pytest.raises(FileNotFoundError, match="dataset index not found"):
+        read_dataset(tmp_path)
+    monkeypatch.setattr(os, "replace", replace)
+    assert [s.id for s in read_dataset(write_dataset(samples, tmp_path))] == [s.id for s in samples]
 
 
 @pytest.mark.parametrize("change, message", [

@@ -1,6 +1,7 @@
 """CLI: verbs, exit codes, artifact layout, tiny end-to-end pipeline."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ def test_eval_trains_a_new_probe_for_new_probe_settings(workdir, tmp_path):
             assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", config,
                          "--data", str(root / "ds"), "--out", str(out)]) == 0
     assert len(list(out.glob("probe-*.soek"))) == 2
+
+
+def test_eval_whose_write_fails_keeps_the_old_metrics(workdir, monkeypatch):
+    root, cfg = workdir
+    out = root / "eval"
+    before = (out / "metrics.csv").read_bytes()
+
+    def refuse_replace(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse_replace)
+    with pytest.raises(OSError, match="replace refused"), pytest.warns(UserWarning, match="singular"):
+        main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg, "--data", str(root / "ds"),
+              "--style", "label_only", "--out", str(out)])
+    assert (out / "metrics.csv").read_bytes() == before
+    assert not list(out.glob("*.tmp"))
 
 
 def _probe_file(root):

@@ -144,13 +144,13 @@ def convs_of_default_nets(batch: int) -> set:
     cfg, image_side, seen = ModelSection(), DataSection().image_side, set()
     conv2d, conv2d_transpose = T.conv2d, T.conv2d_transpose
 
-    def spy(x, w, stride=1, padding=0, bias=None, rows=None):
+    def spy(x, w, stride=1, padding=0, **kwargs):
         seen.add(("conv2d", x.shape, w.shape, stride, padding))
-        return conv2d(x, w, stride=stride, padding=padding, bias=bias, rows=rows)
+        return conv2d(x, w, stride=stride, padding=padding, **kwargs)
 
-    def spy_transpose(x, w, bias=None):
+    def spy_transpose(x, w, **kwargs):
         seen.add(("conv2d_transpose", x.shape, w.shape, 2, 0))
-        return conv2d_transpose(x, w, bias=bias)
+        return conv2d_transpose(x, w, **kwargs)
 
     side = image_side // LATENT_FACTOR
     z = Tensor(np.zeros((batch, cfg.latent_channels, side, side), np.float32))
@@ -257,6 +257,100 @@ def test_conv_bias_in_op_matches_separate_add(op, x_shape, w_shape, kwargs, dtyp
         backward(T.sum_(T.mul(y, Tensor(g, dtype=dtype))))
         results.append([t.tobytes() for t in (y.data, x.grad, w.grad, b.grad)])
     assert results[0] == results[1]
+
+
+def _composed_attention(q, k, v):
+    """cross_attention as the matmul, transpose, mul and softmax ops it replaces."""
+    scale = Tensor(np.asarray(1.0 / np.sqrt(q.shape[-1]), q.dtype), dtype=q.dtype)
+    return T.matmul(T.softmax(T.mul(T.matmul(q, T.transpose(k, (0, 2, 1))), scale)), v)
+
+
+def _attention_blocks(fused):
+    """Two attention blocks as the U-Net runs them, sharing weights and one condition. The
+    condition's gradient sums four K/V contributions in the order backward visits them, which
+    the fused ops' parent order decides."""
+    def build(t):
+        h, cond, gamma, beta, wq, bq, wk, bk, wv, bv, wo, bo = t
+        b, c, hh, ww = h.shape
+        for _ in range(2):
+            if fused:
+                q = T.matmul(T.tokens(T.group_norm(h, gamma, beta, 2)), wq, bias=bq)
+                att = T.cross_attention(q, T.matmul(cond, wk, bias=bk), T.matmul(cond, wv, bias=bv))
+                h = T.untokens(T.matmul(att, wo, bias=bo), h)
+            else:
+                flat = T.transpose(T.reshape(T.group_norm(h, gamma, beta, 2), (b, c, hh * ww)), (0, 2, 1))
+                att = _composed_attention(T.add(T.matmul(flat, wq), bq), T.add(T.matmul(cond, wk), bk),
+                                          T.add(T.matmul(cond, wv), bv))
+                att = T.add(T.matmul(att, wo), bo)
+                h = T.add(h, T.reshape(T.transpose(att, (0, 2, 1)), (b, c, hh, ww)))
+        return h
+    return build
+
+
+def fused_cases(b: int) -> dict:
+    """name -> (fused op, the composition it replaces, input shapes) at batch b."""
+    return {
+        "matmul_bias": (lambda t: T.matmul(t[0], t[1], bias=t[2]), lambda t: T.add(T.matmul(t[0], t[1]), t[2]),
+                        [(b, 5, 6), (6, 4), (4,)]),
+        "matmul_bias_2d": (lambda t: T.matmul(t[0], t[1], bias=t[2]), lambda t: T.add(T.matmul(t[0], t[1]), t[2]),
+                           [(b, 6), (6, 4), (4,)]),
+        "conv2d_shift_residual": (
+            lambda t: T.conv2d(t[0], t[1], padding=1, bias=t[2], shift=t[3], residual=t[4]),
+            lambda t: T.add(T.add(T.conv2d(t[0], t[1], padding=1, bias=t[2]), T.reshape(t[3], (b, -1, 1, 1))), t[4]),
+            [(b, 3, 6, 5), (4, 3, 3, 3), (4,), (b, 4), (b, 4, 6, 5)]),
+        "group_norm_silu": (lambda t: T.group_norm(t[0], t[1], t[2], 2, silu=True),
+                            lambda t: T.silu(T.group_norm(t[0], t[1], t[2], 2)), [(b, 4, 3, 5), (4,), (4,)]),
+        "tokens": (lambda t: T.tokens(t[0]), lambda t: T.transpose(T.reshape(t[0], (b, 4, 15)), (0, 2, 1)),
+                   [(b, 4, 3, 5)]),
+        "untokens": (lambda t: T.untokens(t[0], t[1]),
+                     lambda t: T.add(t[1], T.reshape(T.transpose(t[0], (0, 2, 1)), (b, 4, 3, 5))),
+                     [(b, 15, 4), (b, 4, 3, 5)]),
+        "cross_attention": (lambda t: T.cross_attention(*t), lambda t: _composed_attention(*t),
+                            [(b, 9, 8), (b, 2, 8), (b, 2, 6)]),
+        # the ResBlock: x feeds the norm and, as the residual, the conv's epilogue
+        "resblock": (
+            lambda t: T.conv2d(T.group_norm(t[0], t[1], t[2], 2, silu=True), t[3], padding=1, bias=t[4],
+                               shift=T.matmul(t[5], t[6], bias=t[7]), residual=t[0]),
+            lambda t: T.add(T.add(T.conv2d(T.silu(T.group_norm(t[0], t[1], t[2], 2)), t[3], padding=1, bias=t[4]),
+                                  T.reshape(T.add(T.matmul(t[5], t[6]), t[7]), (b, -1, 1, 1))), t[0]),
+            [(b, 4, 6, 5), (4,), (4,), (4, 4, 3, 3), (4,), (b, 7), (7, 4), (4,)]),
+        "attention_blocks": (_attention_blocks(True), _attention_blocks(False),
+                             [(b, 4, 3, 5), (b, 2, 6), (4,), (4,), (4, 4), (4,), (6, 4), (4,), (6, 4), (4,),
+                              (4, 4), (4,)]),
+    }
+
+
+def _output_and_grads(build, arrays, g, dtype) -> list:
+    ts = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+    y = build(ts)
+    backward(T.sum_(T.mul(y, Tensor(g, dtype=dtype))))
+    return [y.data.tobytes()] + [t.grad.tobytes() for t in ts]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 4])
+@pytest.mark.parametrize("name", list(fused_cases(1)))
+def test_fused_op_is_byte_equal_to_the_ops_it_replaces(name, batch, dtype):
+    # the output and every input's gradient, rounded in the same order
+    fused, composed, shapes = fused_cases(batch)[name]
+    rng = np.random.default_rng(18)
+    arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+    g = rng.standard_normal(composed([Tensor(a, dtype=dtype) for a in arrays]).shape).astype(dtype)
+    assert _output_and_grads(fused, arrays, g, dtype) == _output_and_grads(composed, arrays, g, dtype)
+
+
+def test_fused_epilogue_shapes_are_checked():
+    x, w = Tensor(np.zeros((2, 3, 4, 4), np.float32)), Tensor(np.zeros((5, 3, 3, 3), np.float32))
+    with pytest.raises(ShapeError, match=r"^conv2d: shift must be \(2, 5\), got \(5,\)$"):
+        T.conv2d(x, w, padding=1, shift=Tensor(np.zeros(5, np.float32)))
+    with pytest.raises(ShapeError, match=r"^conv2d: residual must be \(2, 5, 4, 4\), got \(2, 5, 4, 3\)$"):
+        T.conv2d(x, w, padding=1, residual=Tensor(np.zeros((2, 5, 4, 3), np.float32)))
+    with pytest.raises(ShapeError, match=r"^matmul: bias must be \(5,\), got \(2, 5\)$"):
+        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 5))), bias=Tensor(np.zeros((2, 5))))
+    with pytest.raises(ShapeError, match=r"^untokens: tokens \(2, 15, 4\) do not fit map \(2, 4, 4, 4\)$"):
+        T.untokens(Tensor(np.zeros((2, 15, 4))), Tensor(np.zeros((2, 4, 4, 4))))
+    with pytest.raises(ShapeError, match=r"^cross_attention: need \(B, Nq, d\), .*; got \(2, 9, 8\), \(1, 2, 8\)"):
+        T.cross_attention(Tensor(np.zeros((2, 9, 8))), Tensor(np.zeros((1, 2, 8))), Tensor(np.zeros((1, 2, 6))))
 
 
 def test_conv_bias_shape_is_checked():
@@ -646,7 +740,9 @@ def test_grad_double_use_matches_fd():
      "conv2d_s2", "conv2d_transpose", "conv2d_s1_bias", "conv2d_s2_bias", "conv2d_transpose_bias",
      "group_norm", "resize_nearest",
      "resize_bilinear_up", "resize_bilinear_down", "huber", "masked_huber", "mse",
-     "resize_nearest_boxed", "resize_bilinear_boxed", "sum_all", "concat_last"],
+     "resize_nearest_boxed", "resize_bilinear_boxed", "sum_all", "concat_last",
+     "matmul_bias", "conv2d_s1_shift_residual", "conv2d_s2_shift_residual", "group_norm_silu", "tokens",
+     "untokens"],
 )
 def test_gradcheck_catalog(name):
     checks = catalog_gradchecks()
@@ -734,6 +830,22 @@ def catalog_gradchecks():
             lambda ts: T.conv2d_transpose(ts[0], ts[1], bias=ts[2]), (2, 4, 8, 8),
             [rr(2, 3, 4, 4), rr(3, 4, 2, 2), rr(4)], [0, 1, 2],
         ),
+        "matmul_bias": case(lambda ts: T.matmul(ts[0], ts[1], bias=ts[2]), (2, 3, 5),
+                            [rr(2, 3, 4), rr(4, 5), rr(5)], [0, 1, 2]),
+        "conv2d_s1_shift_residual": case(
+            lambda ts: T.conv2d(ts[0], ts[1], padding=1, bias=ts[2], shift=ts[3], residual=ts[4]), (2, 4, 5, 5),
+            [rr(2, 3, 5, 4), rr(4, 3, 3, 2), rr(4), rr(2, 4), rr(2, 4, 5, 5)], [0, 1, 2, 3, 4],
+        ),
+        "conv2d_s2_shift_residual": case(
+            lambda ts: T.conv2d(ts[0], ts[1], stride=2, padding=1, shift=ts[2], residual=ts[3]), (2, 4, 3, 3),
+            [rr(2, 3, 5, 5), rr(4, 3, 3, 3), rr(2, 4), rr(2, 4, 3, 3)], [0, 1, 2, 3],
+        ),
+        "group_norm_silu": case(
+            lambda ts: T.group_norm(ts[0], ts[1], ts[2], groups=2, silu=True), (2, 4, 3, 3),
+            [rr(2, 4, 3, 3), rr(4) + 1.5, rr(4)], [0, 1, 2],
+        ),
+        "tokens": case(lambda ts: T.tokens(ts[0]), (2, 6, 3), [rr(2, 3, 2, 3)], [0]),
+        "untokens": case(lambda ts: T.untokens(ts[0], ts[1]), (2, 3, 2, 3), [rr(2, 6, 3), rr(2, 3, 2, 3)], [0, 1]),
         "sum_all": case(lambda ts: T.sum_(ts[0]), (), [rr(3, 4)], [0]),
         "concat_last": case(
             lambda ts: T.concat([ts[0], ts[1]], axis=-1), (2, 3, 5), [rr(2, 3, 2), rr(2, 3, 3)], [0, 1],

@@ -1,5 +1,7 @@
 """Trainer: teacher-view geometry, losses, step contracts, editing."""
 
+import collections
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -646,6 +648,26 @@ def test_edit_batch_makes_kernel_rows_once_per_call(request, monkeypatch, which)
         edit_batch(*_edit_args(val), "color_label", bundle, steps=steps, seeds=[0, 1])
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return counted
+
+
+@pytest.mark.parametrize("which", ["teacher_bundle", "student_bundle"])
+def test_batch1_edit_makes_at_most_750_op_calls(request, monkeypatch, which):
+    # a batch-1 edit is bound by op calls: every public tensor function counts,
+    # nested calls included (1,483 per 10-step edit before the U-Net's fused ops)
+    bundle, calls = request.getfixturevalue(which), []
+    for name, fn in list(vars(T).items()):
+        if inspect.isfunction(fn) and fn.__module__ == T.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(T, name, _counting(fn, calls))
+    s = build_split(6, "val-small", 1)[0]
+    edit(s.image, s.bbox, s.label, s.color, "color_label", bundle, steps=10, seed=0)
+    assert 0 < len(calls) <= 750, collections.Counter(calls).most_common()
 
 
 def test_edit_output_depends_on_adapters(teacher_bundle):
