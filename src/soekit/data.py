@@ -21,6 +21,7 @@ vanish at latent resolution.
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -251,7 +252,11 @@ def read_ppm(path) -> np.ndarray:
 
 
 def write_dataset(samples, out_dir) -> Path:
-    """Every sample's image, then the index: a dataset whose write stopped early has no index."""
+    """Every sample's image, then the index: a dataset whose write stopped early has no index.
+
+    The index holds one line per sample and ends with a record of each split's
+    count, so an index cut at a line boundary lacks it and `read_dataset` refuses it.
+    """
     out = Path(out_dir)
     (out / "images").mkdir(parents=True, exist_ok=True)
     lines = []
@@ -261,17 +266,22 @@ def write_dataset(samples, out_dir) -> Path:
         rec = {"id": s.id, "image": rel, "bbox": list(s.bbox), "label": s.label, "color": s.color,
                "split": s.split, "captions": s.captions}
         lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    lines.append(json.dumps({"counts": Counter(s.split for s in samples)}, sort_keys=True) + "\n")
     write_atomic(out / "index.jsonl", "".join(lines))
     return out
 
 
 def read_dataset(dataset_dir, split: str = None) -> list:
-    """Load samples (optionally one split), enforcing the bbox invariant and known labels and colors."""
+    """Load samples (optionally one split), enforcing the bbox invariant and known labels and colors.
+
+    Refuses an index without its split counts record, or with a split whose
+    count differs from the record, naming the file and the split.
+    """
     root = Path(dataset_dir)
     index = root / "index.jsonl"
     if not index.exists():
         raise FileNotFoundError(f"dataset index not found: {index}")
-    samples = []
+    samples, found, recorded = [], Counter(), None
     with open(index) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -279,16 +289,20 @@ def read_dataset(dataset_dir, split: str = None) -> list:
                 continue
             try:
                 rec = json.loads(line)
+                if "counts" in rec:
+                    recorded = {name: int(n) for name, n in rec["counts"].items()}
+                    continue
                 sid = rec["id"]
                 bbox = tuple(int(v) for v in rec["bbox"])
                 label, color, rsplit = rec["label"], rec["color"], rec["split"]
                 captions = rec["captions"]
                 image_rel = rec["image"]
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{index}:{lineno}: malformed index line ({e})") from None
             for field, value, known in (("label", label, LABELS), ("color", color, COLOR_NAMES)):
                 if value not in known:
                     raise ValueError(f"{index}:{lineno}: unknown {field} {value!r}")
+            found[rsplit] += 1
             if split is not None and rsplit != split:
                 continue
             image_path = root / image_rel
@@ -304,4 +318,10 @@ def read_dataset(dataset_dir, split: str = None) -> list:
                 SoeSample(id=sid, image=image, bbox=bbox, label=label, color=color,
                           split=rsplit, captions=captions)
             )
+    if recorded is None:
+        raise ValueError(f"{index}: no split counts record; the index is incomplete")
+    for name in sorted(recorded.keys() | found.keys()):
+        if recorded.get(name, 0) != found[name]:
+            raise ValueError(f"{index}: split {name!r} has {found[name]} samples, "
+                             f"but the index records {recorded.get(name, 0)}")
     return samples

@@ -57,7 +57,8 @@ owns the kernel for their whole life may keep them.
 
 resize_nearest and resize_bilinear resample a (B, C, H, W) map at half-pixel
 centres, either whole or from one (x0, y0, x1, y1) box per sample, so a batch
-of crop-and-resizes is one gather per tap.
+of crop-and-resizes is one call. They gather by axis, rows then columns, so
+no full-size index array is built in forward.
 """
 
 from __future__ import annotations
@@ -695,8 +696,11 @@ def _axis_taps(lo, hi, n_out: int, bilinear: bool, dtype) -> list:
 def _resample(x: Tensor, out_h: int, out_w: int, boxes, bilinear: bool, op: str) -> Tensor:
     """Resize each sample's box of a (B, C, H, W) map to out_h x out_w.
 
-    One gather per tap serves the whole batch in forward, and one scatter-add
-    per tap in backward, so repeated source pixels accumulate their gradients.
+    Forward gathers by axis, rows then columns: one take per axis when every
+    sample has the same box, else one per sample and axis; each tap is scaled
+    by its weight product and the taps are summed in tap order. Backward
+    scatter-adds once per tap through flat indices, so repeated source pixels
+    accumulate their gradients.
     """
     if x.ndim != 4:
         raise ShapeError(op, f"need 4-D input, got {x.shape}")
@@ -711,15 +715,29 @@ def _resample(x: Tensor, out_h: int, out_w: int, boxes, bilinear: bool, op: str)
     x0, y0, x1, y1 = box.T
     rows = _axis_taps(y0, y1, out_h, bilinear, x.dtype)
     cols = _axis_taps(x0, x1, out_w, bilinear, x.dtype)
-    base = (np.arange(b)[:, None, None, None] * c + np.arange(c)[None, :, None, None]) * h
-    taps = [((base + ii[:, None, :, None]) * w + jj[:, None, None, :], (wy[:, :, None] * wx[:, None, :])[:, None])
-            for ii, wy in rows for jj, wx in cols]
-    out = reduce(np.add, [x.data.reshape(-1)[flat] * wt for flat, wt in taps])
+    if (box == box[0]).all():  # every sample reads the same taps
+        def take(a, idx, axis):
+            return a.take(idx[0], axis=axis)
+    else:
+        def take(a, idx, axis):
+            out = np.empty((*a.shape[:axis], idx.shape[1], *a.shape[axis + 1:]), a.dtype)
+            for s, i, o in zip(a, idx, out):
+                s.take(i, axis=axis - 1, out=o, mode="clip")  # in range by construction; "raise" buffers
+            return out
+    taps, picked = [], []
+    for ii, wy in rows:
+        by_row = take(x.data, ii, 2)
+        for jj, wx in cols:
+            wt = (wy[:, :, None] * wx[:, None, :])[:, None]
+            taps.append((ii, jj, wt))
+            picked.append(take(by_row, jj, 3) * wt)
+    out = reduce(np.add, picked)
 
     def x_grad(g):
         ga = np.zeros(x.size, x.dtype)
-        for flat, wt in taps:
-            np.add.at(ga, flat.reshape(-1), (g * wt).reshape(-1))
+        base = (np.arange(b)[:, None, None, None] * c + np.arange(c)[None, :, None, None]) * h
+        for ii, jj, wt in taps:
+            np.add.at(ga, ((base + ii[:, None, :, None]) * w + jj[:, None, None, :]).reshape(-1), (g * wt).reshape(-1))
         return ga.reshape(x.shape)
 
     return _make(np.ascontiguousarray(out), (x,), (x_grad,), op)

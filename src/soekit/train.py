@@ -13,6 +13,15 @@ VAE when tuning is enabled, whose masked reconstruction loss decodes the
 step's own latent: one encode per view). Teacher views are built only when
 distilling.
 
+The teacher's branch, from the crop to its clean-latent estimate, runs on a
+worker thread while the calling thread runs the student's forward and
+denoising loss; the step joins it before the distillation loss. Its bytes
+are those of an inline run: every noise draw comes before the split, the
+worker reads only its inputs and weights that nothing writes before
+`_update`, and gradients accumulate only there, after the join. numpy
+releases the interpreter lock in its kernels, so the branches share two
+cores; the overlap is tuned for one BLAS thread per process.
+
 Every gradient step, adapter or pretraining, ends in `_update`: the one place
 that runs backward and the optimizer, and that refuses a non-finite loss or
 global gradient norm.
@@ -28,8 +37,11 @@ the DDIM loop's constants made once), and `edit` is its batch of one.
 """
 
 import copy
+import functools
 import math
+import os
 import time
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -38,7 +50,7 @@ import numpy as np
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
-from soekit.config import DISTILL_LOSSES, ConfigError, ModelSection, RunConfig
+from soekit.config import DISTILL_LOSSES, LATENT_FACTOR, ConfigError, ModelSection, RunConfig
 from soekit.data import COLOR_NAMES, LABELS, check_bbox, check_image_side, curation_filter
 from soekit.lora import LoraAdapterSet, attach
 from soekit.nets import ConditionEmbedder, MiniUnet, Vae
@@ -246,12 +258,11 @@ def load_bundle(path) -> Bundle:
 # -- batches -------------------------------------------------------------------------
 
 
-def batch_tensors(samples, crop_size: int = None):
-    """Stacked views for one batch; teacher views only when crop_size is given."""
+def batch_tensors(samples):
+    """One batch stacked: (images, masks, label ids, colour ids)."""
     x = Tensor(np.stack([s.image.transpose(2, 0, 1) for s in samples]))
     m = Tensor(np.stack([s.mask()[None] for s in samples]))
-    xp, mp = crop_resize_pair(x, m, crop_size) if crop_size is not None else (None, None)
-    return x, m, xp, mp, np.asarray([s.label_id for s in samples]), np.asarray([s.color_id for s in samples])
+    return x, m, np.asarray([s.label_id for s in samples]), np.asarray([s.color_id for s in samples])
 
 
 def _draw_batch(dataset, tc, step: int, tag: int) -> list:
@@ -301,6 +312,20 @@ def _predict(unet: MiniUnet, z: Tensor, eps: Tensor, ts, m: Tensor, cond: Tensor
     z_t = add_noise(z, eps, ts, sched)
     m_lat = unet.latent_mask(m)
     return z_t, m_lat, unet.forward(z_t, ts, cond, m_lat)
+
+
+@functools.cache
+def _worker() -> ThreadPoolExecutor:
+    """The train step's one worker thread, made on first use and kept, so its allocator arena is reused."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="soekit-teacher")
+
+
+os.register_at_fork(after_in_child=_worker.cache_clear)  # a forked child has no worker thread
+
+
+def _submit(fn, *args) -> Future:
+    """Run fn(*args) on `_worker`: the one hand-off, which a test may replace to run it inline."""
+    return _worker().submit(fn, *args)
 
 
 def _grad_norm(params) -> float:
@@ -387,28 +412,44 @@ class Trainer:
         self.loss_csv = _start_loss_csv(loss_csv)
 
     def train_step(self, step: int, samples=None) -> LossReport:
+        """One gradient step on `samples`, or on step's own draw from the dataset.
+
+        `_zoomed_view` runs on the worker (see the module docstring). Its error is raised
+        here unchanged, and after an error here the step still waits for it.
+        """
         t0 = time.perf_counter()
         tc = self.cfg.train
         samples = samples if samples is not None else _draw_batch(self.dataset, tc, step, 0)
-        x, m, xp, mp, label_ids, color_ids = batch_tensors(samples, tc.crop_size if tc.use_distill else None)
-        z = self.vae.encode(x)
-        vae_part = vae_recon_loss(x, z, self.vae, m, delta=tc.huber_delta) if tc.use_vae_tuning else None
-
-        # the zoomed view's noise is drawn even when not distilling, so no draw depends on the flag
-        ts, (eps, eps_p) = _noise(stream_rng(tc.seed, "noise", step, 1), self.sched, z.shape, 2)
+        x, m, label_ids, color_ids = batch_tensors(samples)
+        # every draw precedes the split; the zoomed view's is made even when not distilling
+        z_shape = (x.shape[0], self.cfg.model.latent_channels, *(n // LATENT_FACTOR for n in x.shape[2:]))
+        ts, (eps, eps_p) = _noise(stream_rng(tc.seed, "noise", step, 1), self.sched, z_shape, 2)
         cond = self.cond.embed(label_ids, color_ids, tc.prompt_style)
-        z_t, m_lat, eps_pred = _predict(self.student, z, eps, ts, m, cond, self.sched)
-        den_part = denoise_loss(eps, eps_pred, m_lat, delta=tc.huber_delta)
+
+        teacher = _submit(self._zoomed_view, x, m, eps_p, ts, cond) if tc.use_distill else None
+        try:
+            z = self.vae.encode(x)
+            vae_part = vae_recon_loss(x, z, self.vae, m, delta=tc.huber_delta) if tc.use_vae_tuning else None
+            z_t, m_lat, eps_pred = _predict(self.student, z, eps, ts, m, cond, self.sched)
+            den_part = denoise_loss(eps, eps_pred, m_lat, delta=tc.huber_delta)
+        finally:
+            if teacher is not None:
+                wait([teacher])  # on an error too: no teacher work outlives the step
 
         dist_part = None
-        if tc.use_distill:
-            zp = self.vae.encode(xp).detach()
-            zp_t, mp_lat, epsp_pred = _predict(self.teacher_unet, zp, eps_p, ts, mp, cond, self.sched)
-            dist_part = distill_loss(predict_z0(z_t, eps_pred, ts, self.sched), m_lat,
-                                     predict_z0(zp_t, epsp_pred, ts, self.sched), mp_lat,
+        if teacher is not None:
+            zp0, mp_lat = teacher.result()
+            dist_part = distill_loss(predict_z0(z_t, eps_pred, ts, self.sched), m_lat, zp0, mp_lat,
                                      loss_type=tc.distill_loss, delta=tc.huber_delta)
         return _update(self.optimizer, self.loss_csv, step, t0, den_part, dist_part, vae_part,
                        tc.distill_weight, tc.vae_weight)
+
+    def _zoomed_view(self, x: Tensor, m: Tensor, eps: Tensor, ts, cond: Tensor) -> tuple:
+        """The frozen teacher's clean-latent estimate on the zoomed view (crop, encode, U-Net), and its latent mask."""
+        xp, mp = crop_resize_pair(x, m, self.cfg.train.crop_size)
+        zp = self.vae.encode(xp).detach()
+        zp_t, mp_lat, eps_pred = _predict(self.teacher_unet, zp, eps, ts, mp, cond, self.sched)
+        return predict_z0(zp_t, eps_pred, ts, self.sched), mp_lat
 
     def run(self, steps=None) -> list:
         steps = steps if steps is not None else self.cfg.train.steps
@@ -457,7 +498,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
     opt = OPTIMIZERS[tc.optimizer]({**unet.params("unet"), **cond.params("cond")}, lr=tc.pretrain_lr)
     for step in range(tc.pretrain_steps):
         t0 = time.perf_counter()
-        x, m, _, _, label_ids, color_ids = batch_tensors(_draw_batch(dataset, tc, step, 3))
+        x, m, label_ids, color_ids = batch_tensors(_draw_batch(dataset, tc, step, 3))
         z = vae.encode(x).detach()
         ts, (eps,) = _noise(stream_rng(tc.seed, "noise", step, 4), sched, z.shape)
         _, ml, eps_pred = _predict(unet, z, eps, ts, m, cond.embed(label_ids, color_ids, tc.prompt_style), sched)

@@ -326,6 +326,23 @@ def test_train_rejects_unknown_color_in_index_in_one_line(workdir, capsys, tmp_p
     assert not out.exists() and not out.with_suffix(".loss.csv").exists()
 
 
+@pytest.mark.parametrize("keep, message", [
+    (slice(0, 2), "no split counts record; the index is incomplete"),
+    (slice(1, 3), "split 'train-small' has 1 samples, but the index records 2"),
+], ids=["cut-at-a-line", "sample-line-gone"])
+def test_train_refuses_an_index_that_lost_lines(workdir, capsys, tmp_path, keep, message):
+    # two samples, then the counts record: a cut at a line boundary loses the record
+    root, cfg = workdir
+    ds = write_dataset(build_split(3, "train-small", 2), tmp_path / "ds")
+    lines = (ds / "index.jsonl").read_text().splitlines(keepends=True)
+    (ds / "index.jsonl").write_text("".join(lines[keep]))
+    out = tmp_path / "student.soek"
+    rc = main(["train", "--config", cfg, "--data", str(ds), "--teacher", str(root / "teacher.soek"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {ds / 'index.jsonl'}: {message}\n"
+    assert not out.exists() and not out.with_suffix(".loss.csv").exists()
+
+
 def test_runtime_error_exits_1(capsys, tmp_path):
     rc = main(["eval", "--checkpoint", str(tmp_path / "missing.soek"),
                "--data", str(tmp_path), "--out", str(tmp_path / "m")])

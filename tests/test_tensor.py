@@ -1,5 +1,6 @@
 """Op catalog: forward oracles, gradient checks, and graph contracts."""
 
+import functools
 import tracemalloc
 import weakref
 
@@ -472,6 +473,41 @@ def test_boxed_resize_matches_per_sample_oracle():
         want, want_gx = resize_per_sample(x, out_h, out_w, boxes, bilinear, g)
         assert out.dtype == dtype and out.tobytes() == want.tobytes(), case
         assert gx.dtype == dtype and gx.tobytes() == want_gx.tobytes(), case
+
+
+def _flat_gather_resize(x, out_h, out_w, boxes, bilinear):
+    """The resampler's forward through full-size flat indices, one gather per tap, summed in tap order."""
+    b, c, h, w = x.shape
+    x0, y0, x1, y1 = np.array([(0, 0, w, h)] * b if boxes is None else boxes, np.int64).T
+    base = (np.arange(b)[:, None, None, None] * c + np.arange(c)[None, :, None, None]) * h
+    taps = [x.reshape(-1)[(base + ii[:, None, :, None]) * w + jj[:, None, None, :]]
+            * (wy[:, :, None] * wx[:, None, :])[:, None]
+            for ii, wy in T._axis_taps(y0, y1, out_h, bilinear, x.dtype)
+            for jj, wx in T._axis_taps(x0, x1, out_w, bilinear, x.dtype)]
+    return functools.reduce(np.add, taps)
+
+
+@pytest.mark.parametrize("batch", [1, 4, 8])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bilinear", [False, True], ids=["nearest", "bilinear"])
+def test_axis_gather_resize_equals_flat_gather(batch, dtype, bilinear):
+    # random boxes, up- and downsampling, and the whole map every fourth case
+    rng = np.random.default_rng(batch * 7 + bilinear)
+    op = T.resize_bilinear if bilinear else T.resize_nearest
+    for case in range(40):
+        h, w = (int(v) for v in rng.integers(1, 40, size=2))
+        boxes = None
+        if case % 4:
+            boxes = []
+            for _ in range(batch):
+                x0, x1 = sorted(int(v) for v in rng.choice(w + 1, 2, replace=False))
+                y0, y1 = sorted(int(v) for v in rng.choice(h + 1, 2, replace=False))
+                boxes.append((x0, y0, x1, y1))
+        out_h, out_w = (int(v) for v in rng.integers(1, 70, size=2))
+        x = rng.standard_normal((batch, 3, h, w)).astype(dtype)
+        out = op(Tensor(x, dtype=dtype), out_h, out_w, boxes).data
+        want = _flat_gather_resize(x, out_h, out_w, boxes, bilinear)
+        assert out.dtype == want.dtype == dtype and out.tobytes() == want.tobytes(), case
 
 
 SIGMOID_EDGES = [0.0, -0.0, 1e-45, -1e-45, 88.7, -88.7, 104.0, -104.0, 1e30, -1e30, np.inf, -np.inf]

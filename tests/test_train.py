@@ -1,8 +1,13 @@
 """Trainer: teacher-view geometry, losses, step contracts, editing."""
 
 import collections
+import dataclasses
 import inspect
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -114,7 +119,8 @@ def test_crop_rejects_oversized_mask():
 
 def test_batched_teacher_views_equal_per_sample_rows():
     samples = build_split(4, "train-small", 5)
-    _, _, xp, mp, _, _ = batch_tensors(samples, 32)
+    x, m, _, _ = batch_tensors(samples)
+    xp, mp = crop_resize_pair(x, m, 32)
     for i, s in enumerate(samples):
         xi, mi = teacher_view(s.image, s.mask(), 32)
         assert xp.data[i].tobytes() == np.ascontiguousarray(xi.transpose(2, 0, 1)).tobytes()
@@ -414,6 +420,70 @@ def test_no_teacher_views_without_distillation(teacher_bundle, monkeypatch):
     without = Trainer(tiny_cfg(use_distill=False), small, teacher_bundle).train_step(0)
     assert without.distill == 0.0
     assert without.denoise == with_views.denoise  # the student's draws do not depend on the flag
+
+
+def _steps(trainer, n):
+    losses = [(r.denoise, r.distill, r.vae, r.total) for r in map(trainer.train_step, range(n))]
+    return losses, {k: p.data.tobytes() for k, p in trainer.adapters.params().items()}
+
+
+def test_teacher_on_the_worker_gives_the_inline_bytes(teacher_bundle, monkeypatch):
+    small = build_split(4, "train-small", 8)
+    threads, view = [], Trainer._zoomed_view
+
+    def recorded(self, *args):
+        threads.append(threading.get_ident())
+        return view(self, *args)
+
+    monkeypatch.setattr(Trainer, "_zoomed_view", recorded)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads' Python as finely as the interpreter allows
+    try:
+        on_worker = _steps(Trainer(tiny_cfg(), small, teacher_bundle), 3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 3 and threading.get_ident() not in threads
+
+    def inline(fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+    monkeypatch.setattr(train, "_submit", inline)
+    assert _steps(Trainer(tiny_cfg(), small, teacher_bundle), 3) == on_worker
+    assert threads[3:] == [threading.get_ident()] * 3
+
+
+def test_worker_error_is_raised_from_the_step(teacher_bundle):
+    # the crop runs on the worker: its refusal comes back with its own type and message
+    small = build_split(4, "train-small", 8)
+    oversized = dataclasses.replace(small[0], bbox=(0, 0, 40, 40))
+    tr = Trainer(tiny_cfg(), small, teacher_bundle)
+    with pytest.raises(ValueError, match=r"^mask bbox 40x40 larger than crop size 32$"):
+        tr.train_step(0, [oversized, small[1]])
+    assert tr.optimizer.step_count == 0
+
+
+def test_student_error_waits_for_the_teacher(teacher_bundle, monkeypatch):
+    tr = Trainer(tiny_cfg(), build_split(4, "train-small", 8), teacher_bundle)
+    started, finished, view = threading.Event(), [], Trainer._zoomed_view
+
+    def slow_view(self, *args):
+        started.set()
+        time.sleep(0.05)
+        out = view(self, *args)
+        finished.append(True)
+        return out
+
+    def fail(*args, **kwargs):
+        started.wait(5)
+        raise RuntimeError("student failed")
+
+    monkeypatch.setattr(Trainer, "_zoomed_view", slow_view)
+    monkeypatch.setattr(train, "denoise_loss", fail)
+    with pytest.raises(RuntimeError, match="^student failed$"):
+        tr.train_step(0)
+    assert finished == [True]
 
 
 def test_repeated_step_on_a_fixed_batch_learns(teacher_bundle):
