@@ -144,6 +144,7 @@ def cmd_eval(args) -> int:
     probe = _probe_for(cfg, out_dir)
     report = evaluate(bundle, val, args.style, seed=seed, probe=probe,
                       ddim_steps=cfg.eval.ddim_steps, max_samples=cfg.eval.samples)
+    write_atomic(out_dir / "details.csv", report.details_csv_text())
     write_atomic(out_dir / "metrics.csv", report.csv_text())
     _echo_config(cfg, out_dir)
     print((out_dir / "metrics.csv").read_text().strip())
@@ -171,7 +172,7 @@ def cmd_analyze_effective_area(args) -> int:
     sys.stdout.write(text)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        write_atomic(args.out, text)
     return 0
 
 
@@ -225,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True, help="dataset directory (val-small split)")
     ev.add_argument("--style", default="color_label", choices=PROMPT_STYLES)
     ev.add_argument("--seed", type=int, help="eval noise seed (default: SOEKIT_SEED or config)")
-    ev.add_argument("--out", required=True, help="output directory for metrics.csv")
+    ev.add_argument("--out", required=True, help="output directory for metrics.csv and details.csv")
     ev.set_defaults(fn=cmd_eval)
 
     a = sub.add_parser("analyze-effective-area", help="mask footprint per feature-map depth")

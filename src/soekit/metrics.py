@@ -10,13 +10,17 @@ through generic object sizes, and is versioned via the checkpoint format so
 metric values are stable across runs.
 """
 
+import csv
+import io
 import warnings
-from dataclasses import dataclass
+from concurrent.futures import wait
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from soekit import tensor as T
+from soekit import train
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
 from soekit.data import (COLOR_NAMES, LABELS, MIN_OBJECT_SIDE, PROMPT_STYLES, check_bbox, check_image_side,
                          generate_scene)
@@ -24,12 +28,14 @@ from soekit.nets import Conv2d, Linear, Module
 from soekit.optim import Adam
 from soekit.rng import child_seed, stream_rng
 from soekit.tensor import Tensor
-from soekit.train import edit_batch
 
 PROBE_CROP_SIDE = 32
 PROBE_FEATURE_DIM = 32
 PROBE_DATA_SUBSTREAM = 9  # distinct from the dataset splits' substreams
-EVAL_BATCH_SIZE = 8  # samples per edit_batch call; a speed setting, since evaluation is batch-invariant
+# The most samples per edit_batch call. `evaluate` splits n samples into an even number of near-equal chunks of
+# at most this many (36 -> 6 of 6) and edits the second half on the worker thread. A speed setting only, tuned
+# with one BLAS thread per process: a sample's bytes do not depend on its chunk or its thread.
+EVAL_BATCH_SIZE = 8
 
 
 # -- cropping -----------------------------------------------------------------------
@@ -240,18 +246,37 @@ class StyleRow:
     alignment_mean: float
     frechet: float
     n: int
+    alignments: tuple = field(default=(), repr=False)  # per crop, in crop order
+
+
+@dataclass
+class SampleScore:
+    id: str
+    label: str
+    color: str
+    bbox_side: int  # the bbox's longer side, in pixels
+    alignment: float
 
 
 @dataclass
 class MetricsReport:
     rows: list
     seed: int
+    samples: list = field(default_factory=list)  # a SampleScore per evaluated sample, in id order
 
     def csv_text(self) -> str:
         lines = ["style,alignment_mean,frechet,n"]
         for r in self.rows:
             lines.append(f"{r.style},{r.alignment_mean:.6f},{r.frechet:.6f},{r.n}")
         return "\n".join(lines) + "\n"
+
+    def details_csv_text(self) -> str:
+        """One row per evaluated sample: id,label,color,bbox_side,alignment (6 decimals, as csv_text)."""
+        out = io.StringIO()
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(["id", "label", "color", "bbox_side", "alignment"])
+        rows.writerows([d.id, d.label, d.color, d.bbox_side, f"{d.alignment:.6f}"] for d in self.samples)
+        return out.getvalue()
 
 
 def metrics_from_crop_pairs(gen_crops, ref_crops, labels, colors, style, probe) -> StyleRow:
@@ -261,18 +286,54 @@ def metrics_from_crop_pairs(gen_crops, ref_crops, labels, colors, style, probe) 
         for c, lab, col in zip(gen_crops, labels, colors)
     ]
     fd = frechet_distance(probe.features(gen_crops), probe.features(ref_crops))
-    return StyleRow(style=style, alignment_mean=float(np.mean(scores)), frechet=fd, n=len(gen_crops))
+    return StyleRow(style=style, alignment_mean=float(np.mean(scores)), frechet=fd, n=len(gen_crops),
+                    alignments=tuple(scores))
+
+
+def _chunk_bounds(n: int, batch_size: int) -> list:
+    """(start, stop) of near-equal chunks of at most batch_size covering range(n), in order.
+
+    The chunk count is the least even one, or n where that is fewer.
+    """
+    k = -(-n // batch_size)
+    k = min(k + k % 2, n)
+    q, r = divmod(n, k)
+    edges = [i * q + min(i, r) for i in range(k + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _edit_crops(samples, bounds, style: str, bundle, ddim_steps: int, seed: int) -> list:
+    """Edit samples[start:stop] for each (start, stop) of bounds through `edit_batch`; their bbox crops, in order."""
+    crops = []
+    for start, stop in bounds:
+        chunk = samples[start:stop]
+        outs = train.edit_batch([s.image for s in chunk], [s.bbox for s in chunk], [s.label for s in chunk],
+                                [s.color for s in chunk], style, bundle, steps=ddim_steps,
+                                seeds=[child_seed(seed, "eval", i) for i in range(start, stop)])
+        crops += [masked_crop(out, s.bbox) for out, s in zip(outs, chunk)]
+    return crops
 
 
 def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
              ddim_steps: int = 10, max_samples: int = None, batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
     """Edit every validation sample at its own bbox/prompt and score the crops.
 
-    Samples are edited in consecutive chunks of `batch_size` through
-    `edit_batch`. Sample i, in id order, draws its noise from
-    child_seed(seed, "eval", i), and `edit_batch` is batch-invariant, so the
-    report and the crops are the same at every batch size and reproducible
-    regardless of evaluation count. Probe scoring runs per crop.
+    The id-sorted samples are split into an even number of near-equal chunks
+    of at most `batch_size` (`_chunk_bounds`), each one `edit_batch` call.
+    The second half of the chunks goes, in order, to the process's one
+    worker thread (`train.submit`); the calling thread edits and crops the
+    first half meanwhile, then waits for the worker, on an error too, so no
+    edit outlives the call. numpy releases the interpreter lock in its
+    kernels, so the halves share two cores; the overlap is tuned for one
+    BLAS thread per process. A worker error is raised here unchanged.
+
+    The split cannot change a byte: sample i, in id order, draws its noise
+    from child_seed(seed, "eval", i); every op in `edit_batch` is per sample,
+    and each call makes its own inference copy. So the report and the crops
+    are the same at every batch size and on either thread, and reproducible
+    regardless of evaluation count. Probe scoring and the Frechet distance
+    run per crop on the calling thread, after the join, in sample order. The
+    report's `samples` hold each sample's alignment.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -284,14 +345,16 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     if max_samples is not None:
         samples = samples[:max_samples]
     check_image_side(samples, bundle.cfg.data.image_side)
-    gen_crops = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        outs = edit_batch([s.image for s in chunk], [s.bbox for s in chunk], [s.label for s in chunk],
-                          [s.color for s in chunk], style, bundle, steps=ddim_steps,
-                          seeds=[child_seed(seed, "eval", start + j) for j in range(len(chunk))])
-        gen_crops += [masked_crop(out, s.bbox) for out, s in zip(outs, chunk)]
+    bounds = _chunk_bounds(len(samples), batch_size)
+    half = (len(bounds) + 1) // 2
+    second = train.submit(_edit_crops, samples, bounds[half:], style, bundle, ddim_steps, seed)
+    try:
+        gen_crops = _edit_crops(samples, bounds[:half], style, bundle, ddim_steps, seed)
+    finally:
+        wait([second])  # on an error too: no edit work outlives the call
+    gen_crops += second.result()
     ref_crops = [masked_crop(s.image, s.bbox) for s in samples]
     row = metrics_from_crop_pairs(gen_crops, ref_crops, [s.label for s in samples], [s.color for s in samples],
                                   style, probe)
-    return MetricsReport(rows=[row], seed=seed)
+    scores = [SampleScore(s.id, s.label, s.color, max(s.bbox[2:]), a) for s, a in zip(samples, row.alignments)]
+    return MetricsReport(rows=[row], seed=seed, samples=scores)

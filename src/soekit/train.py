@@ -13,12 +13,13 @@ VAE when tuning is enabled, whose masked reconstruction loss decodes the
 step's own latent: one encode per view). Teacher views are built only when
 distilling.
 
-The teacher's branch, from the crop to its clean-latent estimate, runs on a
-worker thread while the calling thread runs the student's forward and
-denoising loss; the step joins it before the distillation loss. Its bytes
-are those of an inline run: every noise draw comes before the split, the
-worker reads only its inputs and weights that nothing writes before
-`_update`, and gradients accumulate only there, after the join. numpy
+The teacher's branch, from the crop to its clean-latent estimate, runs on the
+process's one worker thread (`worker`, which also edits the second half of
+`metrics.evaluate`'s samples) while the calling thread runs the student's
+forward and denoising loss; the step joins it before the distillation loss.
+Its bytes are those of an inline run: every noise draw comes before the
+split, the worker reads only its inputs and weights that nothing writes
+before `_update`, and gradients accumulate only there, after the join. numpy
 releases the interpreter lock in its kernels, so the branches share two
 cores; the overlap is tuned for one BLAS thread per process.
 
@@ -315,17 +316,20 @@ def _predict(unet: MiniUnet, z: Tensor, eps: Tensor, ts, m: Tensor, cond: Tensor
 
 
 @functools.cache
-def _worker() -> ThreadPoolExecutor:
-    """The train step's one worker thread, made on first use and kept, so its allocator arena is reused."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="soekit-teacher")
+def worker() -> ThreadPoolExecutor:
+    """The process's one worker thread, made on first use and kept, so its allocator arena is reused.
+
+    It runs the train step's teacher branch and the second half of `metrics.evaluate`'s edits.
+    """
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="soekit-worker")
 
 
-os.register_at_fork(after_in_child=_worker.cache_clear)  # a forked child has no worker thread
+os.register_at_fork(after_in_child=worker.cache_clear)  # a forked child has no worker thread
 
 
-def _submit(fn, *args) -> Future:
-    """Run fn(*args) on `_worker`: the one hand-off, which a test may replace to run it inline."""
-    return _worker().submit(fn, *args)
+def submit(fn, *args) -> Future:
+    """Run fn(*args) on `worker`: the one hand-off, which a test may replace to run it inline."""
+    return worker().submit(fn, *args)
 
 
 def _grad_norm(params) -> float:
@@ -426,7 +430,7 @@ class Trainer:
         ts, (eps, eps_p) = _noise(stream_rng(tc.seed, "noise", step, 1), self.sched, z_shape, 2)
         cond = self.cond.embed(label_ids, color_ids, tc.prompt_style)
 
-        teacher = _submit(self._zoomed_view, x, m, eps_p, ts, cond) if tc.use_distill else None
+        teacher = submit(self._zoomed_view, x, m, eps_p, ts, cond) if tc.use_distill else None
         try:
             z = self.vae.encode(x)
             vae_part = vae_recon_loss(x, z, self.vae, m, delta=tc.huber_delta) if tc.use_vae_tuning else None

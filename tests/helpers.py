@@ -1,5 +1,7 @@
 """Shared test utilities: finite-difference gradient checking and oracles."""
 
+from concurrent.futures import Future
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -285,3 +287,10 @@ def resize_per_sample(x: np.ndarray, out_h: int, out_w: int, boxes, bilinear: bo
             outs.append(out)
         gx[i : i + 1, :, y0:y1, x0:x1] += gc
     return np.concatenate(outs), gx
+
+
+def run_inline(fn, *args) -> Future:
+    """A stand-in for `train.submit` that runs fn(*args) on the calling thread."""
+    done = Future()
+    done.set_result(fn(*args))
+    return done

@@ -21,11 +21,30 @@ TINY_CONFIG = {
 
 
 @pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    root = tmp_path_factory.mktemp("cli")
-    cfg = root / "config.json"
-    cfg.write_text(json.dumps(TINY_CONFIG))
-    return root, str(cfg)
+def config_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(TINY_CONFIG))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory, config_path):
+    """The tiny pipeline, run once through the CLI: dataset, teacher, student, one eval and an input image.
+
+    Every test that reads these artifacts takes this fixture, so each passes alone and in any order.
+    """
+    root, cfg = tmp_path_factory.mktemp("cli"), config_path
+    assert main(["gen-data", "--config", cfg, "--out", str(root / "ds"), "--seed", "3"]) == 0
+    assert main(["pretrain-teacher", "--config", cfg, "--data", str(root / "ds"),
+                 "--out", str(root / "teacher.soek")]) == 0
+    assert main(["train", "--config", cfg, "--data", str(root / "ds"),
+                 "--teacher", str(root / "teacher.soek"), "--out", str(root / "student.soek")]) == 0
+    with pytest.warns(UserWarning, match="covariance estimates are singular"):  # 3 samples against 32 features
+        assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg,
+                     "--data", str(root / "ds"), "--style", "color_label", "--seed", "4",
+                     "--out", str(root / "eval")]) == 0
+    write_ppm(root / "in.ppm", read_dataset(root / "ds", split="val-small")[0].image)
+    return root, cfg
 
 
 def test_usage_error_exits_2():
@@ -66,6 +85,20 @@ def test_analyze_effective_area_anchor_row(capsys, tmp_path):
     assert "64,1" in csv.read_text().splitlines()
 
 
+def _refuse_replace(src, dst):
+    raise OSError("replace refused")
+
+
+def test_analyze_effective_area_whose_write_fails_keeps_the_old_file(monkeypatch, tmp_path):
+    csv = tmp_path / "area.csv"
+    csv.write_text("old\n")
+    monkeypatch.setattr(os, "replace", _refuse_replace)
+    with pytest.raises(OSError, match="replace refused"):
+        main(["analyze-effective-area", "--out", str(csv)])
+    assert csv.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 @pytest.mark.parametrize("flag, value, named", [
     ("--latent-factor", "0", "latent_factor"),
     ("--depths", "2,x", "--depths"),
@@ -80,43 +113,33 @@ def test_analyze_effective_area_rejects_bad_input_in_one_line(capsys, flag, valu
     assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], err
 
 
-def test_pipeline_gen_data(workdir):
-    root, cfg = workdir
-    rc = main(["gen-data", "--config", cfg, "--out", str(root / "ds"), "--seed", "3"])
+def test_pipeline_gen_data(config_path, tmp_path):
+    rc = main(["gen-data", "--config", config_path, "--out", str(tmp_path / "ds"), "--seed", "3"])
     assert rc == 0
-    samples = read_dataset(root / "ds")
+    samples = read_dataset(tmp_path / "ds")
     assert len(samples) == 8 + 8 + 3
-    assert (root / "ds" / "config.json").exists()
+    assert (tmp_path / "ds" / "config.json").exists()
 
 
-def test_pipeline_pretrain_train_eval_edit(workdir, capsys):
-    root, cfg = workdir
-    assert main(["pretrain-teacher", "--config", cfg, "--data", str(root / "ds"),
-                 "--out", str(root / "teacher.soek")]) == 0
+def test_pipeline_pretrain_train_eval_edit(workdir):
+    # the fixture ran gen-data, pretrain-teacher, train and eval, each exiting 0
+    root, _ = workdir
     assert (root / "teacher.loss.csv").exists()
     teacher = load_bundle(root / "teacher.soek")
     assert teacher.frozen
 
-    assert main(["train", "--config", cfg, "--data", str(root / "ds"),
-                 "--teacher", str(root / "teacher.soek"), "--out", str(root / "student.soek")]) == 0
     student = load_bundle(root / "student.soek")
     assert student.adapters is not None
     loss_lines = (root / "student.loss.csv").read_text().splitlines()
     assert loss_lines[0] == "step,L_denoise,L_distill,L_vae,L_total,wall_ms"
     assert len(loss_lines) == 1 + TINY_CONFIG["train"]["steps"]
 
-    with pytest.warns(UserWarning, match="covariance estimates are singular"):  # 3 samples against 32 features
-        assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg,
-                     "--data", str(root / "ds"), "--style", "color_label", "--seed", "4",
-                     "--out", str(root / "eval")]) == 0
     metrics = (root / "eval" / "metrics.csv").read_text().splitlines()
     assert metrics[0] == "style,alignment_mean,frechet,n"
     assert metrics[1].startswith("color_label,")
 
     sample = read_dataset(root / "ds", split="val-small")[0]
     img_path = root / "in.ppm"
-
-    write_ppm(img_path, sample.image)
     bbox = ",".join(map(str, sample.bbox))
     assert main(["edit", "--checkpoint", str(root / "student.soek"), "--image", str(img_path),
                  "--bbox", bbox, "--label", "circle", "--color", "red", "--steps", "2",
@@ -137,19 +160,25 @@ def test_eval_trains_a_new_probe_for_new_probe_settings(workdir, tmp_path):
     assert len(list(out.glob("probe-*.soek"))) == 2
 
 
+def test_eval_writes_one_row_per_sample(workdir):
+    root, _ = workdir
+    rows = [line.split(",") for line in (root / "eval" / "details.csv").read_text().splitlines()]
+    assert rows[0] == ["id", "label", "color", "bbox_side", "alignment"]
+    val = sorted(read_dataset(root / "ds", split="val-small"), key=lambda s: s.id)
+    assert [row[:4] for row in rows[1:]] == [[s.id, s.label, s.color, str(max(s.bbox[2:]))] for s in val]
+    mean = float((root / "eval" / "metrics.csv").read_text().splitlines()[1].split(",")[1])
+    assert np.mean([float(row[4]) for row in rows[1:]]) == pytest.approx(mean, abs=1e-6)  # both at 6 decimals
+
+
 def test_eval_whose_write_fails_keeps_the_old_metrics(workdir, monkeypatch):
     root, cfg = workdir
     out = root / "eval"
-    before = (out / "metrics.csv").read_bytes()
-
-    def refuse_replace(src, dst):
-        raise OSError("replace refused")
-
-    monkeypatch.setattr(os, "replace", refuse_replace)
+    before = {name: (out / name).read_bytes() for name in ("metrics.csv", "details.csv")}
+    monkeypatch.setattr(os, "replace", _refuse_replace)
     with pytest.raises(OSError, match="replace refused"), pytest.warns(UserWarning, match="singular"):
         main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg, "--data", str(root / "ds"),
               "--style", "label_only", "--out", str(out)])
-    assert (out / "metrics.csv").read_bytes() == before
+    assert {name: (out / name).read_bytes() for name in before} == before
     assert not list(out.glob("*.tmp"))
 
 
@@ -399,8 +428,8 @@ def test_edit_refuses_an_image_at_another_side_in_one_line(workdir, capsys, tmp_
     assert not out.exists()
 
 
-def test_gen_data_refuses_a_directory_that_holds_a_dataset(workdir, capsys, tmp_path):
-    _, cfg = workdir
+def test_gen_data_refuses_a_directory_that_holds_a_dataset(config_path, capsys, tmp_path):
+    cfg = config_path
     out = tmp_path / "ds"
     assert main(["gen-data", "--config", cfg, "--out", str(out), "--split", "train-generic"]) == 0
     index = (out / "index.jsonl").read_bytes()
@@ -419,9 +448,9 @@ def test_gen_data_refuses_a_directory_that_holds_a_dataset(workdir, capsys, tmp_
      ([], "-2", None, "SOEKIT_SEED must be a non-negative integer, got '-2'")],
     ids=["count-0", "count-negative", "seed-env-not-int", "seed-negative", "seed-env-negative"],
 )
-def test_gen_data_rejects_bad_input_in_one_line(workdir, capsys, monkeypatch, tmp_path, flags, seed_env, config,
+def test_gen_data_rejects_bad_input_in_one_line(config_path, capsys, monkeypatch, tmp_path, flags, seed_env, config,
                                                 named):
-    root, cfg = workdir
+    cfg = config_path
     if config is not None:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({**TINY_CONFIG, **config}))

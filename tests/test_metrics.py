@@ -1,12 +1,16 @@
 """Probe, Frechet distance, alignment, effective area, evaluation protocol."""
 
+import dataclasses
 import hashlib
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from helpers import set_adapter_b
-from soekit import metrics
+from helpers import run_inline, set_adapter_b
+from soekit import metrics, train
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import RunConfig
 from soekit.data import build_split, generate_scene, split_sides
@@ -24,6 +28,7 @@ from soekit.metrics import (
     save_probe,
     train_probe,
 )
+from soekit.rng import child_seed
 from soekit.train import Trainer, pretrain_teacher
 
 
@@ -295,7 +300,7 @@ def test_evaluate_deterministic_and_validated(probe, tiny_bundle):
 def test_evaluate_is_batch_invariant(probe, tiny_bundle, monkeypatch):
     student = Trainer(tiny_bundle.cfg, build_split(4, "train-small", 4), tiny_bundle).bundle()
     set_adapter_b(student.adapters, seed=5)
-    val = build_split(17, "val-small", 8)
+    val = build_split(17, "val-small", 7)
     crops = []
 
     def spy(gen_crops, *args):
@@ -304,7 +309,7 @@ def test_evaluate_is_batch_invariant(probe, tiny_bundle, monkeypatch):
 
     monkeypatch.setattr(metrics, "metrics_from_crop_pairs", spy)
     reports = []
-    for batch_size in (1, 3, 8):  # 3 leaves a ragged last chunk
+    for batch_size in (1, 3, 8):  # 7 samples: 7 chunks of 1, then 2-2-2-1 and 4-3, both ragged
         with pytest.warns(UserWarning):
             reports.append(evaluate(student, val, "color_label", seed=9, probe=probe, ddim_steps=2,
                                     batch_size=batch_size).csv_text())
@@ -313,6 +318,116 @@ def test_evaluate_is_batch_invariant(probe, tiny_bundle, monkeypatch):
         assert [c.tobytes() for c in other] == [c.tobytes() for c in crops[0]]
     with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
         evaluate(student, val, "color_label", seed=9, probe=probe, batch_size=0)
+
+
+@pytest.mark.parametrize("n, batch_size, sizes", [
+    (36, 8, [6] * 6),
+    (8, 8, [4, 4]),
+    (8, 3, [2, 2, 2, 2]),
+    (7, 3, [2, 2, 2, 1]),
+    (5, 1, [1] * 5),
+    (1, 8, [1]),
+])
+def test_chunks_are_even_in_number_near_equal_and_in_order(n, batch_size, sizes):
+    bounds = metrics._chunk_bounds(n, batch_size)
+    assert [stop - start for start, stop in bounds] == sizes
+    assert [b[0] for b in bounds] == [0] + [b[1] for b in bounds[:-1]] and bounds[-1][1] == n
+
+
+def _recorded_evaluate(monkeypatch, bundle, val, probe, **kwargs):
+    """evaluate's report, its crops, and (thread name, sample indices) per edit_batch call."""
+    calls, crops, edit, pairs = [], [], train.edit_batch, metrics.metrics_from_crop_pairs
+
+    def spy_edit(*args, seeds, **kw):
+        calls.append((threading.current_thread().name, [seeds_of.index(s) for s in seeds]))
+        return edit(*args, seeds=seeds, **kw)
+
+    def spy_pairs(gen_crops, *args):
+        crops.append([c.tobytes() for c in gen_crops])
+        return pairs(gen_crops, *args)
+
+    seeds_of = [child_seed(9, "eval", i) for i in range(len(val))]
+    monkeypatch.setattr(train, "edit_batch", spy_edit)
+    monkeypatch.setattr(metrics, "metrics_from_crop_pairs", spy_pairs)
+    with pytest.warns(UserWarning):
+        report = evaluate(bundle, val, "color_label", seed=9, probe=probe, ddim_steps=2, **kwargs)
+    return report, crops[0], calls
+
+
+def test_evaluate_edits_the_second_half_on_the_worker(probe, tiny_bundle, monkeypatch):
+    val = build_split(18, "val-small", 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads' Python as finely as the interpreter allows
+    try:
+        report, crops, calls = _recorded_evaluate(monkeypatch, tiny_bundle, val, probe, batch_size=3)
+    finally:
+        sys.setswitchinterval(interval)
+    here = threading.current_thread().name
+    assert [c for c in calls if c[0] == here] == [(here, [0, 1]), (here, [2, 3])]
+    assert [c for c in calls if c[0] != here] == [("soekit-worker_0", [4, 5]), ("soekit-worker_0", [6, 7])]
+
+    monkeypatch.setattr(train, "submit", run_inline)
+    inline_report, inline_crops, inline_calls = _recorded_evaluate(monkeypatch, tiny_bundle, val, probe,
+                                                                   batch_size=3)
+    assert [c[0] for c in inline_calls] == [here] * 4
+    assert inline_report.csv_text() == report.csv_text()
+    assert inline_report.samples == report.samples
+    assert inline_crops == crops
+
+
+def test_evaluate_of_one_sample_edits_it_here(probe, tiny_bundle, monkeypatch):
+    # one crop is too few for a Frechet distance: that refusal comes after the edit, from this thread
+    calls, edit = [], train.edit_batch
+
+    def spy_edit(*args, **kw):
+        calls.append(threading.current_thread().name)
+        return edit(*args, **kw)
+
+    monkeypatch.setattr(train, "edit_batch", spy_edit)
+    with pytest.raises(ValueError, match=r"^need at least 2 samples per side, got 1 and 1$"):
+        evaluate(tiny_bundle, build_split(18, "val-small", 3), "color_label", seed=9, probe=probe,
+                 ddim_steps=2, max_samples=1)
+    assert calls == [threading.current_thread().name]
+
+
+def test_worker_error_is_raised_from_evaluate(probe, tiny_bundle):
+    # the last sample in id order is edited on the worker: its refusal comes back with its own type and message
+    val = build_split(18, "val-small", 4)
+    val[-1] = dataclasses.replace(val[-1], bbox=(3, 3, 3, 3))
+    with pytest.raises(ValueError, match=r"^bbox \(3, 3, 3, 3\) covers no latent sample; it would be left unedited$"):
+        evaluate(tiny_bundle, val, "color_label", seed=9, probe=probe, ddim_steps=2)
+
+
+def test_error_on_the_first_half_waits_for_the_worker(probe, tiny_bundle, monkeypatch):
+    started, finished, edit = threading.Event(), [], train.edit_batch
+
+    def spy_edit(*args, **kw):
+        if threading.current_thread() is threading.main_thread():
+            started.wait(5)
+            raise RuntimeError("first half failed")
+        started.set()
+        time.sleep(0.05)
+        out = edit(*args, **kw)
+        finished.append(True)
+        return out
+
+    monkeypatch.setattr(train, "edit_batch", spy_edit)
+    with pytest.raises(RuntimeError, match="^first half failed$"):
+        evaluate(tiny_bundle, build_split(18, "val-small", 4), "color_label", seed=9, probe=probe, ddim_steps=2)
+    assert finished == [True]
+
+
+def test_report_holds_each_samples_alignment(probe, tiny_bundle):
+    val = build_split(19, "val-small", 5)
+    with pytest.warns(UserWarning):
+        report = evaluate(tiny_bundle, val, "label_only", seed=3, probe=probe, ddim_steps=2)
+    assert [(d.id, d.label, d.color, d.bbox_side) for d in report.samples] == [
+        (s.id, s.label, s.color, max(s.bbox[2:])) for s in sorted(val, key=lambda s: s.id)]
+    assert np.mean([d.alignment for d in report.samples]) == report.rows[0].alignment_mean
+    lines = report.details_csv_text().splitlines()
+    assert lines[0] == "id,label,color,bbox_side,alignment" and len(lines) == 6
+    first = report.samples[0]
+    assert lines[1] == f"{first.id},{first.label},{first.color},{first.bbox_side},{first.alignment:.6f}"
 
 
 @pytest.mark.parametrize("max_samples", [0, -2])

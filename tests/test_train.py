@@ -7,12 +7,11 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
-from helpers import set_adapter_b
+from helpers import run_inline, set_adapter_b
 from soekit import tensor as T
 from soekit import train
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -444,12 +443,7 @@ def test_teacher_on_the_worker_gives_the_inline_bytes(teacher_bundle, monkeypatc
         sys.setswitchinterval(interval)
     assert len(threads) == 3 and threading.get_ident() not in threads
 
-    def inline(fn, *args):
-        done = Future()
-        done.set_result(fn(*args))
-        return done
-
-    monkeypatch.setattr(train, "_submit", inline)
+    monkeypatch.setattr(train, "submit", run_inline)
     assert _steps(Trainer(tiny_cfg(), small, teacher_bundle), 3) == on_worker
     assert threads[3:] == [threading.get_ident()] * 3
 
