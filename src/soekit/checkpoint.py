@@ -13,8 +13,9 @@ Writes are atomic: `write_atomic` writes the file to `<name>.tmp` and moves
 it over the target with `os.replace`, so a failed save leaves any earlier
 file intact. Every whole-file artifact of a run goes through it.
 A save refuses a non-float32 array or one holding NaN or inf, and names it.
-Reads are strict: a truncated or corrupt file, or a config blob that is not
-a JSON object, raises a `CheckpointError` naming it, and `restore` copies
+Reads are strict: a truncated or corrupt file, an array holding NaN or inf,
+or a config blob that is not a JSON object, raises a `CheckpointError`
+naming the file (and the array), and `restore` copies
 arrays into same-named Tensors only if the names match exactly and every
 shape agrees.
 """
@@ -97,6 +98,8 @@ def load_checkpoint(path):
             off += 4 * ndim
             n = int(np.prod(dims)) if ndim else 1
             arr = np.frombuffer(raw, dtype="<f4", count=n, offset=off).reshape(dims)
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: array {name!r} has non-finite values")
             off += 4 * n
             arrays[name] = arr.copy()  # writable, C-order, 0-d preserved
         (blob_len,) = struct.unpack_from("<I", raw, off)

@@ -4,6 +4,10 @@ Every field has a default; unknown keys are rejected with the offending
 section and key named. A loaded config re-serialises to a semantically
 identical document (lists stay lists, numbers keep their values).
 
+The train section holds the paper's recipe only: the adapters always train,
+with Adam, on the denoising loss plus the Huber distillation loss, which
+`use_distill` (the paper's ablation) turns off.
+
 Each field's rule sits beside its default: the annotated type, plus any bound
 or choices declared through `rule`. `validate` applies them all in one loop,
 then the cross-field rules. An int field with no declared bound is a count,
@@ -20,10 +24,8 @@ from pathlib import Path
 
 from soekit.checkpoint import write_atomic
 from soekit.data import PROMPT_STYLES, SPLITS, split_sides
-from soekit.optim import OPTIMIZERS
 
 LATENT_FACTOR = 4  # the VAE's spatial downscale: its two stride-2 encoder convs
-DISTILL_LOSSES = ("huber", "mse")
 
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string", list: "a list of strings"}
 _TESTS = {"least": (">=", operator.lt), "above": (">", operator.le), "below": ("<", operator.ge),  # none breaks for NaN
@@ -86,15 +88,10 @@ class TrainSection:
     steps: int = 2000
     batch_size: int = 4
     lr: float = rule(2e-3, above=0)
-    optimizer: str = rule("adam", choices=list(OPTIMIZERS))
     crop_size: int = 32
     distill_weight: float = rule(0.01, least=0)
-    vae_weight: float = rule(1.0, least=0)
-    distill_loss: str = rule("huber", choices=list(DISTILL_LOSSES))
     huber_delta: float = rule(1.0, above=0)
-    use_adapters: bool = True
     use_distill: bool = True
-    use_vae_tuning: bool = False
     prompt_style: str = rule("color_label", choices=list(PROMPT_STYLES))
     pretrain_vae_steps: int = 700
     pretrain_steps: int = 2600

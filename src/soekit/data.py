@@ -61,7 +61,6 @@ class SoeSample:
     label: str
     color: str
     split: str
-    captions: dict             # {"label_only": ..., "color_label": ...}
 
     @property
     def label_id(self) -> int:
@@ -97,10 +96,6 @@ def check_image_side(samples, image_side: int):
         if h != image_side or w != image_side:
             raise ValueError(f"image size mismatch: sample {s.id} is {w}x{h}, "
                              f"data.image_side is {image_side}")
-
-
-def captions_for(label: str, color: str) -> dict:
-    return {"label_only": f"a {label}", "color_label": f"a {color} {label}"}
 
 
 # -- drawing ---------------------------------------------------------------------
@@ -166,7 +161,6 @@ def generate_scene(seed, sides, image_side: int = 64, split: str = "train-small"
         label=label,
         color=color_name,
         split=split,
-        captions=captions_for(label, color_name),
     )
 
 
@@ -264,7 +258,7 @@ def write_dataset(samples, out_dir) -> Path:
         rel = f"images/{s.id}.ppm"
         write_ppm(out / rel, s.image)
         rec = {"id": s.id, "image": rel, "bbox": list(s.bbox), "label": s.label, "color": s.color,
-               "split": s.split, "captions": s.captions}
+               "split": s.split}
         lines.append(json.dumps(rec, sort_keys=True) + "\n")
     lines.append(json.dumps({"counts": Counter(s.split for s in samples)}, sort_keys=True) + "\n")
     write_atomic(out / "index.jsonl", "".join(lines))
@@ -272,16 +266,19 @@ def write_dataset(samples, out_dir) -> Path:
 
 
 def read_dataset(dataset_dir, split: str = None) -> list:
-    """Load samples (optionally one split), enforcing the bbox invariant and known labels and colors.
+    """Load samples (optionally one split), enforcing the bbox invariant and each field's domain.
 
-    Refuses an index without its split counts record, or with a split whose
+    A record's id must be a string unique in the index, its label, colour and
+    split known names, and its image a relative path inside the dataset
+    directory; a refusal names `index.jsonl:<line>` and the field. Also
+    refuses an index without its split counts record, or with a split whose
     count differs from the record, naming the file and the split.
     """
     root = Path(dataset_dir)
     index = root / "index.jsonl"
     if not index.exists():
         raise FileNotFoundError(f"dataset index not found: {index}")
-    samples, found, recorded = [], Counter(), None
+    samples, found, recorded, ids = [], Counter(), None, set()
     with open(index) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -294,19 +291,25 @@ def read_dataset(dataset_dir, split: str = None) -> list:
                     continue
                 sid = rec["id"]
                 bbox = tuple(int(v) for v in rec["bbox"])
-                label, color, rsplit = rec["label"], rec["color"], rec["split"]
-                captions = rec["captions"]
-                image_rel = rec["image"]
+                label, color, rsplit, image_rel = rec["label"], rec["color"], rec["split"], rec["image"]
             except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{index}:{lineno}: malformed index line ({e})") from None
-            for field, value, known in (("label", label, LABELS), ("color", color, COLOR_NAMES)):
+            if not isinstance(sid, str) or sid in ids:
+                raise ValueError(f"{index}:{lineno}: id must be a string unique in the index, got {sid!r}")
+            ids.add(sid)
+            for field, value, known in (("label", label, LABELS), ("color", color, COLOR_NAMES),
+                                        ("split", rsplit, SPLITS)):
                 if value not in known:
                     raise ValueError(f"{index}:{lineno}: unknown {field} {value!r}")
+            rel = Path(image_rel) if isinstance(image_rel, str) else None
+            if rel is None or not rel.parts or rel.is_absolute() or ".." in rel.parts:
+                raise ValueError(f"{index}:{lineno}: image must be a relative path inside the dataset directory, "
+                                 f"got {image_rel!r}")
             found[rsplit] += 1
             if split is not None and rsplit != split:
                 continue
-            image_path = root / image_rel
-            if not image_path.exists():
+            image_path = root / rel
+            if not image_path.is_file():
                 raise FileNotFoundError(f"{index}:{lineno}: missing image file {image_path}")
             image = read_ppm(image_path)
             h, w = image.shape[:2]
@@ -314,10 +317,7 @@ def read_dataset(dataset_dir, split: str = None) -> list:
                 check_bbox(bbox, w, h)
             except ValueError as e:
                 raise ValueError(f"{index}:{lineno}: {e}") from None
-            samples.append(
-                SoeSample(id=sid, image=image, bbox=bbox, label=label, color=color,
-                          split=rsplit, captions=captions)
-            )
+            samples.append(SoeSample(id=sid, image=image, bbox=bbox, label=label, color=color, split=rsplit))
     if recorded is None:
         raise ValueError(f"{index}: no split counts record; the index is incomplete")
     for name in sorted(recorded.keys() | found.keys()):

@@ -13,7 +13,6 @@ metric values are stable across runs.
 import csv
 import io
 import warnings
-from concurrent.futures import wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -321,11 +320,10 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     The id-sorted samples are split into an even number of near-equal chunks
     of at most `batch_size` (`_chunk_bounds`), each one `edit_batch` call.
     The second half of the chunks goes, in order, to the process's one
-    worker thread (`train.submit`); the calling thread edits and crops the
-    first half meanwhile, then waits for the worker, on an error too, so no
-    edit outlives the call. numpy releases the interpreter lock in its
+    worker thread through `train.overlap`, while the calling thread edits and
+    crops the first half. numpy releases the interpreter lock in its
     kernels, so the halves share two cores; the overlap is tuned for one
-    BLAS thread per process. A worker error is raised here unchanged.
+    BLAS thread per process.
 
     The split cannot change a byte: sample i, in id order, draws its noise
     from child_seed(seed, "eval", i); every op in `edit_batch` is per sample,
@@ -347,12 +345,9 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     check_image_side(samples, bundle.cfg.data.image_side)
     bounds = _chunk_bounds(len(samples), batch_size)
     half = (len(bounds) + 1) // 2
-    second = train.submit(_edit_crops, samples, bounds[half:], style, bundle, ddim_steps, seed)
-    try:
-        gen_crops = _edit_crops(samples, bounds[:half], style, bundle, ddim_steps, seed)
-    finally:
-        wait([second])  # on an error too: no edit work outlives the call
-    gen_crops += second.result()
+    second, first = train.overlap(lambda: _edit_crops(samples, bounds[half:], style, bundle, ddim_steps, seed),
+                                  lambda: _edit_crops(samples, bounds[:half], style, bundle, ddim_steps, seed))
+    gen_crops = first + second
     ref_crops = [masked_crop(s.image, s.bbox) for s in samples]
     row = metrics_from_crop_pairs(gen_crops, ref_crops, [s.label for s in samples], [s.color for s in samples],
                                   style, probe)

@@ -1,9 +1,9 @@
-"""Optimizers over named parameter collections.
+"""The optimizer over named parameter collections.
 
-Adam is the default trainer (beta1=0.9, beta2=0.999, eps=1e-8); plain SGD
-stays selectable. `OPTIMIZERS` maps each name `train.optimizer` may take to
-its class. Both clear gradients after applying an update and raise if any
-managed parameter is missing its gradient.
+Adam (beta1=0.9, beta2=0.999, eps=1e-8) steps every trainable parameter:
+the adapters, both pretraining phases and the probe. It clears gradients
+after applying an update and raises if any managed parameter is missing its
+gradient.
 """
 
 import numpy as np
@@ -48,24 +48,3 @@ class Adam:
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             p.data -= (self.lr * update).astype(p.data.dtype)
             p.grad = None
-
-
-class Sgd:
-    """Plain gradient descent, kept selectable next to Adam."""
-
-    def __init__(self, params: dict, lr: float = 1e-3):
-        self.params = dict(params)
-        self.lr = lr
-        self.step_count = 0
-
-    def step(self):
-        for name, p in self.params.items():
-            if p.grad is None:
-                raise MissingGradientError(name)
-        self.step_count += 1
-        for p in self.params.values():
-            p.data -= (self.lr * p.grad).astype(p.data.dtype)
-            p.grad = None
-
-
-OPTIMIZERS = {"adam": Adam, "sgd": Sgd}

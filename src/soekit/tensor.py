@@ -19,7 +19,7 @@ spent graph fails instead of adding wrong gradients.
 
 Ops are module functions only (``mul(a, b)``, ``reshape(a, shape)``, ...);
 ``Tensor`` carries data, gradient and graph links, with no operator or op
-method. The one Huber op, ``huber``, takes an optional mask.
+method. The one loss op, ``huber``, takes an optional mask.
 
 Storage is float32. Constructing tensors as float64 is supported so tests can
 run finite-difference oracles at higher precision; all ops preserve dtype.
@@ -795,11 +795,3 @@ def huber(pred: Tensor, target: Tensor, mask: Tensor = None, delta: float = 1.0)
 
     grads = (lambda g: d(g).astype(pred.dtype), lambda g: (-d(g)).astype(target.dtype))
     return _make(out, (pred, target), grads, "huber")
-
-
-def mse(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean squared error, composed from recorded primitives."""
-    if pred.shape != target.shape:
-        raise ShapeError("mse", f"pred {pred.shape} vs target {target.shape}")
-    d = sub(pred, target)
-    return mean(mul(d, d))

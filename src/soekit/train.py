@@ -6,17 +6,16 @@ relative size) for the whole batch, one boxed resample per image and mask,
 encode both views with the shared VAE, noise both latents at a shared
 per-sample timestep with independent noise draws, run the adapter-augmented
 student on the original view and the frozen teacher on the zoomed view,
-revert both predictions to clean-latent estimates, and combine the masked
-denoising loss, the cross-scale distillation loss (teacher side detached),
-and the VAE loss into one weighted objective. Only adapters train (plus the
-VAE when tuning is enabled, whose masked reconstruction loss decodes the
-step's own latent: one encode per view). Teacher views are built only when
-distilling.
+revert both predictions to clean-latent estimates, and add the masked
+denoising loss to the weighted Huber distillation loss (teacher side
+detached). Only the adapters train, with Adam; the student shares the
+teacher's frozen VAE, U-Net weights and condition embedder. Teacher views
+are built only when distilling.
 
 The teacher's branch, from the crop to its clean-latent estimate, runs on the
-process's one worker thread (`worker`, which also edits the second half of
-`metrics.evaluate`'s samples) while the calling thread runs the student's
-forward and denoising loss; the step joins it before the distillation loss.
+process's one worker thread through `overlap` (which also edits the second
+half of `metrics.evaluate`'s samples) while the calling thread runs the
+student's forward and denoising loss; the distillation loss follows the join.
 Its bytes are those of an inline run: every noise draw comes before the
 split, the worker reads only its inputs and weights that nothing writes
 before `_update`, and gradients accumulate only there, after the join. numpy
@@ -37,12 +36,11 @@ noise stream, on a per-call `MiniUnet.inference_copy` (adapters folded in,
 the DDIM loop's constants made once), and `edit` is its batch of one.
 """
 
-import copy
 import functools
 import math
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -51,11 +49,11 @@ import numpy as np
 
 from soekit import tensor as T
 from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
-from soekit.config import DISTILL_LOSSES, LATENT_FACTOR, ConfigError, ModelSection, RunConfig
+from soekit.config import LATENT_FACTOR, ConfigError, ModelSection, RunConfig
 from soekit.data import COLOR_NAMES, LABELS, check_bbox, check_image_side, curation_filter
 from soekit.lora import LoraAdapterSet, attach
 from soekit.nets import ConditionEmbedder, MiniUnet, Vae
-from soekit.optim import OPTIMIZERS
+from soekit.optim import Adam
 from soekit.rng import stream_rng
 from soekit.schedule import NoiseSchedule, add_noise, ddim_step, ddim_timesteps, make_schedule, predict_z0
 from soekit.tensor import Tensor
@@ -121,23 +119,19 @@ def denoise_loss(eps: Tensor, eps_pred: Tensor, m_latent: Tensor, delta: float =
 
 
 def distill_loss(z0_hat: Tensor, m_latent: Tensor, z0p_hat: Tensor, mp_latent: Tensor,
-                 loss_type: str = "huber", delta: float = 1.0) -> Tensor:
-    """Align the clean-latent crops of student and teacher under their masks.
+                 delta: float = 1.0) -> Tensor:
+    """Huber between the clean-latent crops of student and teacher under their masks.
 
     Each side's latent mask bbox is bilinearly resized to a common 8x8 before
     the distance, in one boxed resample per side. Every mask is a box, so the
     crop holds masked cells only. The teacher side is detached: gradient flows
     into the student path only.
     """
-    if loss_type not in DISTILL_LOSSES:
-        raise ValueError(f"distill_loss: unknown loss type {loss_type!r}")
     s_boxes = [_latent_bbox(mask, "student") for mask in m_latent.data[:, 0]]
     t_boxes = [_latent_bbox(mask, "teacher") for mask in mp_latent.data[:, 0]]
     s_all = T.resize_bilinear(z0_hat, DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, s_boxes)
     t_all = T.resize_bilinear(z0p_hat.detach(), DISTILL_CROP_SIDE, DISTILL_CROP_SIDE, t_boxes)
-    if loss_type == "huber":
-        return T.huber(s_all, t_all, delta=delta)
-    return T.mse(s_all, t_all)
+    return T.huber(s_all, t_all, delta=delta)
 
 
 def _latent_bbox(mask2d: np.ndarray, who: str) -> tuple:
@@ -155,15 +149,11 @@ def vae_recon_loss(x: Tensor, z: Tensor, vae: Vae, m: Tensor = None, delta: floa
         raise ValueError(f"vae_recon_loss: {e}") from None
 
 
-def total_loss(denoise, distill, vae, distill_weight: float, vae_weight: float) -> Tensor:
-    """Weighted sum; parts passed as None are absent from the graph entirely."""
-    parts = []
-    if denoise is not None:
-        parts.append(denoise)
+def total_loss(denoise, distill, vae, distill_weight: float) -> Tensor:
+    """Sum with the distillation part weighted; parts passed as None are absent from the graph entirely."""
     if distill is not None:
-        parts.append(T.mul(distill, Tensor(np.asarray(distill_weight, distill.dtype), dtype=distill.dtype)))
-    if vae is not None:
-        parts.append(T.mul(vae, Tensor(np.asarray(vae_weight, vae.dtype), dtype=vae.dtype)))
+        distill = T.mul(distill, Tensor(np.asarray(distill_weight, distill.dtype), dtype=distill.dtype))
+    parts = [part for part in (denoise, distill, vae) if part is not None]
     if not parts:
         raise ValueError("total_loss: no active parts")
     out = parts[0]
@@ -327,9 +317,19 @@ def worker() -> ThreadPoolExecutor:
 os.register_at_fork(after_in_child=worker.cache_clear)  # a forked child has no worker thread
 
 
-def submit(fn, *args) -> Future:
-    """Run fn(*args) on `worker`: the one hand-off, which a test may replace to run it inline."""
-    return worker().submit(fn, *args)
+def overlap(there, here) -> tuple:
+    """Run there() on `worker` while here() runs on the calling thread; returns (there(), here()).
+
+    The one hand-off. It waits for there() on an error in here() too, so no
+    worker work outlives the call, and then raises here()'s error; otherwise
+    an error of there() is raised as it is.
+    """
+    future = worker().submit(there)
+    try:
+        mine = here()
+    finally:
+        wait([future])
+    return future.result(), mine
 
 
 def _grad_norm(params) -> float:
@@ -345,10 +345,10 @@ def _grad_norm(params) -> float:
 
 
 def _update(optimizer, loss_csv, step: int, t0: float, denoise=None, distill=None, vae=None,
-            distill_weight: float = 1.0, vae_weight: float = 1.0) -> LossReport:
+            distill_weight: float = 1.0) -> LossReport:
     """Weight the parts and step; a non-finite loss (checked before backward) or global gradient norm
     (before the optimizer) raises and logs no row."""
-    loss = total_loss(denoise, distill, vae, distill_weight, vae_weight)
+    loss = total_loss(denoise, distill, vae, distill_weight)
     values = [0.0 if part is None else float(part.item()) for part in (denoise, distill, vae, loss)]
     for column, value in zip(("L_denoise", "L_distill", "L_vae", "L_total"), values):
         if not np.isfinite(value):
@@ -386,40 +386,23 @@ class Trainer:
         if not dataset:
             raise ConfigurationError("training dataset is empty")
         check_image_side(dataset, cfg.data.image_side)
-        if not (tc.use_adapters or tc.use_vae_tuning):
-            raise ConfigurationError("nothing to train: enable adapters or vae tuning")
         check_config_matches(teacher.cfg, cfg, "teacher")
         self.cfg = cfg
         self.dataset = list(dataset)
         self.sched = teacher.sched
-        self.teacher_unet = teacher.unet
-        self.teacher_unet.set_trainable(False)
-
-        # only the VAE can train, so only it is copied; the student's base Tensors are the teacher's
-        self.vae = copy.deepcopy(teacher.vae)
-        self.cond = teacher.cond
-        self.cond.set_trainable(False)
+        self.teacher_unet, self.vae, self.cond = teacher.unet, teacher.vae, teacher.cond
+        for module in (self.teacher_unet, self.vae, self.cond):
+            module.set_trainable(False)
+        # only the adapters train, so the student's base Tensors are the teacher's own
         self.student = teacher.unet.copy_tree()
-        self.adapters = None
-        trainables = {}
-        if tc.use_adapters:
-            self.adapters = attach(self.student, cfg.lora, seed=tc.seed)
-            trainables.update(self.adapters.params())
-        else:
-            self.student.set_trainable(False)
-        if tc.use_vae_tuning:
-            self.vae.set_trainable(True)
-            trainables.update(self.vae.params("vae"))
-        else:
-            self.vae.set_trainable(False)
-        self.optimizer = OPTIMIZERS[tc.optimizer](trainables, lr=tc.lr)
+        self.adapters = attach(self.student, cfg.lora, seed=tc.seed)
+        self.optimizer = Adam(self.adapters.params(), lr=tc.lr)
         self.loss_csv = _start_loss_csv(loss_csv)
 
     def train_step(self, step: int, samples=None) -> LossReport:
         """One gradient step on `samples`, or on step's own draw from the dataset.
 
-        `_zoomed_view` runs on the worker (see the module docstring). Its error is raised
-        here unchanged, and after an error here the step still waits for it.
+        `_zoomed_view` runs on the worker through `overlap` (see the module docstring).
         """
         t0 = time.perf_counter()
         tc = self.cfg.train
@@ -430,23 +413,16 @@ class Trainer:
         ts, (eps, eps_p) = _noise(stream_rng(tc.seed, "noise", step, 1), self.sched, z_shape, 2)
         cond = self.cond.embed(label_ids, color_ids, tc.prompt_style)
 
-        teacher = submit(self._zoomed_view, x, m, eps_p, ts, cond) if tc.use_distill else None
-        try:
-            z = self.vae.encode(x)
-            vae_part = vae_recon_loss(x, z, self.vae, m, delta=tc.huber_delta) if tc.use_vae_tuning else None
-            z_t, m_lat, eps_pred = _predict(self.student, z, eps, ts, m, cond, self.sched)
-            den_part = denoise_loss(eps, eps_pred, m_lat, delta=tc.huber_delta)
-        finally:
-            if teacher is not None:
-                wait([teacher])  # on an error too: no teacher work outlives the step
+        def student():
+            z_t, m_lat, eps_pred = _predict(self.student, self.vae.encode(x), eps, ts, m, cond, self.sched)
+            return z_t, m_lat, eps_pred, denoise_loss(eps, eps_pred, m_lat, delta=tc.huber_delta)
 
-        dist_part = None
-        if teacher is not None:
-            zp0, mp_lat = teacher.result()
-            dist_part = distill_loss(predict_z0(z_t, eps_pred, ts, self.sched), m_lat, zp0, mp_lat,
-                                     loss_type=tc.distill_loss, delta=tc.huber_delta)
-        return _update(self.optimizer, self.loss_csv, step, t0, den_part, dist_part, vae_part,
-                       tc.distill_weight, tc.vae_weight)
+        if not tc.use_distill:
+            return _update(self.optimizer, self.loss_csv, step, t0, student()[3])
+        (zp0, mp_lat), (z_t, m_lat, eps_pred, den_part) = overlap(
+            functools.partial(self._zoomed_view, x, m, eps_p, ts, cond), student)
+        dist_part = distill_loss(predict_z0(z_t, eps_pred, ts, self.sched), m_lat, zp0, mp_lat, delta=tc.huber_delta)
+        return _update(self.optimizer, self.loss_csv, step, t0, den_part, dist_part, distill_weight=tc.distill_weight)
 
     def _zoomed_view(self, x: Tensor, m: Tensor, eps: Tensor, ts, cond: Tensor) -> tuple:
         """The frozen teacher's clean-latent estimate on the zoomed view (crop, encode, U-Net), and its latent mask."""
@@ -491,7 +467,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
     loss_csv = _start_loss_csv(loss_csv)
 
     # phase A: autoencoder
-    opt_vae = OPTIMIZERS[tc.optimizer](vae.params("vae"), lr=tc.pretrain_lr)
+    opt_vae = Adam(vae.params("vae"), lr=tc.pretrain_lr)
     for step in range(tc.pretrain_vae_steps):
         t0 = time.perf_counter()
         x, *_ = batch_tensors(_draw_batch(dataset, tc, step, 2))
@@ -499,7 +475,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
 
     # phase B: denoiser on the frozen autoencoder
     vae.set_trainable(False)
-    opt = OPTIMIZERS[tc.optimizer]({**unet.params("unet"), **cond.params("cond")}, lr=tc.pretrain_lr)
+    opt = Adam({**unet.params("unet"), **cond.params("cond")}, lr=tc.pretrain_lr)
     for step in range(tc.pretrain_steps):
         t0 = time.perf_counter()
         x, m, label_ids, color_ids = batch_tensors(_draw_batch(dataset, tc, step, 3))
@@ -550,8 +526,7 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
     if not n or any(len(v) != n for v in (bboxes, labels, colors, seeds)):
         raise ValueError(f"edit_batch: need equal nonempty lists, got {n} images, {len(bboxes)} bboxes, "
                          f"{len(labels)} labels, {len(colors)} colors and {len(seeds)} seeds")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    ts = ddim_timesteps(bundle.sched.T, steps)
     shape = images[0].shape
     for image in images:
         if image.shape != shape:
@@ -587,7 +562,6 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
 
     noise = draw()
     z = Tensor(ml_np * noise.data + (1.0 - ml_np) * add_noise(z0, noise, sched.T, sched).data)
-    ts = ddim_timesteps(sched.T, steps)
     for t, t_prev in zip(ts[:-1], ts[1:]):
         eps_pred = unet.forward(z, t, cond, ml).detach()
         z_next = ddim_step(z, eps_pred, t, t_prev, sched)

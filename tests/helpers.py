@@ -289,8 +289,11 @@ def resize_per_sample(x: np.ndarray, out_h: int, out_w: int, boxes, bilinear: bo
     return np.concatenate(outs), gx
 
 
-def run_inline(fn, *args) -> Future:
-    """A stand-in for `train.submit` that runs fn(*args) on the calling thread."""
-    done = Future()
-    done.set_result(fn(*args))
-    return done
+class InlineWorker:
+    """A stand-in for `train.worker`: the executor it makes runs each submitted call on the calling thread."""
+
+    @staticmethod
+    def submit(fn, *args) -> Future:
+        done = Future()
+        done.set_result(fn(*args))
+        return done

@@ -1,6 +1,7 @@
 """Binary checkpoint format: layout, round trips, error handling."""
 
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -81,6 +82,16 @@ def test_truncated_file_is_named(tmp_path, keep):
     raw = p.read_bytes()
     p.write_bytes(raw[: len(raw) // 2 if keep == "half" else keep])
     with pytest.raises(CheckpointError, match=f"{p}: truncated or corrupt"):
+        load_checkpoint(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_load_refuses_a_non_finite_array_by_name(tmp_path, value):
+    # as a save would: the array's payload starts after magic, counts, name, dtype, ndim and one dim
+    p = save_checkpoint(tmp_path / "g.soek", {"x": np.zeros(2, np.float32)}, {})
+    raw = p.read_bytes()
+    p.write_bytes(raw[:21] + np.float32(value).tobytes() + raw[25:])
+    with pytest.raises(CheckpointError, match=rf"^{re.escape(str(p))}: array 'x' has non-finite values$"):
         load_checkpoint(p)
 
 

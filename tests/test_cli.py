@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -227,6 +228,21 @@ def _student_with_crop_size_8(root):
     return _student_with_config_value(root, "crop8.soek", "train", "crop_size", 8)
 
 
+def _student_with_vae_tuning_key(root):
+    # a checkpoint made while the config still had the key
+    return _student_with_config_value(root, "vaetuning.soek", "train", "use_vae_tuning", False)
+
+
+def _student_with_nan(root):
+    raw = bytearray((root / "student.soek").read_bytes())
+    name = b"lora.down.0.attn.wo.B"
+    at = raw.index(struct.pack("<H", len(name)) + name) + 2 + len(name)  # then dtype, ndim, dims, payload
+    first = at + 2 + 4 * raw[at + 1]
+    raw[first : first + 4] = np.float32(np.nan).tobytes()
+    (root / "nan.soek").write_bytes(bytes(raw))
+    return root / "nan.soek"
+
+
 @pytest.mark.parametrize("make, message", [
     (_probe_file, "is not a teacher or student checkpoint"),
     (_truncated_student, "truncated or corrupt"),
@@ -236,6 +252,8 @@ def _student_with_crop_size_8(root):
     (_student_with_text_step_count, "optimizer_step_count must be an integer, got 'x'"),
     (_student_with_image_side_66, "data.image_side 66 not divisible by 16"),
     (_student_with_crop_size_8, "crop_size 8 must be >= 2x"),
+    (_student_with_vae_tuning_key, "unknown key(s) in section 'train': ['use_vae_tuning']"),
+    (_student_with_nan, "array 'lora.down.0.attn.wo.B' has non-finite values"),
 ])
 def test_edit_rejects_unusable_checkpoint_in_one_line(workdir, capsys, make, message):
     root, _ = workdir
@@ -353,6 +371,48 @@ def test_train_rejects_unknown_color_in_index_in_one_line(workdir, capsys, tmp_p
     assert err.startswith(f"error: {ds / 'index.jsonl'}:2: unknown color 'mauve'")
     assert "\n" not in err.strip()
     assert not out.exists() and not out.with_suffix(".loss.csv").exists()
+
+
+_INSIDE = "image must be a relative path inside the dataset directory, got"
+
+
+@pytest.mark.parametrize("verb, field, value, message", [
+    ("train", "image", ["images/x.ppm"], f"{_INSIDE} ['images/x.ppm']"),
+    ("train", "image", "../x.ppm", f"{_INSIDE} '../x.ppm'"),
+    ("train", "split", ["train-small"], "unknown split ['train-small']"),
+    ("train", "split", "test", "unknown split 'test'"),
+    ("eval", "id", 0, "id must be a string unique in the index, got 0"),
+    ("eval", "id", "val-small-00000", "id must be a string unique in the index, got 'val-small-00000'"),
+], ids=["image-list", "image-outside", "split-list", "split-unknown", "id-int", "id-repeated"])
+def test_index_field_of_the_wrong_type_or_domain_is_refused_by_line(workdir, capsys, tmp_path, verb, field, value,
+                                                                    message):
+    root, cfg = workdir
+    split = {"train": "train-small", "eval": "val-small"}[verb]
+    ds = write_dataset(build_split(3, split, 2), tmp_path / "ds")
+    lines = (ds / "index.jsonl").read_text().splitlines(keepends=True)
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value}) + "\n"
+    (ds / "index.jsonl").write_text("".join(lines))
+    source = {"train": ["--teacher", str(root / "teacher.soek")],
+              "eval": ["--checkpoint", str(root / "student.soek")]}
+    out = tmp_path / "out"
+    rc = main([verb, *source[verb], "--config", cfg, "--data", str(ds), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {ds / 'index.jsonl'}:2: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
+
+
+@pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("distill_loss", "huber"), ("use_vae_tuning", False),
+                                        ("vae_weight", 1.0), ("use_adapters", True)])
+def test_train_refuses_a_deleted_recipe_key_by_name(workdir, capsys, tmp_path, key, value):
+    # each held a value the recipe no longer varies, so naming it is a mistake to report
+    root, _ = workdir
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], key: value}}))
+    rc = main(["train", "--config", str(config), "--data", str(root / "ds"), "--teacher", str(root / "teacher.soek"),
+               "--out", str(tmp_path / "student.soek")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: unknown key(s) in section 'train': ['{key}']\n"
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("keep, message", [
@@ -531,15 +591,10 @@ BAD_VALUES = [
     ("train", "steps", 0, ">= 1"),
     ("train", "batch_size", "2", "an integer"),
     ("train", "lr", "fast", "a number"),
-    ("train", "optimizer", "rmsprop", "one of ['adam', 'sgd']"),
     ("train", "crop_size", 0, ">= 1"),
     ("train", "distill_weight", -1, ">= 0"),
-    ("train", "vae_weight", -0.5, ">= 0"),
-    ("train", "distill_loss", "l1", "one of ['huber', 'mse']"),
     ("train", "huber_delta", 0, "> 0"),
-    ("train", "use_adapters", 1, "a boolean"),
     ("train", "use_distill", "no", "a boolean"),
-    ("train", "use_vae_tuning", None, "a boolean"),
     ("train", "prompt_style", "plain", "one of ['label_only', 'color_label']"),
     ("train", "pretrain_vae_steps", 1.5, "an integer"),
     ("train", "pretrain_steps", False, "an integer"),

@@ -16,7 +16,6 @@ def test_defaults_are_complete():
     assert d["schedule"]["beta_start"] == 1e-4
     assert d["schedule"]["beta_end"] == 0.02
     assert d["train"]["distill_weight"] == 0.01
-    assert d["train"]["vae_weight"] == 1.0
     assert d["train"]["crop_size"] == 32
     assert d["lora"]["rank"] == 4
     assert d["model"]["base_width"] == 32
@@ -67,12 +66,8 @@ def test_validate_crop_size_bounds():
 
 
 def test_validate_enums():
-    with pytest.raises(ConfigError, match="distill_loss"):
-        RunConfig.from_dict({"train": {"distill_loss": "l1"}}).validate()
     with pytest.raises(ConfigError, match="prompt_style"):
         RunConfig.from_dict({"train": {"prompt_style": "plain"}}).validate()
-    with pytest.raises(ConfigError, match="optimizer"):
-        RunConfig.from_dict({"train": {"optimizer": "rmsprop"}}).validate()
 
 
 def test_validate_passes_defaults():
@@ -80,7 +75,7 @@ def test_validate_passes_defaults():
 
 
 def test_config_fields_and_image_side_rule():
-    assert sum(len(section) for section in RunConfig().to_dict().values()) == 42
+    assert sum(len(section) for section in RunConfig().to_dict().values()) == 37
     for side in (48, 64, 128):
         RunConfig.from_dict({"data": {"image_side": side}, "train": {"crop_size": side // 2}}).validate()
     with pytest.raises(ConfigError, match=r"data\.image_side 80 not divisible by 32"):
@@ -90,7 +85,7 @@ def test_config_fields_and_image_side_rule():
 def test_nan_passes_every_bound_and_infinity_all_but_upper_ones():
     # non-finite numbers are left to the first step's non-finite guard, unless a bound excludes them
     floats = [(name, f) for name, cls in _SECTIONS.items() for f in fields(cls) if f.type is float]
-    assert len(floats) == 10
+    assert len(floats) == 9
     for name, f in floats:
         RunConfig.from_dict({name: {f.name: float("nan")}}).validate()
         if "below" in f.metadata:
@@ -104,8 +99,8 @@ def test_type_rules_keep_ints_floats_bools_and_lists_apart():
     RunConfig.from_dict({"train": {"lr": 1, "distill_weight": 0, "use_distill": False}}).validate()
     for section, key, value, rule in [("train", "crop_size", True, "an integer"),
                                       ("train", "distill_weight", False, "a number"),
-                                      ("train", "use_adapters", 0, "a boolean"),
-                                      ("train", "optimizer", 1, "a string"),
+                                      ("train", "use_distill", 0, "a boolean"),
+                                      ("train", "prompt_style", 1, "a string"),
                                       ("lora", "blocks", ["mid", 3], "a list of strings")]:
         with pytest.raises(ConfigError) as exc:
             RunConfig.from_dict({section: {key: value}}).validate()

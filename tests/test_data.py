@@ -14,7 +14,6 @@ from soekit.data import (
     SPLITS,
     SoeSample,
     build_split,
-    captions_for,
     curation_filter,
     generate_scene,
     read_dataset,
@@ -73,13 +72,6 @@ def test_infeasible_range_rejected():
         generate_scene(0, [0, 3])
 
 
-def test_captions_follow_templates():
-    s = generate_scene(7, split_sides("train-small", 64))
-    assert s.captions["label_only"] == f"a {s.label}"
-    assert s.captions["color_label"] == f"a {s.color} {s.label}"
-    assert captions_for("ring", "cyan") == {"label_only": "a ring", "color_label": "a cyan ring"}
-
-
 def test_bbox_mean_color_decodes_to_drawn_palette_color():
     palette_arr = np.array([rgb for _, rgb in PALETTE])
     hits = 0
@@ -108,7 +100,7 @@ def test_curation_thresholds_on_64px_images():
         img = np.zeros((64, 64, 3), np.float32)
         return SoeSample(
             id="t", image=img, bbox=(0, 0, side, side), label="circle",
-            color="red", split="train-small", captions=captions_for("circle", "red"),
+            color="red", split="train-small",
         )
 
     assert curation_filter(sample_with_bbox(7), "train-small")        # 0.0120 < 1/64
@@ -212,7 +204,7 @@ def test_dataset_roundtrip(tmp_path):
         assert a.id == b.id
         assert a.image.tobytes() == b.image.tobytes()
         assert a.bbox == b.bbox and a.label == b.label and a.color == b.color
-        assert a.split == b.split and a.captions == b.captions
+        assert a.split == b.split
 
 
 def test_read_rejects_out_of_bounds_bbox(tmp_path):

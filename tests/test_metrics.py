@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import run_inline, set_adapter_b
+from helpers import InlineWorker, set_adapter_b
 from soekit import metrics, train
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from soekit.config import RunConfig
@@ -366,7 +366,7 @@ def test_evaluate_edits_the_second_half_on_the_worker(probe, tiny_bundle, monkey
     assert [c for c in calls if c[0] == here] == [(here, [0, 1]), (here, [2, 3])]
     assert [c for c in calls if c[0] != here] == [("soekit-worker_0", [4, 5]), ("soekit-worker_0", [6, 7])]
 
-    monkeypatch.setattr(train, "submit", run_inline)
+    monkeypatch.setattr(train, "worker", InlineWorker)
     inline_report, inline_crops, inline_calls = _recorded_evaluate(monkeypatch, tiny_bundle, val, probe,
                                                                    batch_size=3)
     assert [c[0] for c in inline_calls] == [here] * 4

@@ -1,10 +1,10 @@
-"""Adam and SGD update contracts."""
+"""Adam update contracts."""
 
 import numpy as np
 import pytest
 
 from soekit import tensor as T
-from soekit.optim import OPTIMIZERS, Adam, MissingGradientError, Sgd
+from soekit.optim import Adam, MissingGradientError
 from soekit.tensor import Tensor, backward
 
 
@@ -67,13 +67,4 @@ def test_adam_converges_on_quadratic():
         backward(loss)
         opt.step()
     assert abs(p.data[0]) < 1e-2
-
-
-def test_sgd_selectable_and_plain():
-    p = Tensor(np.array([1.0], np.float32), requires_grad=True)
-    opt = OPTIMIZERS["sgd"]({"p": p}, lr=0.5)
-    assert isinstance(opt, Sgd)
-    p.grad = np.array([2.0], np.float32)
-    opt.step()
-    assert np.allclose(p.data, [0.0])
 

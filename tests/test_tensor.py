@@ -775,7 +775,7 @@ def test_grad_double_use_matches_fd():
      "matmul_batched", "softmax", "log_softmax", "cross_attention", "conv2d_s1",
      "conv2d_s2", "conv2d_transpose", "conv2d_s1_bias", "conv2d_s2_bias", "conv2d_transpose_bias",
      "group_norm", "resize_nearest",
-     "resize_bilinear_up", "resize_bilinear_down", "huber", "masked_huber", "mse",
+     "resize_bilinear_up", "resize_bilinear_down", "huber", "masked_huber",
      "resize_nearest_boxed", "resize_bilinear_boxed", "sum_all", "concat_last",
      "matmul_bias", "conv2d_s1_shift_residual", "conv2d_s2_shift_residual", "group_norm_silu", "tokens",
      "untokens"],
@@ -845,7 +845,6 @@ def catalog_gradchecks():
             [rr(2, 3, 4, 4), rr(2, 3, 4, 4)],
             [0, 1],
         ),
-        "mse": (lambda ts: T.mse(ts[0], ts[1]), [rr(4, 4), rr(4, 4)], [0, 1]),
         "resize_nearest_boxed": case(
             lambda ts: T.resize_nearest(ts[0], 4, 4, [(0, 0, 2, 3), (1, 1, 5, 5)]), (2, 2, 4, 4),
             [rr(2, 2, 5, 5)], [0],

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import run_inline, set_adapter_b
+from helpers import InlineWorker, set_adapter_b
 from soekit import tensor as T
 from soekit import train
 from soekit.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
@@ -187,18 +187,8 @@ def test_distill_loss_constant_offset_quadratic_branch():
     z = Tensor(rng.standard_normal((1, 4, 8, 8)).astype(np.float32))
     m = latent_mask((1, 1, 8, 8), 0, 8)  # full mask: gating leaves values intact
     zp = Tensor(z.data + np.float32(0.1))
-    loss = distill_loss(z, m, zp, m, loss_type="huber")
+    loss = distill_loss(z, m, zp, m)
     assert abs(loss.item() - 0.005) < 1e-6
-
-
-def test_distill_loss_mse_variant_and_bad_type():
-    rng = np.random.default_rng(5)
-    z = Tensor(rng.standard_normal((1, 4, 8, 8)).astype(np.float32))
-    m = latent_mask((1, 1, 8, 8), 0, 8)
-    zp = Tensor(z.data + np.float32(0.1))
-    assert abs(distill_loss(z, m, zp, m, loss_type="mse").item() - 0.01) < 1e-5
-    with pytest.raises(ValueError, match="loss type"):
-        distill_loss(z, m, zp, m, loss_type="l1")
 
 
 def test_distill_loss_empty_mask_rejected():
@@ -281,19 +271,18 @@ def test_vae_overfits_constant_image():
 
 def test_total_loss_arithmetic_and_flags():
     one = Tensor(np.asarray(1.0, np.float32))
-    out = total_loss(one, one, one, distill_weight=0.01, vae_weight=1.0)
+    out = total_loss(one, one, one, distill_weight=0.01)
     assert abs(out.item() - 2.01) < 1e-7
     d = Tensor(np.asarray(0.5, np.float32))
-    assert total_loss(d, Tensor(np.asarray(9.0, np.float32)), Tensor(np.asarray(9.0, np.float32)),
-                      distill_weight=0.0, vae_weight=0.0).item() == d.item()
+    assert total_loss(d, Tensor(np.asarray(9.0, np.float32)), None, distill_weight=0.0).item() == d.item()
     with pytest.raises(ValueError, match="no active parts"):
-        total_loss(None, None, None, 1.0, 1.0)
+        total_loss(None, None, None, 1.0)
 
 
 def test_inactive_distill_absent_from_graph():
     den = Tensor(np.asarray(0.5, np.float32), requires_grad=True)
     dist = Tensor(np.asarray(0.7, np.float32), requires_grad=True)
-    out = total_loss(den, None, None, distill_weight=0.01, vae_weight=1.0)
+    out = total_loss(den, None, None, distill_weight=0.01)
     nodes = {id(t) for t in topo_order(out)}
     assert id(dist) not in nodes
 
@@ -302,13 +291,13 @@ def test_inactive_distill_absent_from_graph():
 
 
 def test_train_step_freezes_teacher_and_untouched_vae(teacher_bundle):
-    cfg = tiny_cfg(use_vae_tuning=False)
+    cfg = tiny_cfg()
     small = build_split(2, "train-small", 8)
     tr = Trainer(cfg, small, teacher_bundle)
-    # the student's base Tensors and the condition embedder are the teacher's own objects
+    # the student's base Tensors, the VAE and the condition embedder are the teacher's own objects
     teacher_params = teacher_bundle.unet.params()
     assert all(p is teacher_params[k] for k, p in tr.student.params().items())
-    assert tr.cond is teacher_bundle.cond
+    assert tr.cond is teacher_bundle.cond and tr.vae is teacher_bundle.vae
     teacher_bytes = {k: p.data.tobytes() for k, p in teacher_params.items()}
     cond_bytes = {k: p.data.tobytes() for k, p in tr.cond.params().items()}
     vae_bytes = {k: p.data.tobytes() for k, p in tr.vae.params().items()}
@@ -334,12 +323,6 @@ def test_trainer_rejects_unfrozen_teacher(teacher_bundle):
         Trainer(cfg, build_split(2, "train-small", 4), unfrozen)
 
 
-def test_trainer_rejects_nothing_to_train(teacher_bundle):
-    cfg = tiny_cfg(use_adapters=False, use_vae_tuning=False)
-    with pytest.raises(ConfigurationError, match="nothing to train"):
-        Trainer(cfg, build_split(2, "train-small", 4), teacher_bundle)
-
-
 def test_trainer_rejects_schedule_mismatch(teacher_bundle):
     cfg = tiny_cfg()
     cfg.schedule.timesteps = 500
@@ -350,30 +333,6 @@ def test_trainer_rejects_schedule_mismatch(teacher_bundle):
 def test_nonpositive_huber_delta_fails_on_first_step(teacher_bundle):
     with pytest.raises(ConfigError, match=r"train\.huber_delta must be > 0"):
         Trainer(tiny_cfg(huber_delta=0, use_distill=False), build_split(2, "train-small", 4), teacher_bundle)
-
-
-def test_vae_tuning_flag_moves_vae(teacher_bundle):
-    cfg = tiny_cfg(use_vae_tuning=True, use_distill=False)
-    small = build_split(3, "train-small", 8)
-    tr = Trainer(cfg, small, teacher_bundle)
-    vae_before = {k: p.data.copy() for k, p in tr.vae.params().items()}
-    tr.train_step(0)
-    moved = any(not np.array_equal(vae_before[k], p.data) for k, p in tr.vae.params().items())
-    assert moved
-
-
-def test_vae_tuning_encodes_each_view_once(teacher_bundle, monkeypatch):
-    # the reconstruction decodes the step's own latent: x and the zoomed view, no third encode
-    tr = Trainer(tiny_cfg(use_vae_tuning=True, use_distill=True), build_split(3, "train-small", 8), teacher_bundle)
-    calls, encode = [], Vae.encode
-
-    def counted(self, x):
-        calls.append(x.shape)
-        return encode(self, x)
-
-    monkeypatch.setattr(Vae, "encode", counted)
-    report = tr.train_step(0)
-    assert len(calls) == 2 and report.vae > 0 and report.distill > 0
 
 
 def test_loss_csv_written(teacher_bundle, tmp_path):
@@ -443,9 +402,42 @@ def test_teacher_on_the_worker_gives_the_inline_bytes(teacher_bundle, monkeypatc
         sys.setswitchinterval(interval)
     assert len(threads) == 3 and threading.get_ident() not in threads
 
-    monkeypatch.setattr(train, "submit", run_inline)
+    monkeypatch.setattr(train, "worker", InlineWorker)
     assert _steps(Trainer(tiny_cfg(), small, teacher_bundle), 3) == on_worker
     assert threads[3:] == [threading.get_ident()] * 3
+
+
+def test_overlap_runs_there_on_the_worker_and_returns_both_results():
+    there, here = train.overlap(lambda: threading.current_thread().name, lambda: threading.current_thread().name)
+    assert (there, here) == ("soekit-worker_0", threading.current_thread().name)
+
+
+def test_overlap_waits_for_there_after_an_error_here():
+    started, finished = threading.Event(), []
+
+    def there():
+        started.set()
+        time.sleep(0.05)
+        finished.append(True)
+
+    def here():
+        started.wait(5)
+        raise RuntimeError("here failed")
+
+    with pytest.raises(RuntimeError, match="^here failed$"):
+        train.overlap(there, here)
+    assert finished == [True]
+
+
+def test_overlap_raises_the_error_of_there_as_it_is():
+    error = KeyError("there failed")
+
+    def there():
+        raise error
+
+    with pytest.raises(KeyError) as exc:
+        train.overlap(there, lambda: None)
+    assert exc.value is error
 
 
 def test_worker_error_is_raised_from_the_step(teacher_bundle):
