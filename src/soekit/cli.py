@@ -2,16 +2,14 @@
 
 Every command is a thin deterministic wrapper over a module operation.
 Configuration is file-first (--config JSON) with flag overrides; the merged
-effective config is echoed into every output artifact. Seeds resolve as
-flag > SOEKIT_SEED env var > config value. Exit codes: 0 success, 1
-validation/runtime failure (one-line machine-parsable message on stderr),
-2 usage errors.
+effective config is echoed into every output artifact. A seed comes from
+--seed, else from the config. Exit codes: 0 success, 1 validation/runtime
+failure (one-line machine-parsable message on stderr), 2 usage errors.
 """
 
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -33,14 +31,6 @@ def _resolve_seed(flag_value, cfg_value) -> int:
         if flag_value < 0:
             raise ValueError(f"--seed must be >= 0, got {flag_value}")
         return flag_value
-    env = os.environ.get("SOEKIT_SEED")
-    if env is not None:
-        try:
-            if int(env) >= 0:
-                return int(env)
-        except ValueError:
-            pass
-        raise ValueError(f"SOEKIT_SEED must be a non-negative integer, got {env!r}")
     return cfg_value
 
 
@@ -192,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--split", default="all", choices=list(SPLITS) + ["all"],
                    help="which split to generate (default: all)")
     g.add_argument("--count", type=int, help="samples for the chosen split (default: from config)")
-    g.add_argument("--seed", type=int, help="master data seed (default: SOEKIT_SEED or config)")
+    g.add_argument("--seed", type=int, help="master data seed (default: from config)")
     g.set_defaults(fn=cmd_gen_data)
 
     t = sub.add_parser("pretrain-teacher", help="train VAE + denoiser on generic-sized objects")
@@ -216,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--color", required=True)
     e.add_argument("--style", default="color_label", choices=PROMPT_STYLES)
     e.add_argument("--steps", type=int, default=10, help="DDIM steps")
-    e.add_argument("--seed", type=int, help="noise seed (default: SOEKIT_SEED or config)")
+    e.add_argument("--seed", type=int, help="noise seed (default: from config)")
     e.add_argument("--out", required=True, help="output P6 PPM path")
     e.set_defaults(fn=cmd_edit)
 
@@ -225,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--config", help="JSON config (default: the checkpoint's embedded config)")
     ev.add_argument("--data", required=True, help="dataset directory (val-small split)")
     ev.add_argument("--style", default="color_label", choices=PROMPT_STYLES)
-    ev.add_argument("--seed", type=int, help="eval noise seed (default: SOEKIT_SEED or config)")
+    ev.add_argument("--seed", type=int, help="eval noise seed (default: from config)")
     ev.add_argument("--out", required=True, help="output directory for metrics.csv and details.csv")
     ev.set_defaults(fn=cmd_eval)
 

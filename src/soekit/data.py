@@ -268,11 +268,12 @@ def write_dataset(samples, out_dir) -> Path:
 def read_dataset(dataset_dir, split: str = None) -> list:
     """Load samples (optionally one split), enforcing the bbox invariant and each field's domain.
 
-    A record's id must be a string unique in the index, its label, colour and
-    split known names, and its image a relative path inside the dataset
-    directory; a refusal names `index.jsonl:<line>` and the field. Also
-    refuses an index without its split counts record, or with a split whose
-    count differs from the record, naming the file and the split.
+    A record's id must be a string unique in the index, its bbox a list of
+    four JSON integers, its label, colour and split known names, and its image
+    a relative path inside the dataset directory; a refusal names
+    `index.jsonl:<line>` and the field. Also refuses an index without its
+    split counts record, or with a split whose count differs from the record,
+    naming the file and the split.
     """
     root = Path(dataset_dir)
     index = root / "index.jsonl"
@@ -290,13 +291,15 @@ def read_dataset(dataset_dir, split: str = None) -> list:
                     recorded = {name: int(n) for name, n in rec["counts"].items()}
                     continue
                 sid = rec["id"]
-                bbox = tuple(int(v) for v in rec["bbox"])
+                bbox = rec["bbox"]
                 label, color, rsplit, image_rel = rec["label"], rec["color"], rec["split"], rec["image"]
             except (json.JSONDecodeError, AttributeError, KeyError, TypeError, ValueError) as e:
                 raise ValueError(f"{index}:{lineno}: malformed index line ({e})") from None
             if not isinstance(sid, str) or sid in ids:
                 raise ValueError(f"{index}:{lineno}: id must be a string unique in the index, got {sid!r}")
             ids.add(sid)
+            if type(bbox) is not list or len(bbox) != 4 or any(type(v) is not int for v in bbox):
+                raise ValueError(f"{index}:{lineno}: bbox must be a list of four integers, got {bbox!r}")
             for field, value, known in (("label", label, LABELS), ("color", color, COLOR_NAMES),
                                         ("split", rsplit, SPLITS)):
                 if value not in known:
@@ -317,7 +320,7 @@ def read_dataset(dataset_dir, split: str = None) -> list:
                 check_bbox(bbox, w, h)
             except ValueError as e:
                 raise ValueError(f"{index}:{lineno}: {e}") from None
-            samples.append(SoeSample(id=sid, image=image, bbox=bbox, label=label, color=color, split=rsplit))
+            samples.append(SoeSample(id=sid, image=image, bbox=tuple(bbox), label=label, color=color, split=rsplit))
     if recorded is None:
         raise ValueError(f"{index}: no split counts record; the index is incomplete")
     for name in sorted(recorded.keys() | found.keys()):

@@ -289,12 +289,12 @@ def metrics_from_crop_pairs(gen_crops, ref_crops, labels, colors, style, probe) 
                     alignments=tuple(scores))
 
 
-def _chunk_bounds(n: int, batch_size: int) -> list:
-    """(start, stop) of near-equal chunks of at most batch_size covering range(n), in order.
+def _chunk_bounds(n: int) -> list:
+    """(start, stop) of near-equal chunks of at most EVAL_BATCH_SIZE covering range(n), in order.
 
     The chunk count is the least even one, or n where that is fewer.
     """
-    k = -(-n // batch_size)
+    k = -(-n // EVAL_BATCH_SIZE)
     k = min(k + k % 2, n)
     q, r = divmod(n, k)
     edges = [i * q + min(i, r) for i in range(k + 1)]
@@ -314,11 +314,11 @@ def _edit_crops(samples, bounds, style: str, bundle, ddim_steps: int, seed: int)
 
 
 def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
-             ddim_steps: int = 10, max_samples: int = None, batch_size: int = EVAL_BATCH_SIZE) -> MetricsReport:
+             ddim_steps: int = 10, max_samples: int = None) -> MetricsReport:
     """Edit every validation sample at its own bbox/prompt and score the crops.
 
     The id-sorted samples are split into an even number of near-equal chunks
-    of at most `batch_size` (`_chunk_bounds`), each one `edit_batch` call.
+    of at most `EVAL_BATCH_SIZE` (`_chunk_bounds`), each one `edit_batch` call.
     The second half of the chunks goes, in order, to the process's one
     worker thread through `train.overlap`, while the calling thread edits and
     crops the first half. numpy releases the interpreter lock in its
@@ -328,13 +328,11 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     The split cannot change a byte: sample i, in id order, draws its noise
     from child_seed(seed, "eval", i); every op in `edit_batch` is per sample,
     and each call makes its own inference copy. So the report and the crops
-    are the same at every batch size and on either thread, and reproducible
+    are the same at every chunk size and on either thread, and reproducible
     regardless of evaluation count. Probe scoring and the Frechet distance
     run per crop on the calling thread, after the join, in sample order. The
     report's `samples` hold each sample's alignment.
     """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if max_samples is not None and max_samples < 1:
         raise ValueError(f"max_samples must be >= 1, got {max_samples}")
     if not val_samples:
@@ -343,7 +341,7 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     if max_samples is not None:
         samples = samples[:max_samples]
     check_image_side(samples, bundle.cfg.data.image_side)
-    bounds = _chunk_bounds(len(samples), batch_size)
+    bounds = _chunk_bounds(len(samples))
     half = (len(bounds) + 1) // 2
     second, first = train.overlap(lambda: _edit_crops(samples, bounds[half:], style, bundle, ddim_steps, seed),
                                   lambda: _edit_crops(samples, bounds[:half], style, bundle, ddim_steps, seed))

@@ -141,12 +141,9 @@ def _latent_bbox(mask2d: np.ndarray, who: str) -> tuple:
         raise ValueError(f"distill_loss: {who} mask empty at latent resolution (degenerate sample)") from None
 
 
-def vae_recon_loss(x: Tensor, z: Tensor, vae: Vae, m: Tensor = None, delta: float = 1.0) -> Tensor:
-    """Huber between the images x and the decoding of their latents z, over the mask m (None: everywhere)."""
-    try:
-        return T.huber(vae.decode(z), x, m, delta=delta)
-    except ValueError as e:
-        raise ValueError(f"vae_recon_loss: {e}") from None
+def vae_recon_loss(x: Tensor, z: Tensor, vae: Vae, delta: float = 1.0) -> Tensor:
+    """Huber between the images x and the decoding of their latents z, over every pixel."""
+    return T.huber(vae.decode(z), x, delta=delta)
 
 
 def total_loss(denoise, distill, vae, distill_weight: float) -> Tensor:
@@ -180,17 +177,16 @@ class Bundle:
     step_count: int = 0
 
     @classmethod
-    def build(cls, cfg: RunConfig, seed: int, adapters: bool = False, frozen: bool = False,
-              role: str = "student", step_count: int = 0) -> "Bundle":
-        """Fresh trainable nets at `seed` from cfg.model and the schedule from
-        cfg.schedule; with `adapters`, low-rank adapters from cfg.lora on the U-Net."""
+    def build(cls, cfg: RunConfig, seed: int, role: str, step_count: int = 0) -> "Bundle":
+        """Fresh trainable nets at `seed` from cfg.model and the schedule from cfg.schedule. The role is
+        the kind: a "teacher" is frozen, a "student" carries low-rank adapters from cfg.lora on its U-Net."""
         unet = MiniUnet(cfg.model, seed=seed)
         sc = cfg.schedule
         return cls(
             cfg=cfg, vae=Vae(cfg.model, seed=seed), unet=unet, cond=ConditionEmbedder(cfg.model, seed=seed),
             sched=make_schedule(sc.timesteps, sc.beta_start, sc.beta_end),
-            adapters=attach(unet, cfg.lora, seed=seed) if adapters else None,
-            frozen=frozen, role=role, step_count=step_count,
+            adapters=attach(unet, cfg.lora, seed=seed) if role == "student" else None,
+            frozen=role == "teacher", role=role, step_count=step_count,
         )
 
     def params(self) -> dict:
@@ -203,9 +199,7 @@ class Bundle:
     def config_blob(self, optimizer=None) -> dict:
         return {
             "config": self.cfg.to_dict(),
-            "frozen": self.frozen,
             "role": self.role,
-            "has_adapters": self.adapters is not None,
             "optimizer_step_count": optimizer.step_count if optimizer else self.step_count,
         }
 
@@ -216,6 +210,8 @@ def save_bundle(path, bundle: Bundle, optimizer=None) -> Path:
 
 
 def load_bundle(path) -> Bundle:
+    """The inert bundle saved at path. Its kind comes from the blob's role alone: the `frozen` and
+    `has_adapters` keys that older files hold are ignored."""
     arrays, blob = load_checkpoint(path)
     role = blob.get("role")
     if role not in ("teacher", "student"):
@@ -229,13 +225,8 @@ def load_bundle(path) -> Bundle:
     step_count = blob.get("optimizer_step_count", 0)
     if type(step_count) is not int:
         raise CheckpointError(f"{path}: optimizer_step_count must be an integer, got {step_count!r}")
-    flags = {key: blob.get(key, False) for key in ("has_adapters", "frozen")}
-    for key, value in flags.items():
-        if type(value) is not bool:
-            raise CheckpointError(f"{path}: {key} must be true or false, got {value!r}")
     try:
-        bundle = Bundle.build(cfg, cfg.train.seed, adapters=flags["has_adapters"], frozen=flags["frozen"],
-                              role=role, step_count=step_count)
+        bundle = Bundle.build(cfg, cfg.train.seed, role, step_count)
     except ValueError as e:  # a config that validates but that the nets refuse
         raise CheckpointError(f"{path}: {role} checkpoint config refused by the model ({e})") from None
     params = bundle.params()
@@ -461,7 +452,7 @@ def pretrain_teacher(dataset, cfg: RunConfig, loss_csv=None) -> Bundle:
         if not curation_filter(s, "train-generic"):
             raise ConfigurationError(f"sample {s.id} is not generic-sized (longer bbox side not a train-generic side)")
     tc = cfg.train
-    bundle = Bundle.build(cfg, tc.seed, frozen=True, role="teacher")
+    bundle = Bundle.build(cfg, tc.seed, "teacher")
     vae, unet, cond, sched = bundle.vae, bundle.unet, bundle.cond, bundle.sched
 
     loss_csv = _start_loss_csv(loss_csv)
@@ -527,17 +518,14 @@ def edit_batch(images, bboxes, labels, colors, style: str, bundle: Bundle, steps
         raise ValueError(f"edit_batch: need equal nonempty lists, got {n} images, {len(bboxes)} bboxes, "
                          f"{len(labels)} labels, {len(colors)} colors and {len(seeds)} seeds")
     ts = ddim_timesteps(bundle.sched.T, steps)
-    shape = images[0].shape
-    for image in images:
-        if image.shape != shape:
-            raise ValueError(f"edit_batch: images differ in shape, {image.shape} vs {shape}")
-    h, w = shape[:2]
     side = bundle.cfg.data.image_side
-    if h != side or w != side:
-        raise ValueError(f"image size mismatch: image is {w}x{h}, data.image_side is {side}")
-    masks = np.zeros((n, 1, h, w), np.float32)
+    for image in images:
+        h, w = image.shape[:2]
+        if h != side or w != side:
+            raise ValueError(f"image size mismatch: image is {w}x{h}, data.image_side is {side}")
+    masks = np.zeros((n, 1, side, side), np.float32)
     for mask, bbox, label, color in zip(masks, bboxes, labels, colors):
-        x0, y0, bw, bh = check_bbox(bbox, w, h)
+        x0, y0, bw, bh = check_bbox(bbox, side, side)
         if label not in LABELS:
             raise ValueError(f"unknown label {label!r}; expected one of {LABELS}")
         if color not in COLOR_NAMES:

@@ -288,6 +288,19 @@ def test_train_rejects_non_frozen_teacher(workdir, capsys):
     assert "teacher not frozen" in capsys.readouterr().err
 
 
+def test_train_refuses_a_student_file_marked_frozen(workdir, capsys, tmp_path):
+    # the kind is the role alone: a student blob claiming "frozen" still carries adapters
+    root, cfg = workdir
+    arrays, blob = load_checkpoint(root / "student.soek")
+    fake = save_checkpoint(tmp_path / "fake-teacher.soek", arrays, {**blob, "frozen": True})
+    out = tmp_path / "student2.soek"
+    rc = main(["train", "--config", cfg, "--data", str(root / "ds"), "--teacher", str(fake), "--out", str(out)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "teacher not frozen" in lines[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, section, key, value, refusal", [
     ("train", "lora", "alpha", float("nan"), "step 0: L_denoise is nan"),
     ("train", "train", "huber_delta", float("nan"), "step 0: L_denoise is nan"),
@@ -374,6 +387,7 @@ def test_train_rejects_unknown_color_in_index_in_one_line(workdir, capsys, tmp_p
 
 
 _INSIDE = "image must be a relative path inside the dataset directory, got"
+_BBOX = "bbox must be a list of four integers, got"
 
 
 @pytest.mark.parametrize("verb, field, value, message", [
@@ -383,7 +397,11 @@ _INSIDE = "image must be a relative path inside the dataset directory, got"
     ("train", "split", "test", "unknown split 'test'"),
     ("eval", "id", 0, "id must be a string unique in the index, got 0"),
     ("eval", "id", "val-small-00000", "id must be a string unique in the index, got 'val-small-00000'"),
-], ids=["image-list", "image-outside", "split-list", "split-unknown", "id-int", "id-repeated"])
+    ("train", "bbox", [3.9, 29, True, "5"], f"{_BBOX} [3.9, 29, True, '5']"),
+    ("train", "bbox", [3, 29, 5], f"{_BBOX} [3, 29, 5]"),
+    ("eval", "bbox", "3,29,5,5", f"{_BBOX} '3,29,5,5'"),
+], ids=["image-list", "image-outside", "split-list", "split-unknown", "id-int", "id-repeated", "bbox-not-ints",
+        "bbox-three", "bbox-string"])
 def test_index_field_of_the_wrong_type_or_domain_is_refused_by_line(workdir, capsys, tmp_path, verb, field, value,
                                                                     message):
     root, cfg = workdir
@@ -441,17 +459,6 @@ def test_runtime_error_exits_1(capsys, tmp_path):
     assert "\n" not in err.strip()
 
 
-def test_seed_env_fallback(workdir, monkeypatch, tmp_path):
-    root, cfg = workdir
-    monkeypatch.setenv("SOEKIT_SEED", "3")
-    rc = main(["gen-data", "--config", cfg, "--out", str(tmp_path / "ds-env"),
-               "--split", "val-small", "--count", "2"])
-    assert rc == 0
-    a = read_dataset(tmp_path / "ds-env", split="val-small")
-    b = read_dataset(root / "ds", split="val-small")
-    assert a[0].image.tobytes() == b[0].image.tobytes()
-
-
 def test_bad_bbox_flag(workdir, capsys):
     root, cfg = workdir
     rc = main(["edit", "--checkpoint", str(root / "teacher.soek"), "--image", str(root / "in.ppm"),
@@ -502,22 +509,13 @@ def test_gen_data_refuses_a_directory_that_holds_a_dataset(config_path, capsys, 
 
 
 @pytest.mark.parametrize(
-    "flags,seed_env,config,named",
-    [(["--count", "0"], None, None, "--count"), (["--count", "-3"], None, None, "--count"),
-     ([], "abc", None, "SOEKIT_SEED"), (["--seed", "-1"], None, None, "--seed must be >= 0, got -1"),
-     ([], "-2", None, "SOEKIT_SEED must be a non-negative integer, got '-2'")],
-    ids=["count-0", "count-negative", "seed-env-not-int", "seed-negative", "seed-env-negative"],
+    "flags,named",
+    [(["--count", "0"], "--count"), (["--count", "-3"], "--count"), (["--seed", "-1"], "--seed must be >= 0, got -1")],
+    ids=["count-0", "count-negative", "seed-negative"],
 )
-def test_gen_data_rejects_bad_input_in_one_line(config_path, capsys, monkeypatch, tmp_path, flags, seed_env, config,
-                                                named):
-    cfg = config_path
-    if config is not None:
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({**TINY_CONFIG, **config}))
-    if seed_env is not None:
-        monkeypatch.setenv("SOEKIT_SEED", seed_env)
+def test_gen_data_rejects_bad_input_in_one_line(config_path, capsys, tmp_path, flags, named):
     out = tmp_path / "ds"
-    rc = main(["gen-data", "--config", str(cfg), "--out", str(out), *flags])
+    rc = main(["gen-data", "--config", str(config_path), "--out", str(out), *flags])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err

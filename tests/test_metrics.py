@@ -310,14 +310,12 @@ def test_evaluate_is_batch_invariant(probe, tiny_bundle, monkeypatch):
     monkeypatch.setattr(metrics, "metrics_from_crop_pairs", spy)
     reports = []
     for batch_size in (1, 3, 8):  # 7 samples: 7 chunks of 1, then 2-2-2-1 and 4-3, both ragged
+        monkeypatch.setattr(metrics, "EVAL_BATCH_SIZE", batch_size)
         with pytest.warns(UserWarning):
-            reports.append(evaluate(student, val, "color_label", seed=9, probe=probe, ddim_steps=2,
-                                    batch_size=batch_size).csv_text())
+            reports.append(evaluate(student, val, "color_label", seed=9, probe=probe, ddim_steps=2).csv_text())
     assert reports[0] == reports[1] == reports[2]
     for other in crops[1:]:
         assert [c.tobytes() for c in other] == [c.tobytes() for c in crops[0]]
-    with pytest.raises(ValueError, match="batch_size must be >= 1, got 0"):
-        evaluate(student, val, "color_label", seed=9, probe=probe, batch_size=0)
 
 
 @pytest.mark.parametrize("n, batch_size, sizes", [
@@ -328,13 +326,14 @@ def test_evaluate_is_batch_invariant(probe, tiny_bundle, monkeypatch):
     (5, 1, [1] * 5),
     (1, 8, [1]),
 ])
-def test_chunks_are_even_in_number_near_equal_and_in_order(n, batch_size, sizes):
-    bounds = metrics._chunk_bounds(n, batch_size)
+def test_chunks_are_even_in_number_near_equal_and_in_order(monkeypatch, n, batch_size, sizes):
+    monkeypatch.setattr(metrics, "EVAL_BATCH_SIZE", batch_size)
+    bounds = metrics._chunk_bounds(n)
     assert [stop - start for start, stop in bounds] == sizes
     assert [b[0] for b in bounds] == [0] + [b[1] for b in bounds[:-1]] and bounds[-1][1] == n
 
 
-def _recorded_evaluate(monkeypatch, bundle, val, probe, **kwargs):
+def _recorded_evaluate(monkeypatch, bundle, val, probe):
     """evaluate's report, its crops, and (thread name, sample indices) per edit_batch call."""
     calls, crops, edit, pairs = [], [], train.edit_batch, metrics.metrics_from_crop_pairs
 
@@ -350,16 +349,17 @@ def _recorded_evaluate(monkeypatch, bundle, val, probe, **kwargs):
     monkeypatch.setattr(train, "edit_batch", spy_edit)
     monkeypatch.setattr(metrics, "metrics_from_crop_pairs", spy_pairs)
     with pytest.warns(UserWarning):
-        report = evaluate(bundle, val, "color_label", seed=9, probe=probe, ddim_steps=2, **kwargs)
+        report = evaluate(bundle, val, "color_label", seed=9, probe=probe, ddim_steps=2)
     return report, crops[0], calls
 
 
 def test_evaluate_edits_the_second_half_on_the_worker(probe, tiny_bundle, monkeypatch):
     val = build_split(18, "val-small", 8)
     interval = sys.getswitchinterval()
+    monkeypatch.setattr(metrics, "EVAL_BATCH_SIZE", 3)
     sys.setswitchinterval(1e-6)  # interleave the two threads' Python as finely as the interpreter allows
     try:
-        report, crops, calls = _recorded_evaluate(monkeypatch, tiny_bundle, val, probe, batch_size=3)
+        report, crops, calls = _recorded_evaluate(monkeypatch, tiny_bundle, val, probe)
     finally:
         sys.setswitchinterval(interval)
     here = threading.current_thread().name
@@ -367,8 +367,7 @@ def test_evaluate_edits_the_second_half_on_the_worker(probe, tiny_bundle, monkey
     assert [c for c in calls if c[0] != here] == [("soekit-worker_0", [4, 5]), ("soekit-worker_0", [6, 7])]
 
     monkeypatch.setattr(train, "worker", InlineWorker)
-    inline_report, inline_crops, inline_calls = _recorded_evaluate(monkeypatch, tiny_bundle, val, probe,
-                                                                   batch_size=3)
+    inline_report, inline_crops, inline_calls = _recorded_evaluate(monkeypatch, tiny_bundle, val, probe)
     assert [c[0] for c in inline_calls] == [here] * 4
     assert inline_report.csv_text() == report.csv_text()
     assert inline_report.samples == report.samples
