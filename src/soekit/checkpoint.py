@@ -11,7 +11,8 @@ Arrays are written in insertion order and the JSON blob canonically
 
 Writes are atomic: `write_atomic` writes the file to `<name>.tmp` and moves
 it over the target with `os.replace`, so a failed save leaves any earlier
-file intact. Every whole-file artifact of a run goes through it.
+file intact; it creates the file's directory first. Every whole-file
+artifact of a run goes through it.
 A save refuses a non-float32 array or one holding NaN or inf, and names it.
 Reads are strict: a truncated or corrupt file, an array holding NaN or inf,
 or a config blob that is not a JSON object, raises a `CheckpointError`
@@ -38,7 +39,6 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, arrays: dict, config: dict) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     chunks = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
     for name, arr in arrays.items():
         arr = np.asarray(arr)
@@ -63,8 +63,9 @@ def save_checkpoint(path, arrays: dict, config: dict) -> Path:
 
 
 def write_atomic(path, payload) -> Path:
-    """Write bytes, or text as UTF-8, to `<name>.tmp` and move it over path with `os.replace`."""
+    """Write bytes, or text as UTF-8, to `<name>.tmp` and move it over path with `os.replace`, making its directory."""
     path, tmp = Path(path), Path(f"{path}.tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         tmp.write_bytes(payload.encode() if isinstance(payload, str) else payload)
         os.replace(tmp, path)

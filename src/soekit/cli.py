@@ -2,9 +2,11 @@
 
 Every command is a thin deterministic wrapper over a module operation.
 Configuration is file-first (--config JSON) with flag overrides; the merged
-effective config is echoed into every output artifact. A seed comes from
---seed, else from the config. Exit codes: 0 success, 1 validation/runtime
-failure (one-line machine-parsable message on stderr), 2 usage errors.
+effective config is echoed into every output artifact. A flag that names a
+config value (--seed, and edit's and eval's --style and --steps) overrides
+it; omitted, the config's value applies. Exit codes: 0 success, 1
+validation/runtime failure (one-line machine-parsable message on stderr), 2
+usage errors.
 """
 
 import argparse
@@ -34,10 +36,6 @@ def _resolve_seed(flag_value, cfg_value) -> int:
     return cfg_value
 
 
-def _echo_config(cfg: RunConfig, out_dir):
-    cfg.save(Path(out_dir) / "config.json")
-
-
 # -- command handlers ---------------------------------------------------------------
 
 
@@ -60,7 +58,7 @@ def cmd_gen_data(args) -> int:
         n = args.count if args.count is not None else counts[split]
         samples.extend(build_split(seed, split, n, image_side=cfg.data.image_side))
     out = write_dataset(samples, args.out)
-    _echo_config(cfg, out)
+    cfg.save(out / "config.json")
     print(f"wrote {len(samples)} samples to {out}")
     return 0
 
@@ -97,8 +95,9 @@ def cmd_edit(args) -> int:
     except ValueError:
         raise ValueError(f"bbox must be x,y,w,h integers, got {args.bbox!r}") from None
     seed = _resolve_seed(args.seed, bundle.cfg.eval.seed)
-    out_img = edit_op(image, bbox, args.label, args.color, args.style, bundle,
-                      steps=args.steps, seed=seed)
+    steps = bundle.cfg.eval.ddim_steps if args.steps is None else args.steps
+    out_img = edit_op(image, bbox, args.label, args.color, args.style or bundle.cfg.train.prompt_style, bundle,
+                      steps=steps, seed=seed)
     write_ppm(args.out, out_img)
     print(f"edited image: {args.out}")
     return 0
@@ -130,13 +129,12 @@ def cmd_eval(args) -> int:
     val = read_dataset(args.data, split="val-small")
     check_image_side(val, bundle.cfg.data.image_side)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     probe = _probe_for(cfg, out_dir)
-    report = evaluate(bundle, val, args.style, seed=seed, probe=probe,
+    report = evaluate(bundle, val, args.style or bundle.cfg.train.prompt_style, seed=seed, probe=probe,
                       ddim_steps=cfg.eval.ddim_steps, max_samples=cfg.eval.samples)
     write_atomic(out_dir / "details.csv", report.details_csv_text())
     write_atomic(out_dir / "metrics.csv", report.csv_text())
-    _echo_config(cfg, out_dir)
+    cfg.save(out_dir / "config.json")
     print((out_dir / "metrics.csv").read_text().strip())
     return 0
 
@@ -161,7 +159,6 @@ def cmd_analyze_effective_area(args) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         write_atomic(args.out, text)
     return 0
 
@@ -204,8 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--bbox", required=True, help="x,y,w,h in pixels")
     e.add_argument("--label", required=True)
     e.add_argument("--color", required=True)
-    e.add_argument("--style", default="color_label", choices=PROMPT_STYLES)
-    e.add_argument("--steps", type=int, default=10, help="DDIM steps")
+    e.add_argument("--style", choices=PROMPT_STYLES,
+                   help="prompt style (default: the checkpoint's train.prompt_style)")
+    e.add_argument("--steps", type=int, help="DDIM steps (default: the checkpoint's eval.ddim_steps)")
     e.add_argument("--seed", type=int, help="noise seed (default: from config)")
     e.add_argument("--out", required=True, help="output P6 PPM path")
     e.set_defaults(fn=cmd_edit)
@@ -214,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint", required=True)
     ev.add_argument("--config", help="JSON config (default: the checkpoint's embedded config)")
     ev.add_argument("--data", required=True, help="dataset directory (val-small split)")
-    ev.add_argument("--style", default="color_label", choices=PROMPT_STYLES)
+    ev.add_argument("--style", choices=PROMPT_STYLES,
+                    help="prompt style (default: the checkpoint's train.prompt_style)")
     ev.add_argument("--seed", type=int, help="eval noise seed (default: from config)")
     ev.add_argument("--out", required=True, help="output directory for metrics.csv and details.csv")
     ev.set_defaults(fn=cmd_eval)

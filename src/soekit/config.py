@@ -20,7 +20,6 @@ names in lora.blocks.
 import json
 import operator
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
 from soekit.checkpoint import write_atomic
 from soekit.data import PROMPT_STYLES, SPLITS, split_sides
@@ -110,16 +109,6 @@ class EvalSection:
     seed: int = rule(0, least=0)
 
 
-_SECTIONS = {
-    "data": DataSection,
-    "schedule": ScheduleSection,
-    "model": ModelSection,
-    "lora": LoraSection,
-    "train": TrainSection,
-    "eval": EvalSection,
-}
-
-
 class ConfigError(ValueError):
     pass
 
@@ -165,7 +154,6 @@ class RunConfig:
         return cls.from_dict(doc)
 
     def save(self, path):
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
         write_atomic(path, json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     def validate(self):
@@ -210,3 +198,6 @@ class RunConfig:
             raise ConfigError(f"schedule.beta_start {self.schedule.beta_start} must be <= "
                               f"schedule.beta_end {self.schedule.beta_end}")
         return self
+
+
+_SECTIONS = {f.name: f.type for f in fields(RunConfig)}  # section name -> its dataclass

@@ -80,8 +80,11 @@ class SoeSample:
 
 
 def check_bbox(bbox, w: int, h: int) -> tuple:
-    """(x, y, bw, bh) as ints, for a bbox with positive sides lying inside a w x h image."""
-    x, y, bw, bh = (int(v) for v in bbox)
+    """(x, y, bw, bh) as ints, for four Python or numpy integers (never bools): positive sides inside a w x h image."""
+    vals = tuple(bbox) if isinstance(bbox, (tuple, list, np.ndarray)) else ()
+    if len(vals) != 4 or any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in vals):
+        raise ValueError(f"bbox must be four integers (x, y, w, h), got {bbox!r}")
+    x, y, bw, bh = (int(v) for v in vals)
     if bw <= 0 or bh <= 0:
         raise ValueError(f"degenerate bbox {bbox}: width and height must be positive")
     if not (0 <= x and 0 <= y and x + bw <= w and y + bh <= h):
@@ -212,7 +215,9 @@ def build_split(master_seed: int, split: str, count: int, image_side: int = 64) 
 
 
 def write_ppm(path, image: np.ndarray):
-    """Binary P6, maxval 255."""
+    """Binary P6, maxval 255; refuses an image holding NaN or inf before writing anything."""
+    if not np.isfinite(image).all():
+        raise ValueError(f"{path}: image has non-finite pixels")
     h, w = image.shape[:2]
     data = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     write_atomic(path, f"P6\n{w} {h}\n255\n".encode() + data.tobytes())
@@ -252,7 +257,6 @@ def write_dataset(samples, out_dir) -> Path:
     count, so an index cut at a line boundary lacks it and `read_dataset` refuses it.
     """
     out = Path(out_dir)
-    (out / "images").mkdir(parents=True, exist_ok=True)
     lines = []
     for s in samples:
         rel = f"images/{s.id}.ppm"

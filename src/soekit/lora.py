@@ -8,12 +8,14 @@ on the `Linear` whose weight it updates, and training applies the update
 factorised -- x B A --; inference materialises it once, folding it into W0
 on a per-call copy of the U-Net (`MiniUnet.inference_copy`).
 
-Selectable groups mirror a depth-4 reference net's ablation axes
-("mid", "down2_up2", "down1_up1", "down0_up3") mapped onto the mini net's
-levels; convolutions are never adapted.
+Where adapters go is SO-LoRA's placement rule, stated once as data here:
+`BLOCK_LINEARS` names the Linears of a U-Net block that get one, and
+`GROUPS` the blocks each selectable group adapts. Convolutions are never
+adapted.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -22,6 +24,19 @@ from soekit.config import LoraSection
 from soekit.nets import MiniUnet
 from soekit.rng import stream_rng
 from soekit.tensor import Tensor
+
+# the adapted Linears of a UnetBlock, as paths under it
+BLOCK_LINEARS = ("res.time_proj", "attn.wq", "attn.wk", "attn.wv", "attn.wo")
+# group -> the down level it adapts, paired with the up level of the same resolution, up.{depth - 1 - k};
+# "mid" is the mid block alone. Names follow a depth-4 reference net's ablation axes; a group exists only
+# at a depth that has its down level.
+GROUPS = {"mid": None, "down0_up3": 0, "down1_up1": 1, "down2_up2": 2}
+
+
+def placement(depth: int) -> dict:
+    """Each group a U-Net of this depth has, mapped to the paths of the blocks it adapts."""
+    return {group: ("mid",) if k is None else (f"down.{k}", f"up.{depth - 1 - k}")
+            for group, k in GROUPS.items() if k is None or k < depth}
 
 
 class LoraAdapter:
@@ -58,22 +73,23 @@ class LoraAdapterSet:
 
 
 def attach(base: MiniUnet, cfg: LoraSection, seed: int) -> LoraAdapterSet:
-    """Create adapters on every dense/attention weight of the selected groups.
+    """Create an adapter on each `BLOCK_LINEARS` Linear of each block of the selected groups, in that order.
 
     Base weights are flagged non-trainable; adapter factors are trainable.
     Same seed, same config => bit-identical A matrices.
     """
     if not cfg.blocks:
         raise ValueError("lora config selects no blocks")
-    groups = base.block_map()
+    groups = placement(base.cfg.depth)
     unknown = [b for b in cfg.blocks if b not in groups]
     if unknown:
         raise ValueError(f"unknown adapter block(s) {unknown}; this net has {sorted(groups)}")
     rng = stream_rng(seed, "lora")
     adapter_set = LoraAdapterSet()
     for group in cfg.blocks:
-        for prefix, block in groups[group]:
-            for name, linear in block.adaptable_linears(prefix).items():
+        for block in groups[group]:
+            for name in (f"{block}.{path}" for path in BLOCK_LINEARS):
+                linear = reduce(lambda m, key: m[int(key)] if key.isdigit() else getattr(m, key), name.split("."), base)
                 j, k = linear.w.shape
                 ad = LoraAdapter(name, j, k, cfg.rank, cfg.alpha, cfg.init_std, rng)
                 linear.adapter = ad

@@ -260,7 +260,6 @@ class SampleScore:
 @dataclass
 class MetricsReport:
     rows: list
-    seed: int
     samples: list = field(default_factory=list)  # a SampleScore per evaluated sample, in id order
 
     def csv_text(self) -> str:
@@ -350,4 +349,4 @@ def evaluate(bundle, val_samples, style: str, seed: int, probe: ProbeClassifier,
     row = metrics_from_crop_pairs(gen_crops, ref_crops, [s.label for s in samples], [s.color for s in samples],
                                   style, probe)
     scores = [SampleScore(s.id, s.label, s.color, max(s.bbox[2:]), a) for s, a in zip(samples, row.alignments)]
-    return MetricsReport(rows=[row], seed=seed, samples=scores)
+    return MetricsReport(rows=[row], samples=scores)

@@ -199,7 +199,6 @@ class AttnBlock(Module):
         self.wk = Linear(rng, cond_dim, channels)
         self.wv = Linear(rng, cond_dim, channels)
         self.wo = Linear(rng, channels, channels)
-        self.channels = channels
         self.kv = None  # (condition fingerprint, K, V), set only on a MiniUnet.inference_copy
 
     def keys_values(self, cond: Tensor) -> tuple:
@@ -224,15 +223,6 @@ class UnetBlock(Module):
     def forward(self, x: Tensor, t_act: Tensor, cond: Tensor) -> Tensor:
         return self.attn.forward(self.res.forward(x, t_act), cond)
 
-    def adaptable_linears(self, prefix: str) -> dict:
-        return {
-            f"{prefix}.res.time_proj": self.res.time_proj,
-            f"{prefix}.attn.wq": self.attn.wq,
-            f"{prefix}.attn.wk": self.attn.wk,
-            f"{prefix}.attn.wv": self.attn.wv,
-            f"{prefix}.attn.wo": self.attn.wo,
-        }
-
 
 class MiniUnet(Module):
     """Noise predictor eps(z_t, t, cond, ml) on latents with mask conditioning.
@@ -240,7 +230,9 @@ class MiniUnet(Module):
     The caller nearest-downsamples the pixel mask by the latent factor once
     per batch (`latent_mask`); forward joins that latent mask ml to z_t as an
     extra channel. Skip connections pair down level i with up level
-    depth-1-i; shapes match exactly by construction.
+    depth-1-i; shapes match exactly by construction. `lora.attach` places
+    the adapters on its blocks' Linears, by `lora.placement`;
+    `inference_copy` folds them in.
     """
 
     def __init__(self, cfg: ModelSection, seed: int):
@@ -320,24 +312,6 @@ class MiniUnet(Module):
             elif isinstance(module, AttnBlock):
                 module.kv = (_fingerprint(cond), *module.keys_values(cond))
         return net
-
-    def block_map(self) -> dict:
-        """Selectable adapter groups mapped onto this net's levels.
-
-        Group names follow the four ablation axes of a depth-4 reference
-        net; a group exists here only when its down level exists at this
-        depth. The outermost pair is down.0+up.last.
-        """
-        d = self.cfg.depth
-        groups = {"mid": [("mid", self.mid)]}
-        axis_names = ["down0_up3", "down1_up1", "down2_up2"]
-        for k, axis in enumerate(axis_names):
-            if k < d:
-                groups[axis] = [
-                    (f"down.{k}", self.down[k]),
-                    (f"up.{d - 1 - k}", self.up[d - 1 - k]),
-                ]
-        return groups
 
 
 # -- VAE ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import numpy as np
 class MissingGradientError(RuntimeError):
     def __init__(self, name: str):
         super().__init__(f"parameter {name!r} has no gradient; run backward first")
-        self.name = name
 
 
 class Adam:

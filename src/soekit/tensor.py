@@ -74,7 +74,6 @@ class ShapeError(ValueError):
 
     def __init__(self, op: str, message: str):
         super().__init__(f"{op}: {message}")
-        self.op = op
 
 
 class Tensor:
@@ -86,7 +85,7 @@ class Tensor:
         grad: numpy array of the same shape as ``data``, or None.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=dtype))
@@ -94,7 +93,6 @@ class Tensor:
         self.grad = None
         self._parents = ()
         self._backward_fn = None
-        self._op = None
 
     # -- basic introspection -------------------------------------------------
 
@@ -128,7 +126,7 @@ class Tensor:
 # -- graph machinery ----------------------------------------------------------
 
 
-def _make(data, parents, grads, op: str, pre=None) -> Tensor:
+def _make(data, parents, grads, pre=None) -> Tensor:
     """Wrap an op's output and record the parents that require gradients.
 
     ``grads`` holds one function per parent, mapping the output gradient to
@@ -167,7 +165,6 @@ def _make(data, parents, grads, op: str, pre=None) -> Tensor:
     out.requires_grad = True
     out._parents = tuple(kept)
     out._backward_fn = backward_fn
-    out._op = op
     return out
 
 
@@ -251,19 +248,19 @@ def _broadcast(op: str, ufunc, a: Tensor, b: Tensor) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = _broadcast("add", np.add, a, b)
-    return _make(out, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)), "add")
+    return _make(out, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = _broadcast("sub", np.subtract, a, b)
-    return _make(out, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)), "sub")
+    return _make(out, (a, b), (lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; also the mask-gating op (mask as non-grad tensor)."""
     out = _broadcast("mul", np.multiply, a, b)
     grads = (lambda g: _unbroadcast(g * b.data, a.shape), lambda g: _unbroadcast(g * a.data, b.shape))
-    return _make(out, (a, b), grads, "mul")
+    return _make(out, (a, b), grads)
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -275,7 +272,7 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _stable_sigmoid(a.data)
-    return _make(out, (a,), (lambda g: g * out * (1.0 - out),), "sigmoid")
+    return _make(out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
 def _silu(x: np.ndarray) -> tuple:
@@ -286,7 +283,7 @@ def _silu(x: np.ndarray) -> tuple:
 
 def silu(a: Tensor) -> Tensor:
     out, grad = _silu(a.data)
-    return _make(out, (a,), (grad,), "silu")
+    return _make(out, (a,), (grad,))
 
 
 # -- reductions and reshaping ---------------------------------------------------
@@ -295,24 +292,24 @@ def silu(a: Tensor) -> Tensor:
 def sum_(a: Tensor, axis=None, keepdims=False) -> Tensor:
     kept = a.data.sum(axis=axis, keepdims=True)  # a 1 at each reduced axis, whence the gradient broadcasts
     return _make(kept if keepdims else kept.squeeze(axis), (a,),
-                 (lambda g: np.broadcast_to(g.reshape(kept.shape), a.shape),), "sum")
+                 (lambda g: np.broadcast_to(g.reshape(kept.shape), a.shape),))
 
 
 def mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     kept = a.data.mean(axis=axis, keepdims=True)  # as in sum_
     n = a.size // kept.size
     return _make(kept if keepdims else kept.squeeze(axis), (a,),
-                 (lambda g: np.broadcast_to(g.reshape(kept.shape) / n, a.shape),), "mean")
+                 (lambda g: np.broadcast_to(g.reshape(kept.shape) / n, a.shape),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),), "reshape")
+    return _make(a.data.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     axes_ = tuple(axes) if axes is not None else tuple(reversed(range(a.ndim)))
     inv = np.argsort(axes_)
-    return _make(np.ascontiguousarray(a.data.transpose(axes_)), (a,), (lambda g: g.transpose(inv),), "transpose")
+    return _make(np.ascontiguousarray(a.data.transpose(axes_)), (a,), (lambda g: g.transpose(inv),))
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -332,7 +329,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         np.add.at(gt, ids, g)
         return gt
 
-    return _make(np.ascontiguousarray(out), (table,), (table_grad,), "gather_rows")
+    return _make(np.ascontiguousarray(out), (table,), (table_grad,))
 
 
 def concat(tensors, axis: int = 1) -> Tensor:
@@ -344,7 +341,7 @@ def concat(tensors, axis: int = 1) -> Tensor:
     offsets = list(accumulate([0] + [t.shape[axis] for t in tensors]))
     lead = (slice(None),) * (axis % out.ndim)
     grads = [lambda g, part=lead + (slice(o0, o1),): g[part] for o0, o1 in zip(offsets[:-1], offsets[1:])]
-    return _make(out, tuple(tensors), grads, "concat")
+    return _make(out, tuple(tensors), grads)
 
 
 # -- matmul and attention --------------------------------------------------------
@@ -360,11 +357,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor = None) -> Tensor:
     grads = (lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
              lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
     if bias is None:
-        return _make(out, (a, b), grads, "matmul")
+        return _make(out, (a, b), grads)
     if bias.shape != out.shape[-1:]:
         raise ShapeError("matmul", f"bias must be {out.shape[-1:]}, got {bias.shape}")
     out += bias.data
-    return _make(out, (a, b, bias), grads + (lambda g: _unbroadcast(g, bias.shape),), "matmul")
+    return _make(out, (a, b, bias), grads + (lambda g: _unbroadcast(g, bias.shape),))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -380,7 +377,7 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis; rows sum to one."""
     out = _softmax(a.data)
-    return _make(out, (a,), (lambda g: _softmax_grad(out, g),), "softmax")
+    return _make(out, (a,), (lambda g: _softmax_grad(out, g),))
 
 
 def log_softmax(a: Tensor) -> Tensor:
@@ -389,7 +386,7 @@ def log_softmax(a: Tensor) -> Tensor:
     lse = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     out = shifted - lse
     soft = np.exp(out)
-    return _make(out, (a,), (lambda g: g - soft * g.sum(axis=-1, keepdims=True),), "log_softmax")
+    return _make(out, (a,), (lambda g: g - soft * g.sum(axis=-1, keepdims=True),))
 
 
 def cross_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -408,14 +405,14 @@ def cross_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     grads = (lambda gs: gs[1] @ np.swapaxes(kt, -1, -2),
              lambda gs: (np.swapaxes(q.data, -1, -2) @ gs[1]).transpose(0, 2, 1),
              lambda gs: np.swapaxes(p, -1, -2) @ gs[0])
-    return _make(p @ v.data, (q, k, v), grads, "cross_attention", pre)
+    return _make(p @ v.data, (q, k, v), grads, pre)
 
 
 def tokens(x: Tensor) -> Tensor:
     """A (B, C, H, W) map as (B, H*W, C) tokens, one per position."""
     b, c, h, w = x.shape
     out = np.ascontiguousarray(x.data.reshape(b, c, h * w).transpose(0, 2, 1))
-    return _make(out, (x,), (lambda g: g.transpose(0, 2, 1).reshape(x.shape),), "tokens")
+    return _make(out, (x,), (lambda g: g.transpose(0, 2, 1).reshape(x.shape),))
 
 
 def untokens(att: Tensor, residual: Tensor) -> Tensor:
@@ -424,7 +421,7 @@ def untokens(att: Tensor, residual: Tensor) -> Tensor:
     if att.shape != (b, h * w, c):
         raise ShapeError("untokens", f"tokens {att.shape} do not fit map {residual.shape}")
     out = residual.data + att.data.transpose(0, 2, 1).reshape(b, c, h, w)
-    return _make(out, (residual, att), (lambda g: g, lambda g: g.reshape(b, c, h * w).transpose(0, 2, 1)), "untokens")
+    return _make(out, (residual, att), (lambda g: g, lambda g: g.reshape(b, c, h * w).transpose(0, 2, 1)))
 
 
 # -- convolutions ------------------------------------------------------------------
@@ -590,7 +587,7 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 1, padding: int = 0, bias: Tensor
         return _nchw(gxp[:, padding : padding + h, :, padding : padding + wd], b, (h, wd), x.dtype)
 
     grads = (x_grad, lambda g: _kernel_grad(_chbw(g), wins, w.shape).astype(w.dtype)) + extra_grads
-    return _make(out, (x, w) + extra, grads, "conv2d")
+    return _make(out, (x, w) + extra, grads)
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
@@ -627,7 +624,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, bias: Tensor = None) -> Tensor:
     # frozen kernel, and the float64 input copy goes with it
     grads = (lambda g: _nchw(wm @ gm(g), b, (hi, wi), x.dtype),
              lambda g: (xm @ gm(g).T).reshape(w.shape).astype(w.dtype)) + extra_grads
-    return _make(out, (x, w) + extra, grads, "conv2d_transpose")
+    return _make(out, (x, w) + extra, grads)
 
 
 # -- normalisation ------------------------------------------------------------------
@@ -671,7 +668,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
         return gx.reshape(b, c, h, w).astype(x.dtype)
 
     grads = (x_grad, lambda g: (g * xhat).sum(axis=(0, 2, 3)), _channel_sum)
-    return _make(out, (x, gamma, beta), grads, "group_norm", pre)
+    return _make(out, (x, gamma, beta), grads, pre)
 
 
 # -- resampling ---------------------------------------------------------------------
@@ -740,7 +737,7 @@ def _resample(x: Tensor, out_h: int, out_w: int, boxes, bilinear: bool, op: str)
             np.add.at(ga, ((base + ii[:, None, :, None]) * w + jj[:, None, None, :]).reshape(-1), (g * wt).reshape(-1))
         return ga.reshape(x.shape)
 
-    return _make(np.ascontiguousarray(out), (x,), (x_grad,), op)
+    return _make(np.ascontiguousarray(out), (x,), (x_grad,))
 
 
 def resize_nearest(x: Tensor, out_h: int, out_w: int, boxes=None) -> Tensor:
@@ -794,4 +791,4 @@ def huber(pred: Tensor, target: Tensor, mask: Tensor = None, delta: float = 1.0)
         return np.where(quad, r, delta * np.sign(r)) * m * (g / count)
 
     grads = (lambda g: d(g).astype(pred.dtype), lambda g: (-d(g)).astype(target.dtype))
-    return _make(out, (pred, target), grads, "huber")
+    return _make(out, (pred, target), grads)

@@ -149,6 +149,53 @@ def test_pipeline_pretrain_train_eval_edit(workdir):
     assert out_img.shape == sample.image.shape
 
 
+def test_edit_without_steps_runs_the_checkpoint_eval_ddim_steps(workdir, tmp_path):
+    root, _ = workdir
+    bbox = ",".join(map(str, read_dataset(root / "ds", split="val-small")[0].bbox))
+    edit = ["edit", "--checkpoint", str(root / "student.soek"), "--image", str(root / "in.ppm"), "--bbox", bbox,
+            "--label", "circle", "--color", "red", "--seed", "5"]
+    steps = str(TINY_CONFIG["eval"]["ddim_steps"])
+    assert main([*edit, "--out", str(tmp_path / "default.ppm")]) == 0
+    assert main([*edit, "--steps", steps, "--out", str(tmp_path / "stated.ppm")]) == 0
+    assert (tmp_path / "default.ppm").read_bytes() == (tmp_path / "stated.ppm").read_bytes()
+
+
+def test_eval_without_style_scores_the_checkpoint_prompt_style(workdir, tmp_path):
+    root, _ = workdir
+    config = tmp_path / "label-only.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "train": {**TINY_CONFIG["train"], "prompt_style": "label_only"}}))
+    student = tmp_path / "student.soek"
+    assert main(["train", "--config", str(config), "--data", str(root / "ds"), "--teacher", str(root / "teacher.soek"),
+                 "--out", str(student)]) == 0
+    with pytest.warns(UserWarning, match="covariance estimates are singular"):
+        assert main(["eval", "--checkpoint", str(student), "--data", str(root / "ds"),
+                     "--out", str(tmp_path / "eval")]) == 0
+    assert (tmp_path / "eval" / "metrics.csv").read_text().splitlines()[1].startswith("label_only,")
+
+
+@pytest.mark.parametrize("verb, flags, out, made", [
+    ("gen-data", ["--config", "{cfg}", "--split", "val-small"], "ds", "ds/index.jsonl"),
+    ("pretrain-teacher", ["--config", "{cfg}", "--data", "{root}/ds"], "teacher.soek", "teacher.soek"),
+    ("train", ["--config", "{cfg}", "--data", "{root}/ds", "--teacher", "{root}/teacher.soek"], "student.soek",
+     "student.soek"),
+    ("edit", ["--checkpoint", "{root}/student.soek", "--image", "{root}/in.ppm", "--bbox", "{bbox}",
+              "--label", "circle", "--color", "red"], "x.ppm", "x.ppm"),
+    ("eval", ["--checkpoint", "{root}/student.soek", "--data", "{root}/ds"], "eval", "eval/metrics.csv"),
+    ("analyze-effective-area", [], "area.csv", "area.csv"),
+], ids=["gen-data", "pretrain-teacher", "train", "edit", "eval", "analyze-effective-area"])
+def test_every_verb_writes_into_a_new_directory(workdir, tmp_path, verb, flags, out, made):
+    root, cfg = workdir
+    bbox = ",".join(map(str, read_dataset(root / "ds", split="val-small")[0].bbox))
+    new = tmp_path / "new" / "dir"
+    argv = [verb, *(f.format(root=root, cfg=cfg, bbox=bbox) for f in flags), "--out", str(new / out)]
+    if verb == "eval":
+        with pytest.warns(UserWarning, match="covariance estimates are singular"):
+            assert main(argv) == 0
+    else:
+        assert main(argv) == 0
+    assert (new / made).is_file()
+
+
 def test_eval_trains_a_new_probe_for_new_probe_settings(workdir, tmp_path):
     root, cfg = workdir
     other = tmp_path / "other.json"

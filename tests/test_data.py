@@ -175,6 +175,16 @@ def test_generate_scene_refuses_sides_it_cannot_draw(sides):
     assert "\n" not in str(exc.value)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_ppm_refuses_non_finite_pixels_and_writes_nothing(tmp_path, value):
+    image = np.full((4, 4, 3), value, np.float32) if np.isnan(value) else np.zeros((4, 4, 3), np.float32)
+    image[1, 2, 0] = value
+    path = tmp_path / "out.ppm"
+    with pytest.raises(ValueError, match=f"^{path}: image has non-finite pixels"):
+        write_ppm(path, image)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ppm_roundtrip_bit_identical(tmp_path):
     s = generate_scene(55, split_sides("train-small", 64))
     p = tmp_path / "img.ppm"

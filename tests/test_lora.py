@@ -8,7 +8,7 @@ import pytest
 from helpers import set_adapter_b
 from soekit import tensor as T
 from soekit.config import LoraSection, ModelSection
-from soekit.lora import LoraAdapter, attach
+from soekit.lora import LoraAdapter, attach, placement
 from soekit.nets import AttnBlock, ConditionEmbedder, Conv2d, Linear, MiniUnet
 from soekit.optim import Adam
 from soekit.rng import stream_rng
@@ -45,6 +45,16 @@ def test_same_seed_gives_bit_identical_a_matrices():
     _, _, a2, _ = fresh_setup(seed=42)
     for k in a1.adapters:
         assert a1.adapters[k].a.data.tobytes() == a2.adapters[k].a.data.tobytes()
+
+
+def test_placement_names_each_adapter_by_its_linear_in_group_block_linear_order():
+    unet, _, adapters, _ = fresh_setup(blocks=("down1_up1", "mid"))
+    linears = ("res.time_proj", "attn.wq", "attn.wk", "attn.wv", "attn.wo")
+    assert list(adapters.adapters) == [f"{block}.{path}" for block in ("down.1", "up.0", "mid") for path in linears]
+    held = [(b.res.time_proj, b.attn.wq, b.attn.wk, b.attn.wv, b.attn.wo) for b in (unet.down[1], unet.up[0], unet.mid)]
+    assert list(adapters.adapters.values()) == [linear.adapter for block in held for linear in block]
+    assert placement(3) == {"mid": ("mid",), "down0_up3": ("down.0", "up.2"), "down1_up1": ("down.1", "up.1"),
+                            "down2_up2": ("down.2", "up.0")}
 
 
 def test_empty_or_unknown_block_selection_rejected():

@@ -67,6 +67,10 @@ def test_masked_crop_rejects_bad_boxes():
         masked_crop(img, (5, 5, 0, 4))
     with pytest.raises(ValueError, match="outside"):
         masked_crop(img, (60, 60, 10, 10))
+    for bad in ((3.9, 2, True, "5"), (5, 5, 4.0, 4), (5, 5, True, 4), (5, 5, 4, np.float32(4)), (5, 5, 4), "5,5,4,4"):
+        with pytest.raises(ValueError, match=r"^bbox must be four integers \(x, y, w, h\), got "):
+            masked_crop(img, bad)
+    assert np.array_equal(masked_crop(img, np.array([5, 5, 4, 4])), masked_crop(img, (5, 5, 4, 4)))
 
 
 def test_masked_crop_grids_align_between_generated_and_truth():
@@ -437,7 +441,7 @@ def test_evaluate_refuses_max_samples_below_one(probe, tiny_bundle, max_samples)
 
 
 def test_metrics_csv_schema():
-    report = MetricsReport(rows=[StyleRow("label_only", 0.5, 1.25, 8)], seed=3)
+    report = MetricsReport(rows=[StyleRow("label_only", 0.5, 1.25, 8)])
     text = report.csv_text()
     assert text.splitlines()[0] == "style,alignment_mean,frechet,n"
     assert text.splitlines()[1] == "label_only,0.500000,1.250000,8"

@@ -132,7 +132,7 @@ def test_attention_rows_sum_to_one_inside_net():
     z, m = make_inputs(CFG, batch=1)
     cond = emb.embed([2], [4], "color_label")
     attn = unet.mid.attn
-    b, c = 1, attn.channels
+    b, c = 1, attn.wq.w.shape[0]
     side = SIDE // LATENT_FACTOR // (2 ** CFG.depth)
     x = Tensor(np.random.default_rng(1).standard_normal((b, c, side, side)).astype(np.float32))
     flat = T.transpose(T.reshape(attn.norm.forward(x), (b, c, side * side)), (0, 2, 1))

@@ -676,7 +676,7 @@ def test_frozen_parents_gradient_function_never_runs():
     def refuse(g):
         raise AssertionError("the gradient of a frozen parent was computed")
 
-    out = T._make(frozen.data * trainable.data, (frozen, trainable), (refuse, lambda g: g * frozen.data), "mul")
+    out = T._make(frozen.data * trainable.data, (frozen, trainable), (refuse, lambda g: g * frozen.data))
     backward(T.sum_(out))
     assert frozen.grad is None
     assert np.array_equal(trainable.grad, frozen.data)

@@ -613,6 +613,9 @@ def test_edit_validations(teacher_bundle):
     s = val[0]
     with pytest.raises(ValueError, match="outside image"):
         edit(s.image, (60, 60, 10, 10), "circle", "red", "color_label", teacher_bundle, steps=1, seed=0)
+    for bad in ((3.9, 2, True, "5"), (3, 2, 1.0, 5), (3, 2, False, 5), (3, 2, "1", 5)):
+        with pytest.raises(ValueError, match="bbox must be four integers"):
+            edit(s.image, bad, "circle", "red", "color_label", teacher_bundle, steps=1, seed=0)
     with pytest.raises(ValueError, match="steps"):
         edit(s.image, s.bbox, "circle", "red", "color_label", teacher_bundle, steps=0, seed=0)
     with pytest.raises(ValueError, match="label"):
