@@ -88,12 +88,7 @@ def cmd_train(args) -> int:
 def cmd_edit(args) -> int:
     bundle = load_bundle(args.checkpoint)
     image = read_ppm(args.image)
-    try:
-        bbox = tuple(int(v) for v in args.bbox.split(","))
-        if len(bbox) != 4:
-            raise ValueError
-    except ValueError:
-        raise ValueError(f"bbox must be x,y,w,h integers, got {args.bbox!r}") from None
+    bbox = _int_list("--bbox", args.bbox)
     seed = _resolve_seed(args.seed, bundle.cfg.eval.seed)
     steps = bundle.cfg.eval.ddim_steps if args.steps is None else args.steps
     out_img = edit_op(image, bbox, args.label, args.color, args.style or bundle.cfg.train.prompt_style, bundle,
@@ -234,7 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError, RuntimeError) as e:
+    except (ConfigError, ValueError, OSError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -104,9 +104,9 @@ def check_image_side(samples, image_side: int):
 # -- drawing ---------------------------------------------------------------------
 
 
-def _shape_coverage(label: str, side: int, supersample: int = 4) -> np.ndarray:
-    """(side, side) anti-aliased coverage in [0,1]; shapes touch the box edges."""
-    n = side * supersample
+def _shape_coverage(label: str, side: int) -> np.ndarray:
+    """(side, side) anti-aliased coverage in [0,1], each pixel's mean of 4 x 4 samples; shapes touch the box edges."""
+    n = side * 4
     ax = (np.arange(n) + 0.5) / n
     xx, yy = np.meshgrid(ax, ax)
     cx = xx - 0.5
@@ -125,7 +125,7 @@ def _shape_coverage(label: str, side: int, supersample: int = 4) -> np.ndarray:
         inside = (r <= 0.5) & (r >= 0.25)
     else:
         raise ValueError(f"unknown shape label {label!r}")
-    cov = inside.astype(np.float64).reshape(side, supersample, side, supersample)
+    cov = inside.astype(np.float64).reshape(side, 4, side, 4)
     return cov.mean(axis=(1, 3))
 
 

@@ -15,7 +15,6 @@ adapted.
 """
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -73,7 +72,8 @@ class LoraAdapterSet:
 
 
 def attach(base: MiniUnet, cfg: LoraSection, seed: int) -> LoraAdapterSet:
-    """Create an adapter on each `BLOCK_LINEARS` Linear of each block of the selected groups, in that order.
+    """Create an adapter on each `BLOCK_LINEARS` Linear of each block of the selected groups, in that order,
+    finding each Linear by its `Module.named_modules` path.
 
     Base weights are flagged non-trainable; adapter factors are trainable.
     Same seed, same config => bit-identical A matrices.
@@ -85,11 +85,12 @@ def attach(base: MiniUnet, cfg: LoraSection, seed: int) -> LoraAdapterSet:
     if unknown:
         raise ValueError(f"unknown adapter block(s) {unknown}; this net has {sorted(groups)}")
     rng = stream_rng(seed, "lora")
+    modules = dict(base.named_modules())
     adapter_set = LoraAdapterSet()
     for group in cfg.blocks:
         for block in groups[group]:
             for name in (f"{block}.{path}" for path in BLOCK_LINEARS):
-                linear = reduce(lambda m, key: m[int(key)] if key.isdigit() else getattr(m, key), name.split("."), base)
+                linear = modules[name]
                 j, k = linear.w.shape
                 ad = LoraAdapter(name, j, k, cfg.rank, cfg.alpha, cfg.init_std, rng)
                 linear.adapter = ad

@@ -3,7 +3,9 @@
 All metrics operate on bbox crops only, never the whole image: a small
 frozen probe classifier supplies both the alignment score (probability the
 crop matches the prompted shape/color) and the feature vectors behind a
-Frechet distance between generated and reference crop distributions.
+Frechet distance between generated and reference crop distributions. A
+crop is made once, by `masked_crop`, as the probe's (3, side, side) input;
+images stay (H, W, 3).
 
 The probe is trained once on independently generated scenes spanning small
 through generic object sizes, and is versioned via the checkpoint format so
@@ -41,11 +43,10 @@ EVAL_BATCH_SIZE = 8
 
 
 def masked_crop(image: np.ndarray, bbox, out_side: int = PROBE_CROP_SIDE) -> np.ndarray:
-    """Bbox region of an (H, W, 3) image bilinearly resized to out_side^2."""
+    """Bbox region of an (H, W, 3) image bilinearly resized to out_side^2: a (3, out_side, out_side) probe input."""
     x, y, bw, bh = check_bbox(bbox, image.shape[1], image.shape[0])
     chw = Tensor(image.transpose(2, 0, 1)[None])
-    out = T.resize_bilinear(chw, out_side, out_side, [(x, y, x + bw, y + bh)]).data[0]
-    return np.ascontiguousarray(out.transpose(1, 2, 0))
+    return T.resize_bilinear(chw, out_side, out_side, [(x, y, x + bw, y + bh)]).data[0]
 
 
 # -- probe classifier ----------------------------------------------------------------
@@ -77,21 +78,18 @@ class ProbeClassifier(Module):
         feats = T.silu(self.fc.forward(h))
         return self.head_shape.forward(feats), self.head_color.forward(feats), feats
 
-    def probabilities(self, crops_hwc) -> tuple:
-        """Softmax (shape, color) probabilities for a batch of HWC crops."""
-        self._require_trained()
-        x = Tensor(np.stack([c.transpose(2, 0, 1) for c in crops_hwc]))
-        ls, lc, _ = self.forward(x)
+    def probabilities(self, crops) -> tuple:
+        """Softmax (shape, color) probabilities for a list of `masked_crop` crops."""
+        ls, lc, _ = self.forward(self._batch(crops))
         return T.softmax(ls).data, T.softmax(lc).data
 
-    def features(self, crops_hwc) -> np.ndarray:
-        self._require_trained()
-        x = Tensor(np.stack([c.transpose(2, 0, 1) for c in crops_hwc]))
-        return self.forward(x)[2].data
+    def features(self, crops) -> np.ndarray:
+        return self.forward(self._batch(crops))[2].data
 
-    def _require_trained(self):
+    def _batch(self, crops) -> Tensor:
         if not self.trained:
             raise RuntimeError("probe classifier is untrained; train or load it first")
+        return Tensor(np.stack(crops))
 
 
 def _cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -102,14 +100,14 @@ def _cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
 
 def train_probe(seed: int, count: int = 1500, steps: int = 700, lr: float = 2e-3,
-                image_side: int = 64, batch_size: int = 32) -> ProbeClassifier:
-    """Fit the probe on freshly generated scenes over a wide size range."""
+                image_side: int = 64) -> ProbeClassifier:
+    """Fit the probe on freshly generated scenes over a wide size range, 32 crops a step."""
     probe = ProbeClassifier(seed)
     crops, shape_ids, color_ids = [], [], []
     sides = range(MIN_OBJECT_SIDE, image_side // 2 + 1)
     for i in range(count):
         s = generate_scene((seed, PROBE_DATA_SUBSTREAM, i), sides, image_side=image_side)
-        crops.append(masked_crop(s.image, s.bbox).transpose(2, 0, 1))
+        crops.append(masked_crop(s.image, s.bbox))
         shape_ids.append(s.label_id)
         color_ids.append(s.color_id)
     crops = np.stack(crops)
@@ -119,7 +117,7 @@ def train_probe(seed: int, count: int = 1500, steps: int = 700, lr: float = 2e-3
     opt = Adam(probe.params(), lr=lr)
     rng = stream_rng(seed, "probe", 1)
     for _ in range(steps):
-        idx = rng.integers(0, count, size=batch_size)
+        idx = rng.integers(0, count, size=32)
         x = Tensor(crops[idx])
         ls, lc, _ = probe.forward(x)
         loss = T.add(_cross_entropy(ls, shape_ids[idx]), _cross_entropy(lc, color_ids[idx]))
@@ -157,12 +155,12 @@ def _sym_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def frechet_distance(feats_a: np.ndarray, feats_b: np.ndarray, shrinkage: float = 1e-6) -> float:
+def frechet_distance(feats_a: np.ndarray, feats_b: np.ndarray) -> float:
     """2-Wasserstein distance between Gaussians fitted to two feature sets.
 
     ||mu_a - mu_b||^2 + Tr(Sa + Sb - 2 (Sa^1/2 Sb Sa^1/2)^1/2), covariances
     with 1/(N-1) normalisation, matrix roots by symmetric eigendecomposition
-    with negative eigenvalues clamped to zero, and shrinkage*I added to both
+    with negative eigenvalues clamped to zero, and 1e-6 * I added to both
     covariances to stabilise near-singular small-sample fits.
     """
     a = np.asarray(feats_a, np.float64)
@@ -179,8 +177,8 @@ def frechet_distance(feats_a: np.ndarray, feats_b: np.ndarray, shrinkage: float 
             stacklevel=2,
         )
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
-    ca = np.cov(a, rowvar=False) + shrinkage * np.eye(d)
-    cb = np.cov(b, rowvar=False) + shrinkage * np.eye(d)
+    ca = np.cov(a, rowvar=False) + 1e-6 * np.eye(d)
+    cb = np.cov(b, rowvar=False) + 1e-6 * np.eye(d)
     sqrt_a = _sym_sqrt(ca)
     inner = _sym_sqrt(sqrt_a @ cb @ sqrt_a)
     dist = float(np.sum((mu_a - mu_b) ** 2) + np.trace(ca) + np.trace(cb) - 2.0 * np.trace(inner))

@@ -24,29 +24,27 @@ from soekit.tensor import ShapeError, Tensor
 
 
 class Module:
-    """Lightweight container; parameters are collected by attribute walk."""
+    """Lightweight container walked by attribute. `named_modules` is the naming rule: a module's path is its
+    attribute names from the root, with list items numbered (`down.0.res.time_proj`), and a parameter's name
+    is its module's path and attribute name. Checkpoint array names and adapter targets are these paths."""
+
+    def named_modules(self, prefix: str = ""):
+        """(path, module) for this module, then every module under it, depth first in attribute order."""
+        yield prefix, self
+        for key, val in vars(self).items():
+            named = [(f"{key}.{i}", v) for i, v in enumerate(val)] if isinstance(val, (list, tuple)) else [(key, val)]
+            for name, item in named:
+                if isinstance(item, Module):
+                    yield from item.named_modules(f"{prefix}.{name}" if prefix else name)
 
     def params(self, prefix: str = "") -> dict:
-        out = {}
-        for key, val in vars(self).items():
-            name = f"{prefix}.{key}" if prefix else key
-            if isinstance(val, Tensor):
-                out[name] = val
-            elif isinstance(val, Module):
-                out.update(val.params(name))
-            elif isinstance(val, (list, tuple)):
-                for i, item in enumerate(val):
-                    if isinstance(item, Module):
-                        out.update(item.params(f"{name}.{i}"))
-        return out
+        """Each module's own Tensors by name, modules in `named_modules` order."""
+        return {f"{path}.{key}" if path else key: val for path, module in self.named_modules(prefix)
+                for key, val in vars(module).items() if isinstance(val, Tensor)}
 
     def modules(self):
         """This module, then every module under it, depth first."""
-        yield self
-        for val in vars(self).values():
-            for item in val if isinstance(val, (list, tuple)) else (val,):
-                if isinstance(item, Module):
-                    yield from item.modules()
+        return (module for _, module in self.named_modules())
 
     def copy_tree(self):
         """A copy of this module and of every module under it; all else, parameter Tensors included, is shared."""

@@ -1,12 +1,14 @@
 """The optimizer over named parameter collections.
 
-Adam (beta1=0.9, beta2=0.999, eps=1e-8) steps every trainable parameter:
-the adapters, both pretraining phases and the probe. It clears gradients
-after applying an update and raises if any managed parameter is missing its
-gradient.
+Adam, at Kingma & Ba's constants BETA1 = 0.9, BETA2 = 0.999, EPS = 1e-8,
+steps every trainable parameter: the adapters, both pretraining phases and
+the probe. It clears gradients after applying an update and raises if any
+managed parameter is missing its gradient.
 """
 
 import numpy as np
+
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class MissingGradientError(RuntimeError):
@@ -17,13 +19,9 @@ class MissingGradientError(RuntimeError):
 class Adam:
     """Standard Adam with bias correction; moments stored in float32."""
 
-    def __init__(self, params: dict, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict, lr: float = 1e-3):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -34,16 +32,16 @@ class Adam:
                 raise MissingGradientError(name)
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = p.grad
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             p.data -= (self.lr * update).astype(p.data.dtype)
             p.grad = None

@@ -636,9 +636,8 @@ def _group_mean(a: np.ndarray) -> np.ndarray:
     return np.true_divide(m, np.intp(a.shape[2]), out=m, casting="unsafe")
 
 
-def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float = 1e-5,
-               silu: bool = False) -> Tensor:
-    """Group normalisation over (channels/groups, H, W) per sample, then, if ``silu``, the silu op's
+def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, silu: bool = False) -> Tensor:
+    """Group normalisation (eps 1e-5) over (channels/groups, H, W) per sample, then, if ``silu``, the silu op's
     expressions: its bytes, with the output gradient taken back through it once for all three inputs."""
     if x.ndim != 4:
         raise ShapeError("group_norm", f"need 4-D input, got {x.shape}")
@@ -650,7 +649,7 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int, eps: float =
 
     xg = x.data.reshape(b, groups, -1)
     d = xg - _group_mean(xg)
-    inv = 1.0 / np.sqrt(np.add.reduce(d * d, 2, keepdims=True) / xg.shape[2] + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(d * d, 2, keepdims=True) / xg.shape[2] + 1e-5)
     d *= inv
     xhat = d.reshape(b, c, h, w)
     out = xhat * gamma.data.reshape(1, c, 1, 1)

@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from soekit import tensor as T
-from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint
+from soekit.checkpoint import CheckpointError, load_checkpoint, restore, save_checkpoint, write_atomic
 from soekit.config import LATENT_FACTOR, ConfigError, ModelSection, RunConfig
 from soekit.data import COLOR_NAMES, LABELS, check_bbox, check_image_side, curation_filter
 from soekit.lora import LoraAdapterSet, attach
@@ -274,10 +274,7 @@ def _start_loss_csv(loss_csv):
     """Write the loss CSV's header; returns its Path, or None when not logging."""
     if not loss_csv:
         return None
-    path = Path(loss_csv)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(LOSS_CSV_HEADER + "\n")
-    return path
+    return write_atomic(loss_csv, LOSS_CSV_HEADER + "\n")
 
 
 # -- the gradient step ------------------------------------------------------------------

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soekit.checkpoint import load_checkpoint, save_checkpoint
 from soekit.cli import main
@@ -90,12 +91,12 @@ def _refuse_replace(src, dst):
     raise OSError("replace refused")
 
 
-def test_analyze_effective_area_whose_write_fails_keeps_the_old_file(monkeypatch, tmp_path):
+def test_analyze_effective_area_whose_write_fails_keeps_the_old_file(monkeypatch, capsys, tmp_path):
     csv = tmp_path / "area.csv"
     csv.write_text("old\n")
     monkeypatch.setattr(os, "replace", _refuse_replace)
-    with pytest.raises(OSError, match="replace refused"):
-        main(["analyze-effective-area", "--out", str(csv)])
+    assert main(["analyze-effective-area", "--out", str(csv)]) == 1
+    assert capsys.readouterr().err == "error: replace refused\n"
     assert csv.read_text() == "old\n"
     assert not list(tmp_path.glob("*.tmp"))
 
@@ -218,14 +219,15 @@ def test_eval_writes_one_row_per_sample(workdir):
     assert np.mean([float(row[4]) for row in rows[1:]]) == pytest.approx(mean, abs=1e-6)  # both at 6 decimals
 
 
-def test_eval_whose_write_fails_keeps_the_old_metrics(workdir, monkeypatch):
+def test_eval_whose_write_fails_keeps_the_old_metrics(workdir, monkeypatch, capsys):
     root, cfg = workdir
     out = root / "eval"
     before = {name: (out / name).read_bytes() for name in ("metrics.csv", "details.csv")}
     monkeypatch.setattr(os, "replace", _refuse_replace)
-    with pytest.raises(OSError, match="replace refused"), pytest.warns(UserWarning, match="singular"):
-        main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg, "--data", str(root / "ds"),
-              "--style", "label_only", "--out", str(out)])
+    with pytest.warns(UserWarning, match="singular"):
+        assert main(["eval", "--checkpoint", str(root / "student.soek"), "--config", cfg, "--data", str(root / "ds"),
+                     "--style", "label_only", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: replace refused\n"
     assert {name: (out / name).read_bytes() for name in before} == before
     assert not list(out.glob("*.tmp"))
 
@@ -466,6 +468,44 @@ def test_index_field_of_the_wrong_type_or_domain_is_refused_by_line(workdir, cap
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ds"]
 
 
+def _json_type(value) -> str:
+    return {bool: "boolean", int: "number", float: "number", str: "string", list: "array", dict: "object"}.get(
+        type(value), "null")
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 40, 2 ** 40), st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=12), st.lists(st.integers(-2, 70), max_size=5),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+
+
+def _sample_rows(samples) -> list:
+    return [(s.id, s.bbox, s.label, s.color, s.split, s.image.tobytes()) for s in samples]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_sample_field_of_another_json_type_reads_the_same_or_is_refused_by_line(workdir, data):
+    root, _ = workdir
+    ds = root / "retyped"
+    if not ds.exists():
+        ds.mkdir()
+        (ds / "images").symlink_to(root / "ds" / "images")
+    lines = (root / "ds" / "index.jsonl").read_text().splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 2), label="line")  # the last line is the counts record
+    rec = json.loads(lines[i])
+    field = data.draw(st.sampled_from(sorted(rec)), label="field")
+    rec[field] = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) != _json_type(rec[field])), label="value")
+    (ds / "index.jsonl").write_text("".join(lines[:i] + [json.dumps(rec) + "\n"] + lines[i + 1:]))
+    split = data.draw(st.sampled_from([None, "train-small", "val-small"]), label="split")
+    try:
+        samples = read_dataset(ds, split=split)
+    except (ValueError, OSError) as e:
+        assert str(e).startswith(f"{ds / 'index.jsonl'}:{i + 1}: "), e
+    else:
+        assert _sample_rows(samples) == _sample_rows(read_dataset(root / "ds", split=split))
+
+
 @pytest.mark.parametrize("key, value", [("optimizer", "adam"), ("distill_loss", "huber"), ("use_vae_tuning", False),
                                         ("vae_weight", 1.0), ("use_adapters", True)])
 def test_train_refuses_a_deleted_recipe_key_by_name(workdir, capsys, tmp_path, key, value):
@@ -508,11 +548,33 @@ def test_runtime_error_exits_1(capsys, tmp_path):
 
 def test_bad_bbox_flag(workdir, capsys):
     root, cfg = workdir
-    rc = main(["edit", "--checkpoint", str(root / "teacher.soek"), "--image", str(root / "in.ppm"),
-               "--bbox", "1,2,3", "--label", "circle", "--color", "red",
-               "--out", str(root / "x.ppm")])
-    assert rc == 1
-    assert "bbox" in capsys.readouterr().err
+    for bbox in ("1,2,3", "1,a,3,4"):
+        rc = main(["edit", "--checkpoint", str(root / "teacher.soek"), "--image", str(root / "in.ppm"),
+                   "--bbox", bbox, "--label", "circle", "--color", "red",
+                   "--out", str(root / "x.ppm")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bbox" in err and err.count("\n") == 1, err
+
+
+_EDIT_FLAGS = ["--image", "{root}/in.ppm", "--bbox", "8,8,8,8", "--label", "circle", "--color", "red"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["edit", "--checkpoint", "{tmp}/dir", *_EDIT_FLAGS, "--out", "{tmp}/x.ppm"], "dir"),
+    (["eval", "--checkpoint", "{tmp}/dir", "--data", "{root}/ds", "--out", "{tmp}/eval"], "dir"),
+    (["gen-data", "--config", "{tmp}/dir", "--out", "{tmp}/ds"], "dir"),
+    (["gen-data", "--config", "{cfg}", "--out", "{tmp}/file"], "file"),
+    (["analyze-effective-area", "--out", "{tmp}/file/x.csv"], "file"),
+], ids=["edit-checkpoint-dir", "eval-checkpoint-dir", "gen-data-config-dir", "gen-data-out-file",
+        "analyze-out-under-file"])
+def test_a_path_of_the_wrong_kind_fails_in_one_line(workdir, capsys, tmp_path, argv, named):
+    root, cfg = workdir
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    assert main([a.format(root=root, cfg=cfg, tmp=tmp_path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(tmp_path / named) in err, err
 
 
 @pytest.mark.parametrize("header", [b"P6\n64\n255\n", b"P6\n64 x\n255\n"], ids=["one-token", "not-an-int"])

@@ -7,12 +7,13 @@ import pytest
 
 from helpers import set_adapter_b
 from soekit import tensor as T
-from soekit.config import LoraSection, ModelSection
+from soekit.config import LoraSection, ModelSection, RunConfig
 from soekit.lora import LoraAdapter, attach, placement
 from soekit.nets import AttnBlock, ConditionEmbedder, Conv2d, Linear, MiniUnet
 from soekit.optim import Adam
 from soekit.rng import stream_rng
 from soekit.tensor import Tensor, backward
+from soekit.train import Bundle
 
 CFG = ModelSection(base_width=16, cond_dim=16, time_dim=16, groups=4)
 
@@ -55,6 +56,67 @@ def test_placement_names_each_adapter_by_its_linear_in_group_block_linear_order(
     assert list(adapters.adapters.values()) == [linear.adapter for block in held for linear in block]
     assert placement(3) == {"mid": ("mid",), "down0_up3": ("down.0", "up.2"), "down1_up1": ("down.1", "up.1"),
                             "down2_up2": ("down.2", "up.0")}
+
+
+# The array names of a default-depth student checkpoint, in file order; a teacher's are these less lora.*. A changed
+# order changes the bytes of every checkpoint written.
+_BUNDLE_NAMES = """
+vae.enc1.w vae.enc1.b vae.enc2.w vae.enc2.b vae.enc3.w vae.enc3.b vae.dec1.w vae.dec1.b vae.dec2.w
+vae.dec2.b vae.dec3.w vae.dec3.b vae.dec4.w vae.dec4.b
+unet.in_conv.w unet.in_conv.b
+unet.down.0.res.norm.gamma unet.down.0.res.norm.beta unet.down.0.res.conv.w unet.down.0.res.conv.b
+unet.down.0.res.time_proj.w unet.down.0.res.time_proj.b unet.down.0.attn.norm.gamma
+unet.down.0.attn.norm.beta unet.down.0.attn.wq.w unet.down.0.attn.wq.b unet.down.0.attn.wk.w
+unet.down.0.attn.wk.b unet.down.0.attn.wv.w unet.down.0.attn.wv.b unet.down.0.attn.wo.w
+unet.down.0.attn.wo.b
+unet.down.1.res.norm.gamma unet.down.1.res.norm.beta unet.down.1.res.conv.w unet.down.1.res.conv.b
+unet.down.1.res.time_proj.w unet.down.1.res.time_proj.b unet.down.1.attn.norm.gamma
+unet.down.1.attn.norm.beta unet.down.1.attn.wq.w unet.down.1.attn.wq.b unet.down.1.attn.wk.w
+unet.down.1.attn.wk.b unet.down.1.attn.wv.w unet.down.1.attn.wv.b unet.down.1.attn.wo.w
+unet.down.1.attn.wo.b
+unet.downsample.0.w unet.downsample.0.b
+unet.downsample.1.w unet.downsample.1.b
+unet.mid.res.norm.gamma unet.mid.res.norm.beta unet.mid.res.conv.w unet.mid.res.conv.b
+unet.mid.res.time_proj.w unet.mid.res.time_proj.b unet.mid.attn.norm.gamma unet.mid.attn.norm.beta
+unet.mid.attn.wq.w unet.mid.attn.wq.b unet.mid.attn.wk.w unet.mid.attn.wk.b unet.mid.attn.wv.w
+unet.mid.attn.wv.b unet.mid.attn.wo.w unet.mid.attn.wo.b
+unet.upsample.0.w unet.upsample.0.b
+unet.upsample.1.w unet.upsample.1.b
+unet.up.0.res.norm.gamma unet.up.0.res.norm.beta unet.up.0.res.conv.w unet.up.0.res.conv.b
+unet.up.0.res.time_proj.w unet.up.0.res.time_proj.b unet.up.0.res.skip.w unet.up.0.res.skip.b
+unet.up.0.attn.norm.gamma unet.up.0.attn.norm.beta unet.up.0.attn.wq.w unet.up.0.attn.wq.b
+unet.up.0.attn.wk.w unet.up.0.attn.wk.b unet.up.0.attn.wv.w unet.up.0.attn.wv.b unet.up.0.attn.wo.w
+unet.up.0.attn.wo.b
+unet.up.1.res.norm.gamma unet.up.1.res.norm.beta unet.up.1.res.conv.w unet.up.1.res.conv.b
+unet.up.1.res.time_proj.w unet.up.1.res.time_proj.b unet.up.1.res.skip.w unet.up.1.res.skip.b
+unet.up.1.attn.norm.gamma unet.up.1.attn.norm.beta unet.up.1.attn.wq.w unet.up.1.attn.wq.b
+unet.up.1.attn.wk.w unet.up.1.attn.wk.b unet.up.1.attn.wv.w unet.up.1.attn.wv.b unet.up.1.attn.wo.w
+unet.up.1.attn.wo.b
+unet.out_norm.gamma unet.out_norm.beta
+unet.out_conv.w unet.out_conv.b
+cond.label_table cond.color_table
+lora.mid.res.time_proj.A lora.mid.res.time_proj.B lora.mid.attn.wq.A lora.mid.attn.wq.B
+lora.mid.attn.wk.A lora.mid.attn.wk.B lora.mid.attn.wv.A lora.mid.attn.wv.B lora.mid.attn.wo.A
+lora.mid.attn.wo.B
+lora.down.1.res.time_proj.A lora.down.1.res.time_proj.B lora.down.1.attn.wq.A lora.down.1.attn.wq.B
+lora.down.1.attn.wk.A lora.down.1.attn.wk.B lora.down.1.attn.wv.A lora.down.1.attn.wv.B
+lora.down.1.attn.wo.A lora.down.1.attn.wo.B
+lora.up.0.res.time_proj.A lora.up.0.res.time_proj.B lora.up.0.attn.wq.A lora.up.0.attn.wq.B
+lora.up.0.attn.wk.A lora.up.0.attn.wk.B lora.up.0.attn.wv.A lora.up.0.attn.wv.B lora.up.0.attn.wo.A
+lora.up.0.attn.wo.B
+lora.down.0.res.time_proj.A lora.down.0.res.time_proj.B lora.down.0.attn.wq.A lora.down.0.attn.wq.B
+lora.down.0.attn.wk.A lora.down.0.attn.wk.B lora.down.0.attn.wv.A lora.down.0.attn.wv.B
+lora.down.0.attn.wo.A lora.down.0.attn.wo.B
+lora.up.1.res.time_proj.A lora.up.1.res.time_proj.B lora.up.1.attn.wq.A lora.up.1.attn.wq.B
+lora.up.1.attn.wk.A lora.up.1.attn.wk.B lora.up.1.attn.wv.A lora.up.1.attn.wv.B lora.up.1.attn.wo.A
+lora.up.1.attn.wo.B
+""".split()
+
+
+def test_checkpoint_array_names_keep_their_order():
+    cfg = RunConfig.from_dict({"model": {"base_width": 8, "cond_dim": 8, "time_dim": 8, "groups": 4}})
+    assert list(Bundle.build(cfg, seed=0, role="student").params()) == _BUNDLE_NAMES
+    assert list(Bundle.build(cfg, seed=0, role="teacher").params()) == [n for n in _BUNDLE_NAMES if n[:5] != "lora."]
 
 
 def test_empty_or_unknown_block_selection_rejected():

@@ -51,7 +51,7 @@ def tiny_bundle():
 def test_masked_crop_full_image_is_plain_resize():
     img = np.random.default_rng(0).random((64, 64, 3)).astype(np.float32)
     crop = masked_crop(img, (0, 0, 64, 64))
-    assert crop.shape == (32, 32, 3)
+    assert crop.shape == (3, 32, 32)
 
 
 def test_masked_crop_constant_region():
@@ -84,7 +84,7 @@ def test_masked_crop_grids_align_between_generated_and_truth():
     bbox = (12, 8, 16, 16)
     ca = masked_crop(a, bbox, out_side=16)
     cb = masked_crop(b, bbox, out_side=16)
-    assert np.allclose(cb - ca, checker[8:24, 12:28, None], atol=1e-6)
+    assert np.allclose(cb - ca, checker[None, 8:24, 12:28], atol=1e-6)
 
 
 # -- Frechet distance -----------------------------------------------------------------
@@ -164,7 +164,7 @@ def test_noise_crop_scores_near_chance(probe):
     rng = np.random.default_rng(13)
     means = []
     for _ in range(8):
-        noise = rng.random((32, 32, 3)).astype(np.float32)
+        noise = rng.random((32, 32, 3)).astype(np.float32).transpose(2, 0, 1)  # the probe's (3, 32, 32) layout
         scores = [alignment_score(noise, lab, "red", "label_only", probe) for lab in LABELS]
         means.append(np.mean(scores))
     assert float(np.mean(means)) <= 2.0 / len(LABELS)
